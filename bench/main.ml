@@ -80,24 +80,31 @@ let large_n () =
           Printf.eprintf "bench: BENCH_LARGE_N must be an integer > 1, got %S\n" s;
           exit 2)
 
-(* --jobs N on the command line, falling back to DYNGRAPH_JOBS. *)
-let sched () =
+(* --FLAG N on the command line as an integer >= [min]; anything else
+   exits 2 instead of falling back to the environment default. *)
+let int_flag flag ~min =
   let rec from_argv i =
     if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--jobs" then int_of_string_opt Sys.argv.(i + 1)
+    else if Sys.argv.(i) = flag then Some Sys.argv.(i + 1)
     else from_argv (i + 1)
   in
-  match from_argv 1 with Some w -> Exec.of_int w | None -> Exec.default ()
+  match from_argv 1 with
+  | None -> None
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some v when v >= min -> Some v
+      | _ ->
+          Printf.eprintf "bench: %s must be an integer >= %d, got %S\n" flag min s;
+          exit 2)
+
+(* --jobs N on the command line, falling back to DYNGRAPH_JOBS. *)
+let sched () =
+  match int_flag "--jobs" ~min:1 with Some w -> Exec.of_int w | None -> Exec.default ()
 
 (* --procs N on the command line, falling back to DYNGRAPH_PROCS; 0
    keeps the claim phase in-process. *)
 let procs () =
-  let rec from_argv i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--procs" then int_of_string_opt Sys.argv.(i + 1)
-    else from_argv (i + 1)
-  in
-  match from_argv 1 with Some p when p >= 0 -> p | Some _ | None -> Exec.default_procs ()
+  match int_flag "--procs" ~min:0 with Some p -> p | None -> Exec.default_procs ()
 
 let json_path () =
   let rec from_argv i =
@@ -600,6 +607,8 @@ let () =
      Exec.Pool, so a single large run accelerates, not just the
      many-trials phases. Results are identical at every jobs count. *)
   Exec.Pool.set_workers (Exec.workers (sched ()));
+  (* Validate --procs before any work starts, not at first use. *)
+  ignore (procs ());
   let sc = scale () in
   (* --only-large skips the registry claim phase: the smoke scripts
      compare the large-tier row across --jobs counts and should not

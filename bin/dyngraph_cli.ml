@@ -37,6 +37,16 @@ let scale_arg =
   in
   Arg.(value & opt (some scale_conv) None & info [ "scale" ] ~docv:"SCALE" ~doc)
 
+(* Worker counts are rejected at parse time when out of range, never
+   clamped later. *)
+let int_at_least min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= min -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" min s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let jobs_arg =
   let doc =
     "Number of worker domains for the execution engine. 1 (the default) runs \
@@ -44,7 +54,7 @@ let jobs_arg =
      domains, producing byte-identical output for every N."
   in
   let env = Cmd.Env.info "DYNGRAPH_JOBS" ~doc:"Default for $(b,--jobs)." in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~env ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 1) 1 & info [ "jobs"; "j" ] ~env ~docv:"N" ~doc)
 
 let procs_arg =
   let doc =
@@ -57,7 +67,7 @@ let procs_arg =
      $(b,DYNGRAPH_PROCS) when set (unparsable values are ignored with a \
      warning)."
   in
-  Arg.(value & opt int (Exec.default_procs ()) & info [ "procs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 0) (Exec.default_procs ()) & info [ "procs" ] ~docv:"N" ~doc)
 
 let journal_arg =
   let doc =
@@ -130,7 +140,7 @@ let fleet_setup ~procs ~jobs ~journal ~metrics ~trace ~progress =
   (* --jobs also drives intra-run tile parallelism (Exec.Pool): the
      off-heap flood scan and partitioned edge-MEG step fan out inside a
      single trial, with results identical at every jobs count. *)
-  Exec.Pool.set_workers (max 1 jobs);
+  Exec.Pool.set_workers jobs;
   if procs > 0 then begin
     let cmd =
       Array.of_list
@@ -256,7 +266,7 @@ let csv_cmd =
     let rng = Prng.Rng.of_seed seed in
     let scale = resolve_scale scale_opt full in
     let sched = Exec.of_int jobs in
-    Exec.Pool.set_workers (max 1 jobs);
+    Exec.Pool.set_workers jobs;
     obs_setup ~metrics ~trace ~progress;
     let result =
       match (String.lowercase_ascii id, outdir) with
@@ -356,7 +366,7 @@ let serve_cmd =
        (experiments with serialisable trial plans; others fall back to the \
        in-process pool)."
     in
-    Arg.(value & opt int 0 & info [ "procs" ] ~docv:"W" ~doc)
+    Arg.(value & opt (int_at_least 0) 0 & info [ "procs" ] ~docv:"W" ~doc)
   in
   let run socket tcp jobs executors procs cache =
     (* The daemon always runs with a real clock and metrics: progress
@@ -387,7 +397,7 @@ let serve_cmd =
     Printf.eprintf
       "dyngraph serve: listening on %s%s (jobs %d, executors %d%s, cache %d)\n%!" socket
       (match tcp with Some p -> Printf.sprintf " and 127.0.0.1:%d" p | None -> "")
-      (max 1 jobs) (max 1 executors)
+      jobs (max 1 executors)
       (if procs > 0 then Printf.sprintf ", procs %d" procs else "")
       cache;
     Serve.Server.wait t

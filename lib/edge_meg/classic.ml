@@ -246,195 +246,6 @@ let make_heap ~init ~n ~p ~q () =
   Core.Dynamic.make ~fill_edges ~deltas ~delta_size ~expected_edges ~n ~reset ~step
     ~iter_edges ()
 
-(* The same model with every size-scaling structure in the
-   {!Graph.Storage} layer: the present set is a {!Graph.Sparse_set.Big}
-   (growable off-heap dense array + hash position index — the pair
-   universe n(n-1)/2 is ~2^39 at n = 2^20, far beyond what the
-   array-indexed set can address), the endpoint mirror and birth
-   buffers are int32 / native-int Bigarray vectors, and the death
-   buffer is an off-heap {!Graph.Edge_buffer.I32}. Memory is O(peak
-   live-edge count), independent of the universe, and the major heap
-   carries only control records.
-
-   Every scan is the same cursor walk drawing the same geometric
-   stream as the heap implementation, and [Sparse_set.Big] mirrors the
-   array-indexed set operation for operation, so for a given seed the
-   two backings produce identical trajectories (asserted by
-   test/test_edge_meg.ml). [Full] initialisation — and [Stationary]
-   when alpha >= 1 — would saturate the universe and is rejected;
-   [`Auto] routing falls back to the heap implementation there. *)
-let make_offheap ~init ~n ~p ~q () =
-  let module St = Graph.Storage in
-  let module Big = Graph.Sparse_set.Big in
-  if n > St.max_nodes then invalid_arg "Classic.make: n exceeds the int32 id range";
-  let chain = Markov.Two_state.make ~p ~q in
-  let total = Graph.Pairs.total n in
-  let alpha = Markov.Two_state.stationary_on chain in
-  (match init with
-  | Full -> invalid_arg "Classic.make: Full initialisation needs heap storage"
-  | Stationary when alpha >= 1. ->
-      invalid_arg "Classic.make: saturated stationary initialisation needs heap storage"
-  | Stationary | Empty -> ());
-  let expected_edges = int_of_float (ceil (alpha *. float_of_int total)) in
-  let present = Big.create ~capacity:(max 64 expected_edges) total in
-  let rng = ref (Prng.Rng.of_seed 0) in
-  let geo prob = if prob > 0. && prob < 1. then Some (Prng.Rng.Geo.make ~p:prob) else None in
-  let geo_p = geo p in
-  let geo_q = geo q in
-  let geo_alpha = geo alpha in
-  (* Endpoint mirror, as in the heap implementation, but in int32
-     storage (endpoints are node ids). *)
-  let eu = St.I32.create 64 in
-  let ev = St.I32.create 64 in
-  let ensure_ends needed =
-    St.I32.ensure eu needed;
-    St.I32.ensure ev needed
-  in
-  let scan_pairs r prob f =
-    if prob > 0. then begin
-      let idx = ref (Prng.Rng.geometric r prob) in
-      if !idx < total then begin
-        let u = ref 0 and base = ref 0 and next = ref (n - 1) in
-        while !idx < total do
-          while !idx >= !next do
-            incr u;
-            base := !next;
-            next := !next + (n - 1 - !u)
-          done;
-          f !idx !u (!u + 1 + (!idx - !base));
-          idx := !idx + 1 + Prng.Rng.geometric r prob
-        done
-      end
-    end
-  in
-  let add_present idx u v =
-    let pos = Big.length present in
-    ensure_ends (pos + 1);
-    Big.add_unchecked present idx;
-    St.I32.unsafe_set eu pos u;
-    St.I32.unsafe_set ev pos v
-  in
-  (* Birth buffer: pair indices exceed the int32 range, so they ride in
-     a native-int vector; the endpoints fit int32. *)
-  let b_idx = St.Ix.create 64 in
-  let b_u = St.I32.create 64 in
-  let b_v = St.I32.create 64 in
-  let n_births = ref 0 in
-  let push_birth idx u v =
-    let k = !n_births in
-    St.Ix.ensure b_idx (k + 1);
-    St.I32.ensure b_u (k + 1);
-    St.I32.ensure b_v (k + 1);
-    St.Ix.unsafe_set b_idx k idx;
-    St.I32.unsafe_set b_u k u;
-    St.I32.unsafe_set b_v k v;
-    n_births := k + 1
-  in
-  let deaths = Graph.Edge_buffer.I32.create ~capacity:64 () in
-  let deltas_valid = ref false in
-  let reset r =
-    rng := r;
-    Big.clear present;
-    deltas_valid := false;
-    match init with
-    | Empty -> ()
-    | Full -> assert false
-    | Stationary -> (
-        match geo_alpha with
-        | Some geo ->
-            let r = !rng in
-            let idx = ref (Prng.Rng.Geo.draw geo r) in
-            if !idx < total then begin
-              let u = ref 0 and base = ref 0 and next = ref (n - 1) in
-              while !idx < total do
-                while !idx >= !next do
-                  incr u;
-                  base := !next;
-                  next := !next + (n - 1 - !u)
-                done;
-                let i = !idx in
-                add_present i !u (!u + 1 + (i - !base));
-                idx := i + 1 + Prng.Rng.Geo.draw geo r
-              done
-            end
-        | None -> scan_pairs !rng alpha (fun idx u v -> add_present idx u v))
-  in
-  let step () =
-    n_births := 0;
-    Graph.Edge_buffer.I32.clear deaths;
-    (* Same written-out birth scan as the heap implementation: same
-       cursor walk, same draw sequence, membership now one hash
-       probe. *)
-    (match geo_p with
-    | Some geo ->
-        let r = !rng in
-        let idx = ref (Prng.Rng.Geo.draw geo r) in
-        if !idx < total then begin
-          let u = ref 0 and base = ref 0 and next = ref (n - 1) in
-          while !idx < total do
-            while !idx >= !next do
-              incr u;
-              base := !next;
-              next := !next + (n - 1 - !u)
-            done;
-            let i = !idx in
-            if not (Big.mem present i) then push_birth i !u (!u + 1 + (i - !base));
-            idx := i + 1 + Prng.Rng.Geo.draw geo r
-          done
-        end
-    | None ->
-        scan_pairs !rng p (fun idx u v ->
-            if not (Big.mem present idx) then push_birth idx u v));
-    let on_death _ i =
-      Graph.Edge_buffer.I32.push deaths (St.I32.unsafe_get eu i) (St.I32.unsafe_get ev i);
-      let last = Big.length present in
-      St.I32.unsafe_set eu i (St.I32.unsafe_get eu last);
-      St.I32.unsafe_set ev i (St.I32.unsafe_get ev last)
-    in
-    (match geo_q with
-    | Some geo -> Big.remove_geo_pos present geo !rng on_death
-    | None -> Big.remove_bernoulli_pos present !rng ~p:q on_death);
-    let nb = !n_births in
-    if nb > 0 then begin
-      let pos0 = Big.length present in
-      ensure_ends (pos0 + nb);
-      for k = 0 to nb - 1 do
-        let pos = pos0 + k in
-        Big.add_unchecked present (St.Ix.unsafe_get b_idx k);
-        St.I32.unsafe_set eu pos (St.I32.unsafe_get b_u k);
-        St.I32.unsafe_set ev pos (St.I32.unsafe_get b_v k)
-      done
-    end;
-    deltas_valid := true
-  in
-  let iter_edges f =
-    let len = Big.length present in
-    for i = 0 to len - 1 do
-      f (St.I32.unsafe_get eu i) (St.I32.unsafe_get ev i)
-    done
-  in
-  let fill_edges buf =
-    let len = Big.length present in
-    for i = 0 to len - 1 do
-      Graph.Edge_buffer.push buf (St.I32.unsafe_get eu i) (St.I32.unsafe_get ev i)
-    done
-  in
-  let deltas ~birth ~death =
-    !deltas_valid
-    && begin
-         for k = 0 to !n_births - 1 do
-           birth (St.I32.unsafe_get b_u k) (St.I32.unsafe_get b_v k)
-         done;
-         Graph.Edge_buffer.I32.iter deaths (fun u v -> death u v);
-         true
-       end
-  in
-  let delta_size () =
-    if !deltas_valid then !n_births + Graph.Edge_buffer.I32.length deaths else 0
-  in
-  Core.Dynamic.make ~fill_edges ~deltas ~delta_size ~expected_edges ~n ~reset ~step
-    ~iter_edges ()
-
 (* Partition-parallel off-heap engine (DESIGN.md section 11). The pair
    universe is cut into [strips_default] fixed contiguous strips — a
    function of nothing but the strip count, never of worker count or
@@ -448,13 +259,14 @@ let make_offheap ~init ~n ~p ~q () =
    of the reset seed alone: identical at any [parts] and any pool
    worker count (test/test_parallel.ml pins both).
 
-   This is a deliberate draw-stream change relative to [make_offheap]'s
-   single sequential stream — confined to [`Auto] routing at
-   n >= offheap_nodes (plus explicit [?parts] opt-ins), so every
-   golden-sized run (n < 2^17) executes the exact pre-existing code.
-   Explicit [`Offheap] without [?parts] keeps the legacy single-stream
-   engine, whose draw-for-draw equality with the heap layout the
-   storage-equivalence tests pin. *)
+   Its draw stream deliberately differs from the heap engine's single
+   stream; [make] routes to it only at n >= offheap_nodes or on an
+   explicit [?parts], so every golden-sized run (n < 2^17) executes
+   the heap engine. The two engines agree in law, which the
+   oracle tests in test/test_edge_meg.ml check statistically. [Full]
+   initialisation — and [Stationary] when alpha >= 1 — would saturate
+   the universe and is rejected; without [?parts], [make] routes those
+   to the heap engine. *)
 let strips_default = 64
 
 type strip = {
@@ -474,7 +286,7 @@ type strip = {
   mutable rng : Prng.Rng.t;  (* substream [strip index] of the reset seed *)
 }
 
-let make_offheap_partitioned ~init ~n ~p ~q ~parts () =
+let make_partitioned ~init ~n ~p ~q ~parts () =
   let module St = Graph.Storage in
   let module Big = Graph.Sparse_set.Big in
   if n > St.max_nodes then invalid_arg "Classic.make: n exceeds the int32 id range";
@@ -482,9 +294,9 @@ let make_offheap_partitioned ~init ~n ~p ~q ~parts () =
   let total = Graph.Pairs.total n in
   let alpha = Markov.Two_state.stationary_on chain in
   (match init with
-  | Full -> invalid_arg "Classic.make: Full initialisation needs heap storage"
+  | Full -> invalid_arg "Classic.make: Full initialisation needs the heap engine (no ?parts)"
   | Stationary when alpha >= 1. ->
-      invalid_arg "Classic.make: saturated stationary initialisation needs heap storage"
+      invalid_arg "Classic.make: saturated stationary initialisation needs the heap engine (no ?parts)"
   | Stationary | Empty -> ());
   let expected_edges = int_of_float (ceil (alpha *. float_of_int total)) in
   let geo prob = if prob > 0. && prob < 1. then Some (Prng.Rng.Geo.make ~p:prob) else None in
@@ -492,7 +304,7 @@ let make_offheap_partitioned ~init ~n ~p ~q ~parts () =
   let geo_q = geo q in
   let geo_alpha = geo alpha in
   let strips = strips_default in
-  let parts = max 1 (min parts strips) in
+  let parts = min parts strips in
   (* floor (s * total / strips) without overflowing s * total (the pair
      universe alone can exceed 2^60). *)
   let bound s = (total / strips * s) + (total mod strips * s / strips) in
@@ -700,18 +512,12 @@ let make_offheap_partitioned ~init ~n ~p ~q ~parts () =
   Core.Dynamic.make ~fill_edges ~deltas ~delta_size ~expected_edges ~n ~reset ~step
     ~iter_edges ()
 
-let make ?(init = Stationary) ?(storage = `Auto) ?parts ~n ~p ~q () =
-  match (storage, parts) with
-  | `Heap, Some _ -> invalid_arg "Classic.make: parts requires off-heap storage"
-  | `Heap, None -> make_heap ~init ~n ~p ~q ()
-  | (`Offheap | `Auto), Some k ->
+let make ?(init = Stationary) ?parts ~n ~p ~q () =
+  match parts with
+  | Some k ->
       if k < 1 then invalid_arg "Classic.make: parts must be >= 1";
-      make_offheap_partitioned ~init ~n ~p ~q ~parts:k ()
-  | `Offheap, None ->
-      (* Explicit off-heap without [?parts] is the stream-compatibility
-         mode: draw-for-draw identical to the heap layout. *)
-      make_offheap ~init ~n ~p ~q ()
-  | `Auto, None ->
+      make_partitioned ~init ~n ~p ~q ~parts:k ()
+  | None ->
       (* Big graphs go off-heap (partitioned) unless the run needs a
          saturated start, which only the universe-sized heap layout can
          hold. *)
@@ -719,7 +525,7 @@ let make ?(init = Stationary) ?(storage = `Auto) ?parts ~n ~p ~q () =
         n >= Graph.Storage.offheap_nodes
         && init <> Full
         && Markov.Two_state.stationary_on (Markov.Two_state.make ~p ~q) < 1.
-      then make_offheap_partitioned ~init ~n ~p ~q ~parts:strips_default ()
+      then make_partitioned ~init ~n ~p ~q ~parts:strips_default ()
       else make_heap ~init ~n ~p ~q ()
 
 let params ~p ~q = Markov.Two_state.make ~p ~q

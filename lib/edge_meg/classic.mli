@@ -18,7 +18,6 @@ type init =
 
 val make :
   ?init:init ->
-  ?storage:[ `Auto | `Heap | `Offheap ] ->
   ?parts:int ->
   n:int ->
   p:float ->
@@ -28,28 +27,25 @@ val make :
 (** Requires [p, q] in [\[0, 1\]], [p + q > 0]. Default init
     [Stationary].
 
-    [storage] selects the state backing. [`Heap] is the original
-    implementation: a {!Graph.Sparse_set} indexed by the full pair
-    universe — O(n²) memory, mandatory for [Full] (and saturated
-    stationary) initialisation. [`Offheap] keeps every size-scaling
-    structure in the {!Graph.Storage} layer with memory O(peak edge
-    count) instead of O(n²) — the only way to reach n ≈ 10⁶ — and
-    rejects [Full] / saturated starts; draw streams and trajectories
-    are identical to [`Heap]'s for the same seed. [`Auto] (default)
-    picks the {e partitioned} off-heap engine from
-    [Graph.Storage.offheap_nodes] nodes up whenever the initialisation
-    allows it, [`Heap] otherwise.
+    Two engines back the model. The heap engine keeps a
+    {!Graph.Sparse_set} indexed by the full pair universe — O(n²)
+    memory, the only engine that holds [Full] (and saturated
+    stationary) initialisation. The partitioned engine (DESIGN.md
+    section 11) keeps every size-scaling structure in the
+    {!Graph.Storage} layer with memory O(peak edge count) — the only
+    way to reach n ≈ 10⁶ — and cuts the pair universe into 64 fixed
+    strips, each owning its state and an RNG substream indexed by strip
+    (never by domain), stepped in parallel on {!Exec.Pool}. Its results
+    depend only on the seed, not on [parts] or the worker count; its
+    draw stream deliberately differs from the heap engine's, and the two
+    agree in law.
 
-    The partitioned engine (DESIGN.md section 11) cuts the pair
-    universe into 64 fixed strips, each owning its state and an RNG
-    substream indexed by strip (never by domain), and steps them in
-    parallel on {!Exec.Pool} — results depend only on the seed, not on
-    [parts] or the worker count, but its draw stream deliberately
-    differs from the heap engine's single stream. [?parts] forces the
-    partitioned engine at any [n] (grouping strips into that many step
-    tasks; clamped to 1..64) and is rejected with [`Heap]. Explicit
-    [`Offheap] without [?parts] keeps the legacy single-stream off-heap
-    engine, draw-for-draw identical to [`Heap]. *)
+    Without [?parts], [make] picks the partitioned engine from
+    [Graph.Storage.offheap_nodes] nodes up whenever the initialisation
+    allows it, the heap engine otherwise. [?parts] forces the
+    partitioned engine at any [n], grouping strips into that many step
+    tasks (clamped to 1..64); it rejects [Full] and saturated
+    stationary starts. *)
 
 val params : p:float -> q:float -> Markov.Two_state.t
 (** The per-edge chain, for closed-form α and mixing time. *)

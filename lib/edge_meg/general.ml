@@ -4,7 +4,7 @@ let stationary_alpha ~chain ~chi =
   Array.iteri (fun s mass -> if chi s then acc := !acc +. mass) pi;
   !acc
 
-let make_heap ~init ~n ~chain ~chi () =
+let make ?(init = `Stationary) ~n ~chain ~chi () =
   let total = Graph.Pairs.total n in
   let states = Array.make total 0 in
   (* The chi-on pairs are mirrored into a sparse set as the hidden
@@ -150,386 +150,6 @@ let make_heap ~init ~n ~chain ~chi () =
   in
   Core.Dynamic.make ~fill_edges ~deltas ~delta_size ~expected_edges ~n ~reset ~step
     ~iter_edges ()
-
-(* The same process with every size-scaling structure in the
-   {!Graph.Storage} layer: the per-pair chain states and the endpoint
-   mirror in int32 Bigarray vectors, the present set in
-   {!Graph.Sparse_set.I32} (which mirrors the heap set operation for
-   operation) and the delta buffers off-heap — halving the resident
-   footprint and leaving the major heap size-independent. The pair
-   universe is indexed by int32 here, so this layout requires
-   n(n-1)/2 <= [Graph.Storage.max_nodes] (n <= 65536); the step is an
-   O(n²) chain sweep either way, which is what actually bounds this
-   model's reach. Draw streams are identical to the heap layout's. *)
-let make_offheap ~init ~n ~chain ~chi () =
-  let module St = Graph.Storage in
-  let module Set = Graph.Sparse_set.I32 in
-  let total = Graph.Pairs.total n in
-  if total > St.max_nodes then
-    invalid_arg "General.make: pair universe exceeds the int32 range (use heap storage)";
-  let states = St.I32.create (max 1 total) in
-  let present = Set.create total in
-  let eu = St.I32.create 64 in
-  let ev = St.I32.create 64 in
-  let ensure_ends needed =
-    St.I32.ensure eu needed;
-    St.I32.ensure ev needed
-  in
-  let add_present idx u v =
-    let pos = Set.length present in
-    ensure_ends (pos + 1);
-    Set.add present idx;
-    St.I32.unsafe_set eu pos u;
-    St.I32.unsafe_set ev pos v
-  in
-  let remove_present idx =
-    let i = Set.find present idx in
-    Set.remove present idx;
-    let last = Set.length present in
-    St.I32.unsafe_set eu i (St.I32.unsafe_get eu last);
-    St.I32.unsafe_set ev i (St.I32.unsafe_get ev last)
-  in
-  let rng = ref (Prng.Rng.of_seed 0) in
-  let stationary_sampler =
-    lazy (Prng.Discrete.of_weights (Markov.Chain.stationary chain))
-  in
-  let births = Graph.Edge_buffer.I32.create ~capacity:64 () in
-  let deaths = Graph.Edge_buffer.I32.create ~capacity:64 () in
-  let deltas_valid = ref false in
-  let reset r =
-    rng := r;
-    Set.clear present;
-    deltas_valid := false;
-    match init with
-    | `State s ->
-        if s < 0 || s >= Markov.Chain.n_states chain then
-          invalid_arg "General.make: initial state out of range";
-        St.I32.fill states 0 total s;
-        if chi s then begin
-          ensure_ends total;
-          Set.fill_all present;
-          let u = ref 0 and base = ref 0 and next = ref (n - 1) in
-          for idx = 0 to total - 1 do
-            while idx >= !next do
-              incr u;
-              base := !next;
-              next := !next + (n - 1 - !u)
-            done;
-            St.I32.unsafe_set eu idx !u;
-            St.I32.unsafe_set ev idx (!u + 1 + (idx - !base))
-          done
-        end
-    | `Stationary ->
-        let sampler = Lazy.force stationary_sampler in
-        let u = ref 0 and base = ref 0 and next = ref (n - 1) in
-        for idx = 0 to total - 1 do
-          let s = Prng.Discrete.draw sampler !rng in
-          St.I32.unsafe_set states idx s;
-          if chi s then begin
-            while idx >= !next do
-              incr u;
-              base := !next;
-              next := !next + (n - 1 - !u)
-            done;
-            add_present idx !u (!u + 1 + (idx - !base))
-          end
-        done
-  in
-  let step () =
-    Graph.Edge_buffer.I32.clear births;
-    Graph.Edge_buffer.I32.clear deaths;
-    let u = ref 0 and base = ref 0 and next = ref (n - 1) in
-    for idx = 0 to total - 1 do
-      let s = Markov.Chain.step chain !rng (St.I32.unsafe_get states idx) in
-      St.I32.unsafe_set states idx s;
-      let now = chi s in
-      let was = Set.mem present idx in
-      if now <> was then begin
-        while idx >= !next do
-          incr u;
-          base := !next;
-          next := !next + (n - 1 - !u)
-        done;
-        let eu_ = !u and ev_ = !u + 1 + (idx - !base) in
-        if now then begin
-          add_present idx eu_ ev_;
-          Graph.Edge_buffer.I32.push births eu_ ev_
-        end
-        else begin
-          remove_present idx;
-          Graph.Edge_buffer.I32.push deaths eu_ ev_
-        end
-      end
-    done;
-    deltas_valid := true
-  in
-  let iter_edges f =
-    let len = Set.length present in
-    for i = 0 to len - 1 do
-      f (St.I32.unsafe_get eu i) (St.I32.unsafe_get ev i)
-    done
-  in
-  let fill_edges buf =
-    let len = Set.length present in
-    for i = 0 to len - 1 do
-      Graph.Edge_buffer.push buf (St.I32.unsafe_get eu i) (St.I32.unsafe_get ev i)
-    done
-  in
-  let deltas ~birth ~death =
-    !deltas_valid
-    && begin
-         Graph.Edge_buffer.I32.iter births (fun u v -> birth u v);
-         Graph.Edge_buffer.I32.iter deaths (fun u v -> death u v);
-         true
-       end
-  in
-  let expected_edges =
-    match init with
-    | `State s -> if chi s then total else n
-    | `Stationary -> int_of_float (ceil (stationary_alpha ~chain ~chi *. float_of_int total))
-  in
-  let delta_size () =
-    if !deltas_valid then
-      Graph.Edge_buffer.I32.length births + Graph.Edge_buffer.I32.length deaths
-    else 0
-  in
-  Core.Dynamic.make ~fill_edges ~deltas ~delta_size ~expected_edges ~n ~reset ~step
-    ~iter_edges ()
-
-(* Partition-parallel off-heap engine, the {!Classic} treatment applied
-   to the hidden-chain sweep (DESIGN.md section 11): the pair universe
-   is cut into 64 fixed strips, each with its own present set
-   ({!Graph.Sparse_set.Big} — a per-strip int32-indexed set would cost
-   a universe-sized array per strip), endpoint mirror, flip buffers and
-   an RNG substream indexed by strip; the shared per-pair state vector
-   is written in disjoint [lo, hi) ranges only. Strips step in parallel
-   on {!Exec.Pool.run_tiles}; deltas and enumeration concatenate strips
-   in index order, so results are a function of the reset seed alone —
-   independent of [parts] and worker count, but a different draw stream
-   from the sequential engines. Opt-in via [?parts] only. *)
-let strips_default = 64
-
-type strip = {
-  lo : int;
-  hi : int;
-  u0 : int;  (* decode cursor seeded at [lo] *)
-  base0 : int;
-  next0 : int;
-  present : Graph.Sparse_set.Big.t;
-  eu : Graph.Storage.I32.t;
-  ev : Graph.Storage.I32.t;
-  births : Graph.Edge_buffer.I32.t;
-  deaths : Graph.Edge_buffer.I32.t;
-  mutable rng : Prng.Rng.t;
-}
-
-let make_offheap_partitioned ~init ~n ~chain ~chi ~parts () =
-  let module St = Graph.Storage in
-  let module Big = Graph.Sparse_set.Big in
-  let total = Graph.Pairs.total n in
-  if total > St.max_nodes then
-    invalid_arg "General.make: pair universe exceeds the int32 range (use heap storage)";
-  let states = St.I32.create (max 1 total) in
-  let alpha = stationary_alpha ~chain ~chi in
-  let strips = strips_default in
-  let parts = max 1 (min parts strips) in
-  let bound s = (total / strips * s) + (total mod strips * s / strips) in
-  let mk_strip s =
-    let lo = bound s and hi = bound (s + 1) in
-    let u0, base0, next0 =
-      if lo >= hi then (0, 0, n - 1)
-      else
-        let u, v = Graph.Pairs.decode n lo in
-        let base = lo - (v - u - 1) in
-        (u, base, base + (n - 1 - u))
-    in
-    let cap = max 64 (int_of_float (ceil (alpha *. float_of_int (hi - lo)))) in
-    {
-      lo;
-      hi;
-      u0;
-      base0;
-      next0;
-      present = Big.create ~capacity:cap total;
-      eu = St.I32.create 64;
-      ev = St.I32.create 64;
-      births = Graph.Edge_buffer.I32.create ~capacity:64 ();
-      deaths = Graph.Edge_buffer.I32.create ~capacity:64 ();
-      rng = Prng.Rng.of_seed 0;
-    }
-  in
-  let ss = Array.init strips mk_strip in
-  let pbound j = j * strips / parts in
-  let add_present st idx u v =
-    let pos = Big.length st.present in
-    St.I32.ensure st.eu (pos + 1);
-    St.I32.ensure st.ev (pos + 1);
-    Big.add_unchecked st.present idx;
-    St.I32.unsafe_set st.eu pos u;
-    St.I32.unsafe_set st.ev pos v
-  in
-  let remove_present st idx =
-    let i = Big.find st.present idx in
-    Big.remove st.present idx;
-    let last = Big.length st.present in
-    St.I32.unsafe_set st.eu i (St.I32.unsafe_get st.eu last);
-    St.I32.unsafe_set st.ev i (St.I32.unsafe_get st.ev last)
-  in
-  let stationary_sampler =
-    lazy (Prng.Discrete.of_weights (Markov.Chain.stationary chain))
-  in
-  let deltas_valid = ref false in
-  let strip_reset st =
-    Big.clear st.present;
-    Graph.Edge_buffer.I32.clear st.births;
-    Graph.Edge_buffer.I32.clear st.deaths;
-    match init with
-    | `State s ->
-        St.I32.fill states st.lo (st.hi - st.lo) s;
-        if chi s then begin
-          let u = ref st.u0 and base = ref st.base0 and next = ref st.next0 in
-          for idx = st.lo to st.hi - 1 do
-            while idx >= !next do
-              incr u;
-              base := !next;
-              next := !next + (n - 1 - !u)
-            done;
-            add_present st idx !u (!u + 1 + (idx - !base))
-          done
-        end
-    | `Stationary ->
-        let sampler = Lazy.force stationary_sampler in
-        let u = ref st.u0 and base = ref st.base0 and next = ref st.next0 in
-        for idx = st.lo to st.hi - 1 do
-          let s = Prng.Discrete.draw sampler st.rng in
-          St.I32.unsafe_set states idx s;
-          if chi s then begin
-            while idx >= !next do
-              incr u;
-              base := !next;
-              next := !next + (n - 1 - !u)
-            done;
-            add_present st idx !u (!u + 1 + (idx - !base))
-          end
-        done
-  in
-  let strip_step st =
-    Graph.Edge_buffer.I32.clear st.births;
-    Graph.Edge_buffer.I32.clear st.deaths;
-    let u = ref st.u0 and base = ref st.base0 and next = ref st.next0 in
-    for idx = st.lo to st.hi - 1 do
-      let s = Markov.Chain.step chain st.rng (St.I32.unsafe_get states idx) in
-      St.I32.unsafe_set states idx s;
-      let now = chi s in
-      let was = Big.mem st.present idx in
-      if now <> was then begin
-        while idx >= !next do
-          incr u;
-          base := !next;
-          next := !next + (n - 1 - !u)
-        done;
-        let eu_ = !u and ev_ = !u + 1 + (idx - !base) in
-        if now then begin
-          add_present st idx eu_ ev_;
-          Graph.Edge_buffer.I32.push st.births eu_ ev_
-        end
-        else begin
-          remove_present st idx;
-          Graph.Edge_buffer.I32.push st.deaths eu_ ev_
-        end
-      end
-    done
-  in
-  let reset r =
-    (match init with
-    | `State s when s < 0 || s >= Markov.Chain.n_states chain ->
-        invalid_arg "General.make: initial state out of range"
-    | `State _ | `Stationary -> ());
-    deltas_valid := false;
-    for s = 0 to strips - 1 do
-      ss.(s).rng <- Prng.Rng.substream r s
-    done;
-    Exec.Pool.run_tiles parts (fun j ->
-        for s = pbound j to pbound (j + 1) - 1 do
-          strip_reset ss.(s)
-        done)
-  in
-  let step () =
-    Exec.Pool.run_tiles parts (fun j ->
-        for s = pbound j to pbound (j + 1) - 1 do
-          strip_step ss.(s)
-        done);
-    deltas_valid := true
-  in
-  let iter_edges f =
-    for s = 0 to strips - 1 do
-      let st = ss.(s) in
-      let len = Big.length st.present in
-      for i = 0 to len - 1 do
-        f (St.I32.unsafe_get st.eu i) (St.I32.unsafe_get st.ev i)
-      done
-    done
-  in
-  let fill_edges buf =
-    for s = 0 to strips - 1 do
-      let st = ss.(s) in
-      let len = Big.length st.present in
-      for i = 0 to len - 1 do
-        Graph.Edge_buffer.push buf (St.I32.unsafe_get st.eu i) (St.I32.unsafe_get st.ev i)
-      done
-    done
-  in
-  let deltas ~birth ~death =
-    !deltas_valid
-    && begin
-         for s = 0 to strips - 1 do
-           let st = ss.(s) in
-           Graph.Edge_buffer.I32.iter st.births (fun u v -> birth u v);
-           Graph.Edge_buffer.I32.iter st.deaths (fun u v -> death u v)
-         done;
-         true
-       end
-  in
-  let expected_edges =
-    match init with
-    | `State s -> if chi s then total else n
-    | `Stationary -> int_of_float (ceil (alpha *. float_of_int total))
-  in
-  let delta_size () =
-    if !deltas_valid then
-      Array.fold_left
-        (fun acc st ->
-          acc + Graph.Edge_buffer.I32.length st.births
-          + Graph.Edge_buffer.I32.length st.deaths)
-        0 ss
-    else 0
-  in
-  Core.Dynamic.make ~fill_edges ~deltas ~delta_size ~expected_edges ~n ~reset ~step
-    ~iter_edges ()
-
-let make ?(init = `Stationary) ?(storage = `Auto) ?parts ~n ~chain ~chi () =
-  match (storage, parts) with
-  | `Heap, Some _ -> invalid_arg "General.make: parts requires off-heap storage"
-  | (`Offheap | `Auto), Some k ->
-      if k < 1 then invalid_arg "General.make: parts must be >= 1";
-      make_offheap_partitioned ~init ~n ~chain ~chi ~parts:k ()
-  | (`Heap | `Offheap | `Auto), None ->
-      let offheap =
-        match storage with
-        | `Heap -> false
-        | `Offheap -> true
-        | `Auto ->
-            (* The O(n²) chain sweep keeps this model at moderate n, where
-               the heap layout is never a GC burden — and the int32 pair
-               index cannot reach the n where it would be. Auto therefore
-               only goes off-heap when both thresholds are satisfiable,
-               i.e. effectively never; [`Offheap] is an explicit opt-in
-               for halving the resident footprint at moderate n. *)
-            n >= Graph.Storage.offheap_nodes
-            && Graph.Pairs.total n <= Graph.Storage.max_nodes
-      in
-      if offheap then make_offheap ~init ~n ~chain ~chi ()
-      else make_heap ~init ~n ~chain ~chi ()
 
 let bound ~chain ~chi ~n =
   let alpha = stationary_alpha ~chain ~chi in

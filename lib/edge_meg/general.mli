@@ -12,8 +12,6 @@
 
 val make :
   ?init:[ `Stationary | `State of int ] ->
-  ?storage:[ `Auto | `Heap | `Offheap ] ->
-  ?parts:int ->
   n:int ->
   chain:Markov.Chain.t ->
   chi:(int -> bool) ->
@@ -23,22 +21,9 @@ val make :
     draws each edge's initial state from the chain's stationary
     distribution; [`State s] starts every edge in state [s].
 
-    [`Offheap] keeps the per-pair chain states, present set and delta
-    buffers in the {!Graph.Storage} layer (int32 cells — about half
-    the resident footprint, none of it GC-scanned) and requires the
-    pair universe n(n-1)/2 to fit the int32 range (n <= 65536); draw
-    streams are identical to [`Heap]'s. [`Auto] (default) stays on the
-    heap at every n this O(n²)-per-step model can realistically
-    reach.
-
-    [?parts] opts into the partitioned off-heap engine (DESIGN.md
-    section 11): the pair universe is cut into 64 fixed strips, each
-    with its own RNG substream indexed by strip (never by domain), and
-    strips step in parallel on {!Exec.Pool} grouped into [parts] tasks
-    (clamped to 1..64). Results depend only on the reset seed — not on
-    [parts] or the worker count — but the draw stream deliberately
-    differs from the sequential engines'. Rejected with [`Heap]; still
-    subject to the int32 pair-universe bound. *)
+    The process lives on the OCaml heap at every [n]: the O(n²)
+    per-step chain sweep bounds its reach long before heap memory
+    does. *)
 
 val stationary_alpha : chain:Markov.Chain.t -> chi:(int -> bool) -> float
 (** Probability that an edge exists in the stationary regime — the α

@@ -153,158 +153,15 @@ let remove_geo_pos t geo rng f =
 let remove_bernoulli ?log1mp t rng ~p f =
   remove_bernoulli_pos ?log1mp t rng ~p (fun x _ -> f x)
 
-(* The same dense-array-plus-position-index design with both arrays in
-   int32 Bigarray storage: 8 bytes per universe slot instead of 16,
-   nothing for the GC to scan. Operation-for-operation identical to
-   the heap implementation above (property-tested in
-   test/test_sparse_set.ml), so swapping a model between the two never
-   changes a draw stream. Members must fit an int32 cell
-   (universe <= Storage.max_nodes). *)
-module I32 = struct
-  type t = {
-    dense : Storage.I32.t;
-    pos : Storage.I32.t;
-    mutable len : int;
-    universe : int;
-  }
-
-  let create universe =
-    if universe < 0 then invalid_arg "Sparse_set.I32.create: negative universe";
-    if universe > Storage.max_nodes then
-      invalid_arg "Sparse_set.I32.create: universe exceeds the int32 id range";
-    {
-      dense = Storage.I32.create (max 1 universe);
-      pos = Storage.I32.create (max 1 universe);
-      len = 0;
-      universe;
-    }
-
-  let universe t = t.universe
-
-  let length t = t.len
-
-  let[@inline] mem t x =
-    let p = Storage.I32.unsafe_get t.pos x in
-    p < t.len && Storage.I32.unsafe_get t.dense p = x
-
-  let add t x =
-    if not (mem t x) then begin
-      Storage.I32.unsafe_set t.dense t.len x;
-      Storage.I32.unsafe_set t.pos x t.len;
-      t.len <- t.len + 1
-    end
-
-  let add_unchecked t x =
-    Storage.I32.unsafe_set t.dense t.len x;
-    Storage.I32.unsafe_set t.pos x t.len;
-    t.len <- t.len + 1
-
-  let remove t x =
-    if mem t x then begin
-      let p = Storage.I32.unsafe_get t.pos x in
-      let last = t.len - 1 in
-      let y = Storage.I32.unsafe_get t.dense last in
-      Storage.I32.unsafe_set t.dense p y;
-      Storage.I32.unsafe_set t.pos y p;
-      t.len <- last
-    end
-
-  let clear t = t.len <- 0
-
-  let fill_all t =
-    for i = 0 to t.universe - 1 do
-      Storage.I32.unsafe_set t.dense i i;
-      Storage.I32.unsafe_set t.pos i i
-    done;
-    t.len <- t.universe
-
-  let get t i =
-    if i < 0 || i >= t.len then invalid_arg "Sparse_set.I32.get: index out of range";
-    Storage.I32.unsafe_get t.dense i
-
-  let iter t f =
-    for i = 0 to t.len - 1 do
-      f (Storage.I32.unsafe_get t.dense i)
-    done
-
-  let find t x =
-    if not (mem t x) then invalid_arg "Sparse_set.I32.find: not a member";
-    Storage.I32.unsafe_get t.pos x
-
-  let iter_bernoulli ?log1mp t rng ~p f =
-    check_prob "Sparse_set.I32.iter_bernoulli" p;
-    if p >= 1. then iter t f
-    else if p > 0. then
-      match log1mp with
-      | Some l ->
-          let i = ref (Prng.Rng.geometric_log1mp rng ~log1mp:l) in
-          while !i < t.len do
-            f (Storage.I32.unsafe_get t.dense !i);
-            i := !i + 1 + Prng.Rng.geometric_log1mp rng ~log1mp:l
-          done
-      | None ->
-          let i = ref (Prng.Rng.geometric rng p) in
-          while !i < t.len do
-            f (Storage.I32.unsafe_get t.dense !i);
-            i := !i + 1 + Prng.Rng.geometric rng p
-          done
-
-  let remove_at t i =
-    let x = Storage.I32.unsafe_get t.dense i in
-    let last = t.len - 1 in
-    let y = Storage.I32.unsafe_get t.dense last in
-    Storage.I32.unsafe_set t.dense i y;
-    Storage.I32.unsafe_set t.pos y i;
-    t.len <- last;
-    x
-
-  let remove_bernoulli_pos ?log1mp t rng ~p f =
-    check_prob "Sparse_set.I32.remove_bernoulli" p;
-    if p >= 1. then begin
-      for i = t.len - 1 downto 0 do
-        f (Storage.I32.unsafe_get t.dense i) i;
-        t.len <- i
-      done
-    end
-    else if p > 0. then begin
-      match log1mp with
-      | Some l ->
-          let i = ref (t.len - 1 - Prng.Rng.geometric_log1mp rng ~log1mp:l) in
-          while !i >= 0 do
-            let x = remove_at t !i in
-            f x !i;
-            i := !i - 1 - Prng.Rng.geometric_log1mp rng ~log1mp:l
-          done
-      | None ->
-          let i = ref (t.len - 1 - Prng.Rng.geometric rng p) in
-          while !i >= 0 do
-            let x = remove_at t !i in
-            f x !i;
-            i := !i - 1 - Prng.Rng.geometric rng p
-          done
-    end
-
-  let remove_geo_pos t geo rng f =
-    let i = ref (t.len - 1 - Prng.Rng.Geo.draw geo rng) in
-    while !i >= 0 do
-      let x = remove_at t !i in
-      f x !i;
-      i := !i - 1 - Prng.Rng.Geo.draw geo rng
-    done
-
-  let remove_bernoulli ?log1mp t rng ~p f =
-    remove_bernoulli_pos ?log1mp t rng ~p (fun x _ -> f x)
-end
-
 (* Sparse set over a universe far too large for a position array: the
    dense array grows on demand (native-int cells — pair indices at
    n = 2^20 exceed 32 bits) and the position index is an off-heap
    open-addressing hash keyed by member. Memory is O(peak membership),
    never O(universe): this is what lets an edge-MEG at 10^6 nodes keep
    its ~n(n-1)/2-sized pair universe while storing only the live
-   edges. The dense array evolves exactly as in the array-indexed
-   implementations (append + swap-remove), so a given operation
-   sequence produces the same dense order and the same draw streams. *)
+   edges. The dense array evolves exactly as in the array-indexed set
+   above (append + swap-remove), so a given operation sequence produces
+   the same dense order and the same draw streams. *)
 module Big = struct
   type t = {
     dense : Storage.Ix.t;
@@ -360,11 +217,6 @@ module Big = struct
     | -1 -> invalid_arg "Sparse_set.Big.find: not a member"
     | p -> p
 
-  let iter t f =
-    for i = 0 to t.len - 1 do
-      f (Storage.Ix.unsafe_get t.dense i)
-    done
-
   let remove_at t i =
     let x = Storage.Ix.unsafe_get t.dense i in
     let last = t.len - 1 in
@@ -410,7 +262,4 @@ module Big = struct
       f x !i;
       i := !i - 1 - Prng.Rng.Geo.draw geo rng
     done
-
-  let remove_bernoulli ?log1mp t rng ~p f =
-    remove_bernoulli_pos ?log1mp t rng ~p (fun x _ -> f x)
 end

@@ -96,57 +96,13 @@ val remove_geo_pos : t -> Prng.Rng.Geo.sampler -> Prng.Rng.t -> (int -> int -> u
     on hot death scans. The stream differs from the inversion scan's,
     so switching a model between the two regenerates goldens. *)
 
-(** The same set, with the dense array and position index in int32
-    Bigarray storage ({!Storage.I32}): half the memory, nothing on the
-    OCaml heap but the control record. Every operation mirrors the
-    heap implementation above exactly — same dense order, same swap
-    moves, same draw streams — verified by the equivalence property
-    suite in test/test_sparse_set.ml. Members must fit an int32 cell:
-    [universe <= Storage.max_nodes]. *)
-module I32 : sig
-  type t
-
-  val create : int -> t
-
-  val universe : t -> int
-
-  val length : t -> int
-
-  val mem : t -> int -> bool
-
-  val add : t -> int -> unit
-
-  val add_unchecked : t -> int -> unit
-
-  val remove : t -> int -> unit
-
-  val clear : t -> unit
-
-  val fill_all : t -> unit
-
-  val get : t -> int -> int
-
-  val find : t -> int -> int
-
-  val iter : t -> (int -> unit) -> unit
-
-  val iter_bernoulli : ?log1mp:float -> t -> Prng.Rng.t -> p:float -> (int -> unit) -> unit
-
-  val remove_bernoulli : ?log1mp:float -> t -> Prng.Rng.t -> p:float -> (int -> unit) -> unit
-
-  val remove_bernoulli_pos :
-    ?log1mp:float -> t -> Prng.Rng.t -> p:float -> (int -> int -> unit) -> unit
-
-  val remove_geo_pos : t -> Prng.Rng.Geo.sampler -> Prng.Rng.t -> (int -> int -> unit) -> unit
-end
-
 (** Sparse set for universes far beyond addressable memory (the pair
     index space of a 10⁶-node graph is ~2³⁹): a growable native-int
     dense array plus an off-heap open-addressing position index
     ({!Storage.Hash}), so memory is O(peak membership) instead of
     O(universe). The dense array evolves exactly as in the
-    array-indexed implementations (append + swap-remove), so identical
-    operation sequences yield identical dense orders and draw streams.
+    array-indexed set (append + swap-remove), so identical operation
+    sequences yield identical dense orders and draw streams.
     [fill_all] is deliberately absent — saturating such a universe is
     never meaningful. *)
 module Big : sig
@@ -173,10 +129,6 @@ module Big : sig
   val get : t -> int -> int
 
   val find : t -> int -> int
-
-  val iter : t -> (int -> unit) -> unit
-
-  val remove_bernoulli : ?log1mp:float -> t -> Prng.Rng.t -> p:float -> (int -> unit) -> unit
 
   val remove_bernoulli_pos :
     ?log1mp:float -> t -> Prng.Rng.t -> p:float -> (int -> int -> unit) -> unit

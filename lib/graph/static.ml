@@ -126,79 +126,3 @@ let is_symmetric g =
     iter_neighbors g u (fun v -> if not (mem_edge g v u) then ok := false)
   done;
   !ok
-
-(* CSR with off-heap row storage: offsets in a native-int Bigarray
-   (entry counts, not node ids), targets in int32. Construction reuses
-   the heap buffer's in-place sort/dedup — build cost is transient; the
-   retained snapshot is two flat Bigarrays the GC never scans. *)
-module I32 = struct
-  type csr = {
-    n : int;
-    offsets : Storage.Ix.t;  (* length n+1 *)
-    targets : Storage.I32.t; (* concatenated sorted neighbour lists *)
-  }
-
-  type t = csr
-
-  let of_buffer ~n:nn buf =
-    if nn < 0 then invalid_arg "Static.I32.of_buffer: negative n";
-    if nn > Storage.max_nodes then
-      invalid_arg "Static.I32.of_buffer: n exceeds the int32 id range";
-    Edge_buffer.iter buf (fun u v ->
-        if u = v then invalid_arg "Static.I32.of_buffer: self-loop";
-        if u < 0 || u >= nn || v < 0 || v >= nn then
-          invalid_arg "Static.I32.of_buffer: endpoint out of range");
-    Edge_buffer.sort_dedup buf;
-    let e = Edge_buffer.length buf in
-    let offsets = Storage.Ix.create (nn + 1) in
-    for i = 0 to e - 1 do
-      let u = Edge_buffer.src buf i and v = Edge_buffer.dst buf i in
-      Storage.Ix.unsafe_set offsets (u + 1) (Storage.Ix.unsafe_get offsets (u + 1) + 1);
-      Storage.Ix.unsafe_set offsets (v + 1) (Storage.Ix.unsafe_get offsets (v + 1) + 1)
-    done;
-    for i = 1 to nn do
-      Storage.Ix.unsafe_set offsets i (Storage.Ix.unsafe_get offsets i + Storage.Ix.unsafe_get offsets (i - 1))
-    done;
-    let targets = Storage.I32.create (max 1 (Storage.Ix.get offsets nn)) in
-    let cursor = Storage.Ix.create (nn + 1) in
-    for i = 0 to nn do
-      Storage.Ix.unsafe_set cursor i (Storage.Ix.unsafe_get offsets i)
-    done;
-    for i = 0 to e - 1 do
-      let u = Edge_buffer.src buf i and v = Edge_buffer.dst buf i in
-      Storage.I32.unsafe_set targets (Storage.Ix.unsafe_get cursor u) v;
-      Storage.Ix.unsafe_set cursor u (Storage.Ix.unsafe_get cursor u + 1);
-      Storage.I32.unsafe_set targets (Storage.Ix.unsafe_get cursor v) u;
-      Storage.Ix.unsafe_set cursor v (Storage.Ix.unsafe_get cursor v + 1)
-    done;
-    (* Rows come out sorted for the same reason as the heap build: the
-       buffer's lexicographic order sorts every adjacency slice. *)
-    { n = nn; offsets; targets }
-
-  let n g = g.n
-
-  let m g = Storage.Ix.get g.offsets g.n / 2
-
-  let degree g u = Storage.Ix.get g.offsets (u + 1) - Storage.Ix.get g.offsets u
-
-  let iter_neighbors g u f =
-    for i = Storage.Ix.get g.offsets u to Storage.Ix.get g.offsets (u + 1) - 1 do
-      f (Storage.I32.unsafe_get g.targets i)
-    done
-
-  let iter_edges g f =
-    for u = 0 to g.n - 1 do
-      iter_neighbors g u (fun v -> if u < v then f u v)
-    done
-
-  let mem_edge g u v =
-    let lo = ref (Storage.Ix.get g.offsets u)
-    and hi = ref (Storage.Ix.get g.offsets (u + 1) - 1) in
-    let found = ref false in
-    while (not !found) && !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let w = Storage.I32.unsafe_get g.targets mid in
-      if w = v then found := true else if w < v then lo := mid + 1 else hi := mid - 1
-    done;
-    !found
-end

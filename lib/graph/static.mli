@@ -63,30 +63,3 @@ val degree_regularity : t -> float
 val is_symmetric : t -> bool
 (** Internal consistency check: every arc has its reverse. Always true
     for graphs built by this module; exposed for property tests. *)
-
-(** The same CSR snapshot with off-heap row storage: offsets in a
-    native-int Bigarray (they count entries, which can exceed the int32
-    range), targets (node ids) in int32 — two flat blocks the GC never
-    scans, regardless of [n]. Construction goes through a heap
-    {!Edge_buffer} (sorted and deduplicated in place, same contract as
-    {!of_buffer}); the transient build storage is released, only the
-    Bigarrays are retained. Requires [n <= Storage.max_nodes]. *)
-module I32 : sig
-  type t
-
-  val of_buffer : n:int -> Edge_buffer.t -> t
-
-  val n : t -> int
-
-  val m : t -> int
-
-  val degree : t -> int -> int
-
-  val mem_edge : t -> int -> int -> bool
-  (** O(log deg), like the heap CSR's. *)
-
-  val iter_neighbors : t -> int -> (int -> unit) -> unit
-
-  val iter_edges : t -> (int -> int -> unit) -> unit
-  (** Each undirected edge once, with [u < v]. *)
-end

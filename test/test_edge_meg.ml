@@ -114,8 +114,9 @@ let test_classic_saturated_inits_bulk_fill () =
 (* The sparse-set rewrite changed the RNG draw sequence (geometric death
    skips instead of per-edge Bernoullis), so trajectories differ by
    design; the process law must not. Compare Monte-Carlo estimates from
-   the new implementation and the Hashtbl oracle within a 3-sigma
-   confidence band at fixed seeds. *)
+   each engine — heap, and partitioned with its per-strip substreams —
+   against the Hashtbl oracle within a 3-sigma confidence band at fixed
+   seeds. *)
 
 let check_within_ci name s_new s_old =
   let k_new = float_of_int (Stats.Summary.count s_new)
@@ -143,18 +144,26 @@ let test_classic_oracle_stationary_edges () =
     done;
     s
   in
-  check_within_ci "stationary edge count, new vs oracle"
+  let oracle = sample (fun () -> Oracle_edge_meg.make ~n ~p ~q ()) 32 in
+  check_within_ci "stationary edge count, heap vs oracle"
     (sample (fun () -> Edge_meg.Classic.make ~n ~p ~q ()) 31)
-    (sample (fun () -> Oracle_edge_meg.make ~n ~p ~q ()) 32)
+    oracle;
+  check_within_ci "stationary edge count, partitioned vs oracle"
+    (sample (fun () -> Edge_meg.Classic.make ~parts:64 ~n ~p ~q ()) 35)
+    oracle
 
 let test_classic_oracle_flooding_mean () =
   let n = 32 and p = 0.15 and q = 0.3 in
   let mean build seed =
     Core.Flooding.mean_time ~rng:(rng_of_seed seed) ~trials:60 build
   in
-  check_within_ci "flooding mean, new vs oracle"
+  let oracle = mean (fun () -> Oracle_edge_meg.make ~n ~p ~q ()) 34 in
+  check_within_ci "flooding mean, heap vs oracle"
     (mean (fun () -> Edge_meg.Classic.make ~n ~p ~q ()) 33)
-    (mean (fun () -> Oracle_edge_meg.make ~n ~p ~q ()) 34)
+    oracle;
+  check_within_ci "flooding mean, partitioned vs oracle"
+    (mean (fun () -> Edge_meg.Classic.make ~parts:64 ~n ~p ~q ()) 36)
+    oracle
 
 (* --- General --- *)
 
@@ -298,36 +307,13 @@ let test_opportunistic_floods () =
   | Some t -> check_true "floods" (t < 3000)
   | None -> Alcotest.fail "opportunistic model did not flood"
 
-(* The off-heap backing promises bit-identical draw streams: same
-   seed, same snapshots, step after step, and the same flooding
-   observables end to end. *)
-let test_classic_storage_layouts_agree () =
-  let n = 96 and p = 0.03 and q = 0.4 in
-  let mk storage = Edge_meg.Classic.make ~storage ~n ~p ~q () in
-  let h = mk `Heap and o = mk `Offheap in
-  Core.Dynamic.reset h (rng_of_seed 21);
-  Core.Dynamic.reset o (rng_of_seed 21);
-  let edges g = List.sort compare (Core.Dynamic.snapshot_edges g) in
-  for step = 0 to 24 do
-    Alcotest.(check (list (pair int int)))
-      (Printf.sprintf "step %d edges" step)
-      (edges h) (edges o);
-    Core.Dynamic.step h;
-    Core.Dynamic.step o
-  done;
-  let rh = Core.Flooding.run ~rng:(rng_of_seed 22) ~source:0 (mk `Heap) in
-  let ro = Core.Flooding.run ~rng:(rng_of_seed 22) ~source:0 (mk `Offheap) in
-  Alcotest.(check (option int)) "flood time" rh.Core.Flooding.time ro.Core.Flooding.time;
-  Alcotest.(check (array int)) "arrivals" rh.Core.Flooding.arrivals ro.Core.Flooding.arrivals
-
 let test_classic_offheap_rejects_saturated () =
   let raises f = try f (); false with Invalid_argument _ -> true in
   check_true "Full init rejected off-heap"
     (raises (fun () ->
-         ignore (Edge_meg.Classic.make ~init:Edge_meg.Classic.Full ~storage:`Offheap ~n:32 ~p:0.1 ~q:0.1 ())));
+         ignore (Edge_meg.Classic.make ~init:Edge_meg.Classic.Full ~parts:64 ~n:32 ~p:0.1 ~q:0.1 ())));
   check_true "saturated stationary rejected off-heap"
-    (raises (fun () ->
-         ignore (Edge_meg.Classic.make ~storage:`Offheap ~n:32 ~p:0.1 ~q:0. ())))
+    (raises (fun () -> ignore (Edge_meg.Classic.make ~parts:64 ~n:32 ~p:0.1 ~q:0. ())))
 
 let suites =
   [
@@ -348,7 +334,6 @@ let suites =
           test_classic_oracle_stationary_edges;
         Alcotest.test_case "oracle: flooding mean within CI" `Quick
           test_classic_oracle_flooding_mean;
-        Alcotest.test_case "storage layouts agree" `Quick test_classic_storage_layouts_agree;
         Alcotest.test_case "offheap rejects saturated inits" `Quick
           test_classic_offheap_rejects_saturated;
         q_classic_edges_valid;

@@ -216,15 +216,24 @@ let test_fleet_crash_isolation () =
 
 let test_fleet_timeout_rerun () =
   with_fleet @@ fun () ->
-  let seq = sequential_bytes 42 in
+  (* The budget must exceed every healthy shard, or slow hosts kill
+     honest workers too: scale it from a timed sequential run. *)
+  let timed =
+    Simulate.Registry.run_each ~sched:Exec.sequential ~clock:Unix.gettimeofday
+      ~rng:(rng_of_seed 42) ~scale:quick ()
+  in
+  let seq = render_outputs timed in
+  let slowest =
+    List.fold_left (fun acc (o : Simulate.Registry.outcome) -> Float.max acc o.seconds) 0. timed
+  in
   let marker = Filename.temp_file "dyngraph_hang" ".marker" in
   Sys.remove marker;
   Fun.protect ~finally:(fun () -> try Sys.remove marker with Sys_error _ -> ())
   @@ fun () ->
-  (* The first worker handed E2 wedges; the parent must SIGKILL it at
-     the 1 s budget and re-run the shard on a fresh worker. *)
+  (* The first worker handed E2 wedges; the parent must SIGKILL it once
+     the budget runs out and re-run the shard on a fresh worker. *)
   Unix.putenv "DYNGRAPH_FLEET_HANG" ("E2:" ^ marker);
-  Exec.set_worker_timeout (Some 1.0);
+  Exec.set_worker_timeout (Some (Float.max 1.0 (4. *. slowest)));
   Alcotest.(check string) "output identical despite wedged worker" seq (fleet_bytes ~procs:2 42);
   check_true "the injected hang fired" (Sys.file_exists marker)
 

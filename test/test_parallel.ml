@@ -35,12 +35,11 @@ let test_flood_layouts_agree_parallel () =
   with_pool 4 (fun () ->
       List.iter
         (fun n ->
-          (* The model itself stays off-heap at every size: a heap
-             Classic sparse set is O(n^2) words, unpayable near 2^17
-             nodes. Only the flood kernel's adjacency layout varies. *)
-          let g =
-            Edge_meg.Classic.make ~storage:`Offheap ~n ~p:(4. /. float_of_int n) ~q:0.5 ()
-          in
+          (* The model itself stays partitioned off-heap at every size:
+             a heap Classic sparse set is O(n^2) words, unpayable near
+             2^17 nodes. Only the flood kernel's adjacency layout
+             varies. *)
+          let g = Edge_meg.Classic.make ~parts:64 ~n ~p:(4. /. float_of_int n) ~q:0.5 () in
           let heap =
             Core.Flooding.run ~cap:64 ~storage:`Heap ~rng:(seeded 42) ~source:0 g
           in
@@ -54,7 +53,7 @@ let test_flood_layouts_agree_parallel () =
    the 1-worker case never engages the pool at all. *)
 let test_flood_worker_count_invariance () =
   let n = Graph.Storage.offheap_nodes in
-  let g = Edge_meg.Classic.make ~storage:`Offheap ~n ~p:(4. /. float_of_int n) ~q:0.5 () in
+  let g = Edge_meg.Classic.make ~parts:64 ~n ~p:(4. /. float_of_int n) ~q:0.5 () in
   let run () = Core.Flooding.run ~cap:64 ~storage:`Offheap ~rng:(seeded 7) ~source:0 g in
   let r1 = with_pool 1 run in
   let r2 = with_pool 2 run in
@@ -150,38 +149,14 @@ let test_classic_parts_independence () =
             (trace ~seed:11 (mk parts)))
         [ 2; 7; 64 ])
 
-(* Same property for the partitioned General engine (hidden 3-state
-   chain, chi = state 0). *)
-let test_general_parts_independence () =
-  let n = 128 in
-  let chain =
-    Markov.Chain.of_rows (Array.init 3 (fun s -> [| (s, 0.5); ((s + 1) mod 3, 0.5) |]))
-  in
-  let chi s = s = 0 in
-  let mk parts = Edge_meg.General.make ~parts ~n ~chain ~chi () in
-  with_pool ~tile_min:1 4 (fun () ->
-      let ref_trace = trace ~seed:13 (mk 1) in
-      List.iter
-        (fun parts ->
-          Alcotest.(check string)
-            (Printf.sprintf "parts=%d" parts)
-            ref_trace
-            (trace ~seed:13 (mk parts)))
-        [ 2; 7; 64 ])
-
-(* Worker-count invariance for the partitioned engines: the same
+(* Worker-count invariance for the partitioned engine: the same
    partitioned model traced under a 1-worker and a 3-worker pool. *)
 let test_partitioned_worker_invariance () =
   let n = 512 in
   let classic () = Edge_meg.Classic.make ~parts:8 ~n ~p:(4. /. float_of_int n) ~q:0.3 () in
   let c1 = with_pool ~tile_min:1 1 (fun () -> trace ~seed:19 (classic ())) in
   let c3 = with_pool ~tile_min:1 3 (fun () -> trace ~seed:19 (classic ())) in
-  Alcotest.(check string) "classic: 1 vs 3 workers" c1 c3;
-  let chain = Markov.Chain.of_rows [| [| (0, 0.7); (1, 0.3) |]; [| (0, 0.4); (1, 0.6) |] |] in
-  let general () = Edge_meg.General.make ~parts:8 ~n:96 ~chain ~chi:(fun s -> s = 1) () in
-  let g1 = with_pool ~tile_min:1 1 (fun () -> trace ~seed:23 (general ())) in
-  let g3 = with_pool ~tile_min:1 3 (fun () -> trace ~seed:23 (general ())) in
-  Alcotest.(check string) "general: 1 vs 3 workers" g1 g3
+  Alcotest.(check string) "classic: 1 vs 3 workers" c1 c3
 
 (* DYNGRAPH_TILE_MIN follows the warn-once env contract of
    DYNGRAPH_JOBS: unset or junk fall back to the default, a positive
@@ -228,7 +203,6 @@ let suites =
     ( "parallel.meg",
       [
         Alcotest.test_case "classic parts-independence" `Quick test_classic_parts_independence;
-        Alcotest.test_case "general parts-independence" `Quick test_general_parts_independence;
         Alcotest.test_case "worker-count invariance" `Quick test_partitioned_worker_invariance;
       ] );
     ( "parallel.flood",

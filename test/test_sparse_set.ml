@@ -154,7 +154,7 @@ let test_bernoulli_extremes () =
        false
      with Invalid_argument _ -> true)
 
-(* --- storage-backed implementations: I32 and Big vs the heap set ---
+(* --- storage-backed implementation: Big vs the heap set ---
 
    The mli promises more than set equality: identical operation
    sequences must produce identical DENSE ORDERS (hence identical draw
@@ -166,40 +166,7 @@ module S = Graph.Sparse_set
 
 let dense_heap s = List.init (S.length s) (S.get s)
 
-let dense_i32 s = List.init (S.I32.length s) (S.I32.get s)
-
 let dense_big s = List.init (S.Big.length s) (S.Big.get s)
-
-let q_i32_matches_heap =
-  qtest ~count:200 "I32 backing mirrors the heap set exactly"
-    QCheck2.Gen.(pair seed_gen (int_range 1 80))
-    (fun (seed, universe) ->
-      let rng = Prng.Rng.of_seed seed in
-      let a = S.create universe in
-      let b = S.I32.create universe in
-      let ok = ref true in
-      for _ = 1 to 200 do
-        let x = Prng.Rng.int rng universe in
-        (match Prng.Rng.int rng 20 with
-        | 0 ->
-            S.clear a;
-            S.I32.clear b
-        | 1 ->
-            S.fill_all a;
-            S.I32.fill_all b
-        | k when k < 12 ->
-            S.add a x;
-            S.I32.add b x
-        | _ ->
-            S.remove a x;
-            S.I32.remove b x);
-        ok :=
-          !ok
-          && S.length a = S.I32.length b
-          && S.mem a x = S.I32.mem b x
-          && (not (S.mem a x)) || S.find a x = S.I32.find b x
-      done;
-      !ok && dense_heap a = dense_i32 b)
 
 let q_big_matches_heap =
   qtest ~count:200 "Big backing mirrors the heap set exactly"
@@ -230,8 +197,8 @@ let q_big_matches_heap =
       !ok && dense_heap a = dense_big b)
 
 (* The removal scans must report the same (element, slot) stream on
-   every backing — that stream is what the edge-MEG death mirror
-   replays, so a divergence would silently corrupt off-heap models. *)
+   both backings — the edge-MEG death mirror copies payload by that
+   slot, so a divergence would silently corrupt off-heap models. *)
 let q_removal_streams_match =
   qtest ~count:100 "removal scans emit identical (x, slot) streams on every backing"
     QCheck2.Gen.(pair seed_gen (int_range 1 60))
@@ -243,12 +210,13 @@ let q_removal_streams_match =
         done;
         s
       in
-      let i32 = S.I32.create universe in
-      let big = S.Big.create universe in
-      for x = 0 to universe - 1 do
-        S.I32.add i32 x;
-        S.Big.add big x
-      done;
+      let build_big () =
+        let s = S.Big.create universe in
+        for x = 0 to universe - 1 do
+          S.Big.add s x
+        done;
+        s
+      in
       let stream remover =
         let acc = ref [] in
         remover (fun x i -> acc := (x, i) :: !acc);
@@ -259,46 +227,34 @@ let q_removal_streams_match =
         let s = build_heap () in
         stream (fun f -> S.remove_bernoulli_pos s (Prng.Rng.of_seed seed) ~p f)
       in
-      let bern_i32 = stream (fun f -> S.I32.remove_bernoulli_pos i32 (Prng.Rng.of_seed seed) ~p f) in
-      let bern_big = stream (fun f -> S.Big.remove_bernoulli_pos big (Prng.Rng.of_seed seed) ~p f) in
+      let bern_big =
+        let s = build_big () in
+        stream (fun f -> S.Big.remove_bernoulli_pos s (Prng.Rng.of_seed seed) ~p f)
+      in
       let geo = Prng.Rng.Geo.make ~p in
       let geo_heap =
         let s = build_heap () in
         stream (fun f -> S.remove_geo_pos s geo (Prng.Rng.of_seed (seed + 1)) f)
       in
-      (* Refill the storage-backed sets with the survivors removed, so
-         rebuild from scratch for the geo pass. *)
-      let i32 = S.I32.create universe in
-      let big = S.Big.create universe in
-      for x = 0 to universe - 1 do
-        S.I32.add i32 x;
-        S.Big.add big x
-      done;
-      let geo_i32 = stream (fun f -> S.I32.remove_geo_pos i32 geo (Prng.Rng.of_seed (seed + 1)) f) in
-      let geo_big = stream (fun f -> S.Big.remove_geo_pos big geo (Prng.Rng.of_seed (seed + 1)) f) in
-      bern_heap = bern_i32 && bern_heap = bern_big && geo_heap = geo_i32 && geo_heap = geo_big)
+      let geo_big =
+        let s = build_big () in
+        stream (fun f -> S.Big.remove_geo_pos s geo (Prng.Rng.of_seed (seed + 1)) f)
+      in
+      bern_heap = bern_big && geo_heap = geo_big)
 
 (* Universe boundaries: 0 (every op is a no-op or out of range), 1 (the
-   swap-remove degenerates to self-swap), and members at the top of the
-   representable range. *)
+   swap-remove degenerates to self-swap), and members far beyond the
+   int32 range. *)
 let test_backing_boundaries () =
-  let z = S.I32.create 0 in
-  Alcotest.(check int) "I32 empty universe" 0 (S.I32.length z);
-  S.I32.clear z;
   let z = S.Big.create 0 in
   Alcotest.(check int) "Big empty universe" 0 (S.Big.length z);
-  let one = S.I32.create 1 in
-  S.I32.add one 0;
-  S.I32.add one 0;
-  Alcotest.(check int) "I32 singleton idempotent" 1 (S.I32.length one);
-  S.I32.remove one 0;
-  Alcotest.(check int) "I32 singleton removed" 0 (S.I32.length one);
   let one = S.Big.create 1 in
   S.Big.add one 0;
+  S.Big.add one 0;
+  Alcotest.(check int) "Big singleton idempotent" 1 (S.Big.length one);
   S.Big.remove one 0;
   check_true "Big singleton" (not (S.Big.mem one 0));
-  (* Members far beyond the int32 range — the pair-index universe of a
-     million-node graph is ~2^39. *)
+  (* The pair-index universe of a million-node graph is ~2^39. *)
   let u = 1 lsl 40 in
   let big = S.Big.create u in
   let top = u - 1 in
@@ -308,13 +264,7 @@ let test_backing_boundaries () =
   Alcotest.(check int) "Big dense order" top (S.Big.get big 0);
   S.Big.remove big top;
   check_true "Big swap-remove of huge member" (not (S.Big.mem big top));
-  Alcotest.(check int) "survivor took slot 0" (Graph.Storage.max_nodes + 7) (S.Big.get big 0);
-  (* The I32 backing caps at Storage.max_nodes; the top representable
-     member must round-trip through the int32 dense array. *)
-  let small_top = 1 lsl 16 in
-  let s = S.I32.create small_top in
-  S.I32.add s (small_top - 1);
-  Alcotest.(check int) "I32 top member round-trips" (small_top - 1) (S.I32.get s 0)
+  Alcotest.(check int) "survivor took slot 0" (Graph.Storage.max_nodes + 7) (S.Big.get big 0)
 
 let suites =
   [
@@ -328,7 +278,6 @@ let suites =
         q_vs_hashtbl_model;
         q_remove_bernoulli_consistent;
         Alcotest.test_case "storage backing boundaries" `Quick test_backing_boundaries;
-        q_i32_matches_heap;
         q_big_matches_heap;
         q_removal_streams_match;
       ] );
