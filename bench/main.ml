@@ -352,7 +352,7 @@ let prepared_node_meg n =
     let d = abs (x - y) in
     min d (k - d) <= 1
   in
-  let dyn = Node_meg.Model.make ~n ~chain ~connect () in
+  let dyn = Node_meg.Model.make ~n (Node_meg.Model.space ~chain ~connect) in
   Core.Dynamic.reset dyn (Prng.Rng.of_seed 3);
   dyn
 
@@ -402,11 +402,19 @@ let micro_tests () =
       (Staged.stage (fun () -> ignore (Core.Dynamic.edge_count edge_meg)));
     Test.make ~name:"edge_meg.fill_edges n=256"
       (Staged.stage (fun () -> Core.Dynamic.fill_edges edge_meg fill_buf));
-    Test.make ~name:"edge_meg.delta_step n=256"
+    (* Batched x100 like chain.step below: one call fit with r² of 0.05
+       and -0.02 (BENCH_2026-08-09d). *)
+    Test.make ~name:"edge_meg.delta_step n=256 x100"
       (Staged.stage (fun () ->
-           Core.Dynamic.step delta_meg;
-           Core.Adj_sync.advance delta_sync));
-    Test.make ~name:"waypoint.step n=256" (Staged.stage (fun () -> Mobility.Geo.step waypoint));
+           for _ = 1 to 100 do
+             Core.Dynamic.step delta_meg;
+             Core.Adj_sync.advance delta_sync
+           done));
+    Test.make ~name:"waypoint.step n=256 x100"
+      (Staged.stage (fun () ->
+           for _ = 1 to 100 do
+             Mobility.Geo.step waypoint
+           done));
     Test.make ~name:"waypoint.step+edges n=256"
       (Staged.stage (fun () ->
            Mobility.Geo.step waypoint;
@@ -436,9 +444,11 @@ let micro_tests () =
            for _ = 1 to 100 do
              chain_state := Markov.Chain.step chain chain_rng !chain_state
            done));
-    Test.make ~name:"pairs.decode n=1024"
+    Test.make ~name:"pairs.decode n=1024 x100"
       (Staged.stage (fun () ->
-           ignore (Graph.Pairs.decode 1024 (Prng.Rng.int pair_rng (Graph.Pairs.total 1024)))));
+           for _ = 1 to 100 do
+             ignore (Graph.Pairs.decode 1024 (Prng.Rng.int pair_rng (Graph.Pairs.total 1024)))
+           done));
     Test.make ~name:"space.close_pairs n=512 r=1.5"
       (Staged.stage (fun () ->
            Mobility.Space.iter_close_pairs ~scratch:space_scratch ~l:16. ~r:1.5 ~xs ~ys

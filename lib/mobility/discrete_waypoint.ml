@@ -1,8 +1,7 @@
 type t = {
   m : int;
-  r : float;
-  chain : Markov.Chain.t;
   connect : int -> int -> bool;
+  space : Node_meg.Model.space;
 }
 
 (* State encoding: (current point, destination point) with points
@@ -18,7 +17,8 @@ let sign v = compare v 0
 
 let build ~m ~r =
   if m < 2 || m > 10 then invalid_arg "Discrete_waypoint.build: m must be in [2, 10]";
-  if r < 0. then invalid_arg "Discrete_waypoint.build: negative radius";
+  if Float.is_nan r || r < 0. then
+    invalid_arg "Discrete_waypoint.build: radius must be a non-negative number";
   let points = m * m in
   let n_states = points * points in
   let encode current dest = (current * points) + dest in
@@ -39,26 +39,30 @@ let build ~m ~r =
         end)
   in
   let chain = Markov.Chain.of_rows rows in
+  (* Connection depends on the two current points only: tabulate it
+     over point pairs once, so the |S|^2 table fill is one lookup per
+     state pair. *)
   let r2 = r *. r in
-  let connect s1 s2 =
-    let c1 = s1 / points and c2 = s2 / points in
-    let x1, y1 = point_coords m c1 and x2, y2 = point_coords m c2 in
-    let fx = float_of_int (x1 - x2) and fy = float_of_int (y1 - y2) in
-    (fx *. fx) +. (fy *. fy) <= r2
+  let close =
+    Bytes.init (points * points) (fun i ->
+        let x1, y1 = point_coords m (i / points) and x2, y2 = point_coords m (i mod points) in
+        let fx = float_of_int (x1 - x2) and fy = float_of_int (y1 - y2) in
+        if (fx *. fx) +. (fy *. fy) <= r2 then '\001' else '\000')
   in
-  { m; r; chain; connect }
+  let connect s1 s2 = Bytes.get close (((s1 / points) * points) + (s2 / points)) = '\001' in
+  { m; connect; space = Node_meg.Model.space ~chain ~connect }
 
 let m t = t.m
 
-let n_states t = Markov.Chain.n_states t.chain
+let chain t = Node_meg.Model.chain t.space
 
-let chain t = t.chain
+let n_states t = Markov.Chain.n_states (chain t)
 
 let connect t = t.connect
 
 let stationary_position_distribution t =
   let points = t.m * t.m in
-  let pi = Markov.Chain.stationary t.chain in
+  let pi = Node_meg.Model.stationary t.space in
   let positional = Array.make points 0. in
   Array.iteri
     (fun s mass ->
@@ -67,9 +71,9 @@ let stationary_position_distribution t =
     pi;
   positional
 
-let p_nm t = Node_meg.Model.p_nm ~chain:t.chain ~connect:t.connect
+let p_nm t = Node_meg.Model.p_nm t.space
 
-let eta t = Node_meg.Model.eta ~chain:t.chain ~connect:t.connect
+let eta t = Node_meg.Model.eta t.space
 
 let corollary4_eta_bound t =
   (* Extract delta and lambda exactly from the positional distribution:
@@ -88,4 +92,4 @@ let corollary4_eta_bound t =
   let lambda = float_of_int good /. vol in
   (delta ** 6.) /. (lambda ** 2.)
 
-let dynamic ?init ~n t = Node_meg.Model.make ?init ~n ~chain:t.chain ~connect:t.connect ()
+let dynamic ?init ~n t = Node_meg.Model.make ?init ~n t.space

@@ -26,9 +26,12 @@ type t
 val build : m:int -> r:float -> t
 (** [build ~m ~r] constructs the chain and connection structure for an
     m×m grid with transmission radius [r] (Euclidean, in grid units).
-    Requires [2 <= m <= 10]: the state count is m⁴ and the exact
-    computations are quadratic in it ({!dynamic} additionally
-    materialises an m⁴ × m⁴ connection table). *)
+    Requires [2 <= m <= 10] and [r] a non-negative number (NaN is
+    rejected): the state count is m⁴ and the exact computations are
+    quadratic in it. It also builds the {!Node_meg.Model.space} that
+    {!dynamic}, {!p_nm}, {!eta} and the positional distribution read:
+    an m⁸-byte connection table (1.7 MB at m = 6, 100 MB at m = 10)
+    and π, computed once here, never per model. *)
 
 val m : t -> int
 val n_states : t -> int
@@ -60,4 +63,5 @@ val corollary4_eta_bound : t -> float
     route loses over the direct Theorem 3 computation. *)
 
 val dynamic : ?init:Node_meg.Model.init -> n:int -> t -> Core.Dynamic.t
-(** The resulting dynamic graph on [n] nodes. *)
+(** The resulting dynamic graph on [n] nodes. Cheap: it allocates
+    O(n + m⁴) scratch and shares the space built by {!build}. *)

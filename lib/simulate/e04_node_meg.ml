@@ -38,9 +38,10 @@ let run ~sched ~rng ~scale =
         let d = abs (x - y) in
         min d (k - d) <= w
       in
-      let p_nm = Node_meg.Model.p_nm ~chain ~connect in
-      let eta = Node_meg.Model.eta ~chain ~connect in
-      let dyn () = Node_meg.Model.make ~n ~chain ~connect () in
+      let space = Node_meg.Model.space ~chain ~connect in
+      let p_nm = Node_meg.Model.p_nm space in
+      let eta = Node_meg.Model.eta space in
+      let dyn () = Node_meg.Model.make ~n space in
       let stats = Runner.flood ~sched ~rng:(Prng.Rng.split rng) ~trials dyn in
       let budget = Theory.Bounds.theorem3 ~t_mix ~p_nm ~eta ~n in
       Stats.Table.add_row table

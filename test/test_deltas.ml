@@ -45,11 +45,10 @@ let extra_builders : (string * (unit -> Core.Dynamic.t)) list =
              (Edge_meg.Classic.make ~n:10 ~p:0.15 ~q:0.3 ())) );
     ( "node_meg.sticky",
       fun () ->
-        Node_meg.Model.make ~n:16 ~chain:sticky_chain
-          ~connect:(fun x y ->
-            let d = abs (x - y) in
-            min d (6 - d) <= 1)
-          () );
+        Node_meg.Model.make ~n:16
+          (Node_meg.Model.space ~chain:sticky_chain ~connect:(fun x y ->
+               let d = abs (x - y) in
+               min d (6 - d) <= 1)) );
     ( "subsample.general",
       fun () ->
         let chain =

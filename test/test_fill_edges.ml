@@ -19,6 +19,8 @@ let node_connect x y =
   let d = abs (x - y) in
   min d (6 - d) <= 1
 
+let node_space = Node_meg.Model.space ~chain:node_chain ~connect:node_connect
+
 let grid_family = Random_path.Family.grid_shortest ~rows:4 ~cols:4
 
 let opportunistic_params =
@@ -41,7 +43,7 @@ let builders : (string * (unit -> Core.Dynamic.t)) list =
           Markov.Chain.of_rows (Array.init 4 (fun s -> [| (s, 0.6); ((s + 1) mod 4, 0.4) |]))
         in
         Edge_meg.General.make ~n:14 ~chain ~chi:(fun s -> s >= 2) () );
-    ("node_meg", fun () -> Node_meg.Model.make ~n:20 ~chain:node_chain ~connect:node_connect ());
+    ("node_meg", fun () -> Node_meg.Model.make ~n:20 node_space);
     ( "mobility.waypoint",
       fun () -> Mobility.Waypoint.dynamic ~n:20 ~l:5. ~r:1.4 ~v_min:1. ~v_max:1.25 () );
     ("mobility.random_walk", fun () -> Mobility.Random_walk_model.dynamic ~n:18 ~m:5 ~r:1.1 ());

@@ -26,6 +26,8 @@ let node_connect x y =
   let d = abs (x - y) in
   min d (8 - d) <= 1
 
+let node_space = Node_meg.Model.space ~chain:node_chain ~connect:node_connect
+
 let grid_family = Random_path.Family.grid_shortest ~rows:5 ~cols:5
 
 let builders : (string * (unit -> Core.Dynamic.t)) list =
@@ -42,7 +44,7 @@ let builders : (string * (unit -> Core.Dynamic.t)) list =
             on_long = 4.;
             on_mix = 0.6;
           } );
-    ("node_meg", fun () -> Node_meg.Model.make ~n:40 ~chain:node_chain ~connect:node_connect ());
+    ("node_meg", fun () -> Node_meg.Model.make ~n:40 node_space);
     ( "waypoint",
       fun () ->
         Mobility.Geo.dynamic (Mobility.Waypoint.create ~n:40 ~l:6. ~r:1.5 ~v_min:1. ~v_max:1.25 ())

@@ -40,11 +40,10 @@ let models : (string * int * (unit -> Core.Dynamic.t)) list =
     ( "node-MEG channels",
       40,
       fun () ->
-        Node_meg.Model.make ~n:40 ~chain:(channel_chain 8)
-          ~connect:(fun x y ->
-            let d = abs (x - y) in
-            min d (8 - d) <= 1)
-          () );
+        Node_meg.Model.make ~n:40
+          (Node_meg.Model.space ~chain:(channel_chain 8) ~connect:(fun x y ->
+               let d = abs (x - y) in
+               min d (8 - d) <= 1)) );
     ( "waypoint square",
       40,
       fun () -> Mobility.Waypoint.dynamic ~n:40 ~l:6. ~r:1.5 ~v_min:1. ~v_max:1.25 () );

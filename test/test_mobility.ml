@@ -510,7 +510,16 @@ let test_dw_build_validation () =
     (try
        ignore (Mobility.Discrete_waypoint.build ~m:11 ~r:1.);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  List.iter
+    (fun r ->
+      check_true
+        (Printf.sprintf "radius %g rejected" r)
+        (try
+           ignore (Mobility.Discrete_waypoint.build ~m:3 ~r);
+           false
+         with Invalid_argument _ -> true))
+    [ -1.; Float.nan ]
 
 let test_dw_chain_stochastic () =
   let dw = Mobility.Discrete_waypoint.build ~m:4 ~r:1. in
@@ -562,16 +571,25 @@ let test_dw_eta_at_least_one () =
   check_true "P_NM is a probability" (p > 0. && p < 1.)
 
 let test_dw_connect_symmetric () =
-  let dw = Mobility.Discrete_waypoint.build ~m:3 ~r:1. in
-  let n = Mobility.Discrete_waypoint.n_states dw in
-  let connect = Mobility.Discrete_waypoint.connect dw in
-  for _ = 1 to 200 do
-    let rng = rng_of_seed 50 in
-    let a = Prng.Rng.int rng n and b = Prng.Rng.int rng n in
-    Alcotest.(check bool) "symmetric" (connect a b) (connect b a)
-  done;
-  (* States sharing a position are always connected (distance 0). *)
-  check_true "co-located states connect" (connect 0 1)
+  (* Exhaustive over all state pairs: the tabulated connection map is
+     symmetric and is exactly the geometric rule on current points. *)
+  List.iter
+    (fun (m, r) ->
+      let dw = Mobility.Discrete_waypoint.build ~m ~r in
+      let n = Mobility.Discrete_waypoint.n_states dw in
+      let connect = Mobility.Discrete_waypoint.connect dw in
+      for a = 0 to n - 1 do
+        let xa, ya = Mobility.Discrete_waypoint.state_position dw a in
+        for b = 0 to n - 1 do
+          let xb, yb = Mobility.Discrete_waypoint.state_position dw b in
+          let d2 = ((xa - xb) * (xa - xb)) + ((ya - yb) * (ya - yb)) in
+          let c = connect a b in
+          if c <> connect b a then Alcotest.failf "m=%d r=%g: (%d, %d) not symmetric" m r a b;
+          if c <> (float_of_int d2 <= r *. r) then
+            Alcotest.failf "m=%d r=%g: (%d, %d) disagrees with distance^2 %d" m r a b d2
+        done
+      done)
+    [ (3, 1.); (3, 1.5); (4, 1.); (4, 1.5) ]
 
 let test_dw_positional_matches_simulation () =
   (* The exact positional distribution must agree with a long empirical
