@@ -135,19 +135,17 @@ let claim_tables () =
   let rng = Prng.Rng.of_seed 42 in
   let jobs = Exec.workers (sched ()) in
   let p = procs () in
-  let sched, spec =
+  let sched =
     if p > 0 then begin
       (* Shard whole experiments over a fleet of this very binary
-         re-exec'd in --worker mode; the tables (and the counter totals
-         each outcome carries) are byte-identical to the in-process
-         run, only the seconds differ. *)
-      Exec.set_worker_command (Some [| Sys.executable_name; "--worker" |]);
-      ( Exec.procs p,
-        Some
-          (Simulate.Fleet.specs ~render:Simulate.Registry.Full ~seed:42 ~scale:(scale ())
-             ~jobs) )
+         re-exec'd in --worker mode on the same --jobs; the tables (and
+         the counter totals each outcome carries) are byte-identical to
+         the in-process run, only the seconds differ. *)
+      Exec.set_worker_command
+        (Some [| Sys.executable_name; "--worker"; "--jobs"; string_of_int jobs |]);
+      Exec.procs p
     end
-    else (sched (), None)
+    else sched ()
   in
   Printf.printf
     "==== Claim-reproduction tables (%s scale, seed 42, %d worker(s), %d proc(s)) ====\n\n"
@@ -159,8 +157,7 @@ let claim_tables () =
      ns/run numbers measure the disabled (production) path. *)
   Obs.Metrics.enable ();
   let all_passed, outcomes =
-    Simulate.Registry.run_all_timed ~sched ~clock:Unix.gettimeofday ?spec ~rng
-      ~scale:(scale ()) ()
+    Simulate.Registry.run_all_timed ~sched ~clock:Unix.gettimeofday ~rng ~scale:(scale ()) ()
   in
   Obs.Metrics.disable ();
   if not all_passed then print_endline "WARNING: some reproduction checks failed";
@@ -602,21 +599,22 @@ let write_json path ~claims ~micro ~service =
   close_out oc
 
 let () =
-  (* Fleet worker mode: spawned by a parent bench running with --procs.
-     Serve experiment shards over stdin/stdout and exit — no banner, no
-     micro phase. Metrics are always on (the parent's claim phase runs
-     with them on and absorbs the deltas we ship back). *)
-  if Array.exists (( = ) "--worker") Sys.argv then begin
-    Obs.Clock.set Unix.gettimeofday;
-    Obs.Metrics.enable ();
-    Simulate.Fleet.serve ();
-    exit 0
-  end;
   (* --jobs also powers intra-run tile parallelism: the large-tier
      flood and the partitioned edge-MEG step fan their tiles over
      Exec.Pool, so a single large run accelerates, not just the
      many-trials phases. Results are identical at every jobs count. *)
   Exec.Pool.set_workers (Exec.workers (sched ()));
+  (* Fleet worker mode: spawned by a parent bench running with --procs
+     (and its --jobs). Serve experiment shards over stdin/stdout and
+     exit — no banner, no micro phase. Metrics are always on (the
+     parent's claim phase runs with them on and absorbs the deltas we
+     ship back). *)
+  if Array.exists (( = ) "--worker") Sys.argv then begin
+    Obs.Clock.set Unix.gettimeofday;
+    Obs.Metrics.enable ();
+    Exec.Worker.serve ~dispatch:Simulate.Registry.dispatch ();
+    exit 0
+  end;
   (* Validate --procs before any work starts, not at first use. *)
   ignore (procs ());
   let sc = scale () in

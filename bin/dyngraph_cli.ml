@@ -37,8 +37,8 @@ let scale_arg =
   in
   Arg.(value & opt (some scale_conv) None & info [ "scale" ] ~docv:"SCALE" ~doc)
 
-(* Worker counts are rejected at parse time when out of range, never
-   clamped later. *)
+(* Counts are rejected at parse time when out of range, never clamped
+   later. *)
 let int_at_least min =
   let parse s =
     match int_of_string_opt s with
@@ -59,13 +59,14 @@ let jobs_arg =
 let procs_arg =
   let doc =
     "Number of forked worker processes for the execution engine. 0 (the \
-     default) keeps execution in-process; N shards whole experiments over a \
-     fleet of N $(b,dyngraph worker) processes with byte-identical output for \
-     every N. A crashed or wedged worker loses only its own shard, which is \
-     re-run on a fresh worker. Composes with $(b,--jobs): each worker runs its \
-     experiment's trial plans on that many domains. Defaults to \
-     $(b,DYNGRAPH_PROCS) when set (unparsable values are ignored with a \
-     warning)."
+     default) keeps execution in-process; N shards whole experiments (or, for \
+     a single planned experiment, its trial shards) over a fleet of N \
+     $(b,dyngraph worker) processes with byte-identical output for every N. A \
+     crashed or wedged worker loses only its own shard, which is re-run on a \
+     fresh worker. Composes with $(b,--jobs): each worker is started with the \
+     same $(b,--jobs) and runs its shard's trial plans and tile kernels on \
+     that many domains. Defaults to $(b,DYNGRAPH_PROCS) when set (unparsable \
+     values are ignored with a warning)."
   in
   Arg.(value & opt (int_at_least 0) (Exec.default_procs ()) & info [ "procs" ] ~docv:"N" ~doc)
 
@@ -133,9 +134,9 @@ let obs_finish ~metrics ~trace =
   end
 
 (* Fleet wiring shared by run/verify: spawn workers as this very
-   executable's `worker` subcommand, mirroring the parent's metrics and
-   tracing switches so the deltas the workers ship back are complete.
-   Returns the scheduler to use. *)
+   executable's `worker` subcommand with the parent's --jobs, mirroring
+   its metrics and tracing switches so the deltas the workers ship back
+   are complete. Returns the scheduler to use. *)
 let fleet_setup ~procs ~jobs ~journal ~metrics ~trace ~progress =
   (* --jobs also drives intra-run tile parallelism (Exec.Pool): the
      off-heap flood scan and partitioned edge-MEG step fan out inside a
@@ -144,7 +145,7 @@ let fleet_setup ~procs ~jobs ~journal ~metrics ~trace ~progress =
   if procs > 0 then begin
     let cmd =
       Array.of_list
-        ([ Sys.executable_name; "worker" ]
+        ([ Sys.executable_name; "worker"; "--jobs"; string_of_int jobs ]
         @ (if metrics then [ "--metrics" ] else [])
         @ (if trace <> None then [ "--trace-mem" ] else [])
         (* Workers never render progress themselves (their stderr is
@@ -194,12 +195,7 @@ let run_cmd =
     obs_setup ~metrics ~trace ~progress;
     let result =
       if String.lowercase_ascii id = "all" then begin
-        let spec =
-          if procs > 0 then
-            Some (Simulate.Fleet.specs ~render:Simulate.Registry.Full ~seed ~scale ~jobs)
-          else None
-        in
-        let ok = Simulate.Registry.run_all ~sched ?spec ~rng ~scale () in
+        let ok = Simulate.Registry.run_all ~sched ~rng ~scale () in
         if ok then Ok () else Error "some reproduction checks failed"
       end
       else
@@ -231,14 +227,9 @@ let verify_cmd =
     let scale = resolve_scale scale_opt full in
     let sched = fleet_setup ~procs ~jobs ~journal ~metrics ~trace ~progress in
     obs_setup ~metrics ~trace ~progress;
-    let spec =
-      if procs > 0 then
-        Some (Simulate.Fleet.specs ~render:Simulate.Registry.Scorecard ~seed ~scale ~jobs)
-      else None
-    in
     (* Shares Registry.run_each with `run all`: same substream per
        experiment, so these scorecards match `run all --seed N` exactly. *)
-    let failed = Simulate.Registry.verify ~sched ?spec ~rng ~scale () in
+    let failed = Simulate.Registry.verify ~sched ~rng ~scale () in
     let result =
       if failed = 0 then begin
         print_endline "all reproduction checks passed";
@@ -303,9 +294,10 @@ let csv_cmd =
 let worker_cmd =
   (* The fleet worker entry point: spawned by a parent dyngraph running
      with --procs, never by hand. Speaks the length-prefixed protocol of
-     Exec.Worker.serve on stdin/stdout; the parent passes --metrics /
-     --trace-mem to mirror its own observability switches so the deltas
-     shipped back are complete. *)
+     Exec.Worker.serve on stdin/stdout; the parent passes its --jobs
+     (this worker's domain count, for trial plans and tile kernels
+     alike) and --metrics / --trace-mem to mirror its own observability
+     switches so the deltas shipped back are complete. *)
   let metrics_flag =
     Arg.(value & flag & info [ "metrics" ] ~doc:"Collect work counters for the parent.")
   in
@@ -323,17 +315,26 @@ let worker_cmd =
             "Forward progress ticks to the parent as framed pipe messages \
              (workers never write progress to the shared stderr).")
   in
-  let run metrics trace_mem progress_pipe =
+  let run jobs metrics trace_mem progress_pipe =
     Obs.Clock.set Unix.gettimeofday;
+    Exec.Pool.set_workers jobs;
     if metrics then Obs.Metrics.enable ();
     if trace_mem then Obs.Trace.enable ();
-    Simulate.Fleet.serve ~forward_progress:progress_pipe ()
+    Exec.Worker.serve ~forward_progress:progress_pipe ~dispatch:Simulate.Registry.dispatch ()
   in
-  let term = Term.(const run $ metrics_flag $ trace_flag $ progress_pipe_flag) in
+  let term = Term.(const run $ jobs_arg $ metrics_flag $ trace_flag $ progress_pipe_flag) in
   Cmd.v
     (Cmd.info "worker"
        ~doc:"Serve experiment shards over stdin/stdout (spawned by --procs)")
     term
+
+let port_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some p when p >= 1 && p <= 65535 -> Ok p
+    | _ -> Error (`Msg (Printf.sprintf "expected a TCP port in 1..65535, got %S" s))
+  in
+  Arg.conv ~docv:"PORT" (parse, Format.pp_print_int)
 
 let socket_arg =
   let doc = "Unix socket path of the daemon." in
@@ -342,14 +343,14 @@ let socket_arg =
 let serve_cmd =
   let tcp_arg =
     let doc = "Also listen on loopback TCP port $(docv)." in
-    Arg.(value & opt (some int) None & info [ "tcp" ] ~docv:"PORT" ~doc)
+    Arg.(value & opt (some port_conv) None & info [ "tcp" ] ~docv:"PORT" ~doc)
   in
   let cache_arg =
     let doc =
-      "Warm result-cache capacity (entries keyed by id/seed/scale/render); 0 \
-       disables caching."
+      "Warm result-cache capacity (entries keyed by id/seed/scale/render, the \
+       least recently used evicted first); 0 disables caching."
     in
-    Arg.(value & opt int 64 & info [ "cache" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 0) 64 & info [ "cache" ] ~docv:"N" ~doc)
   in
   let executors_arg =
     let doc =
@@ -358,7 +359,7 @@ let serve_cmd =
        requests from different connections execute concurrently and \
        progress frames are suppressed."
     in
-    Arg.(value & opt int 1 & info [ "executors" ] ~docv:"E" ~doc)
+    Arg.(value & opt (int_at_least 1) 1 & info [ "executors" ] ~docv:"E" ~doc)
   in
   let serve_procs_arg =
     let doc =
@@ -376,10 +377,15 @@ let serve_cmd =
     Obs.Clock.set Unix.gettimeofday;
     Obs.Metrics.enable ();
     if procs > 0 then
-      (* Workers mirror the daemon's metrics and forward progress ticks
-         as framed messages (liveness for hang detection). *)
+      (* Workers run on the daemon's --jobs, mirror its metrics and
+         forward progress ticks as framed messages (liveness for hang
+         detection). *)
       Exec.set_worker_command
-        (Some [| Sys.executable_name; "worker"; "--metrics"; "--progress-pipe" |]);
+        (Some
+           [|
+             Sys.executable_name; "worker"; "--jobs"; string_of_int jobs; "--metrics";
+             "--progress-pipe";
+           |]);
     let config =
       {
         Serve.Server.socket_path = socket;
@@ -397,7 +403,7 @@ let serve_cmd =
     Printf.eprintf
       "dyngraph serve: listening on %s%s (jobs %d, executors %d%s, cache %d)\n%!" socket
       (match tcp with Some p -> Printf.sprintf " and 127.0.0.1:%d" p | None -> "")
-      jobs (max 1 executors)
+      jobs executors
       (if procs > 0 then Printf.sprintf ", procs %d" procs else "")
       cache;
     Serve.Server.wait t
@@ -420,13 +426,19 @@ let serve_cmd =
 let load_cmd =
   let tcp_arg =
     let doc = "Connect to the daemon on loopback TCP port $(docv) instead of the socket." in
-    Arg.(value & opt (some int) None & info [ "tcp" ] ~docv:"PORT" ~doc)
+    Arg.(value & opt (some port_conv) None & info [ "tcp" ] ~docv:"PORT" ~doc)
   in
   let clients_arg =
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client connections.")
+    Arg.(
+      value
+      & opt (int_at_least 1) 4
+      & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client connections.")
   in
   let requests_arg =
-    Arg.(value & opt int 8 & info [ "requests" ] ~docv:"R" ~doc:"Requests issued per client.")
+    Arg.(
+      value
+      & opt (int_at_least 1) 8
+      & info [ "requests" ] ~docv:"R" ~doc:"Requests issued per client.")
   in
   let ids_arg =
     let doc =

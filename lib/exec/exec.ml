@@ -437,9 +437,9 @@ let plan_spec ~jobs ~job ~spec ~reduce =
   if jobs < 0 then invalid_arg "Exec.plan_spec: jobs must be >= 0";
   { jobs; job; spec = Some spec; reduce }
 
-(* Set while executing inside a pool worker (including the caller's own
-   domain while it participates): nested [run]s then stay sequential
-   rather than spawning domains recursively. *)
+(* Set on every crew helper, and on the caller's own domain while it
+   participates in a crew task: nested [run]s and fan-outs then stay
+   sequential rather than re-entering the crew. *)
 let inside_pool = Domain.DLS.new_key (fun () -> false)
 
 (* Set on the calling domain for the duration of any [run]: together
@@ -481,8 +481,8 @@ let note_procs_degraded reason =
       reason
   end
 
-(* Per-worker heartbeat gauges, interned lazily (racy stores are benign:
-   interning is keyed by name, so both racers get the same gauge). *)
+(* Per-slot heartbeat gauges of fleet workers, stamped by the parent on
+   each response and interned lazily. *)
 let heartbeats = Array.make 64 None
 
 let heartbeat w =
@@ -519,51 +519,216 @@ let instrument ~ambient ~plan_ord ~progress job i =
           if Obs.Trace.enabled () then Obs.Trace.emit "exec.fail" [];
           raise e)
 
-let run_sequential p = Array.init p.jobs p.job
+(* --- the persistent domain crew --- *)
 
-(* Fixed pool: [w] workers (w - 1 spawned domains plus the caller) pull
-   contiguous chunks of job indices from a shared cursor. Each result
-   slot is written by exactly one worker, and [Domain.join] publishes
-   all writes to the caller. The first exception wins the [error] slot;
-   every worker checks it before claiming another chunk, so a failing
-   job drains the pool instead of hanging it. *)
-let run_pool w p =
-  let n = p.jobs in
-  let results = Array.make n None in
-  let error = Atomic.make None in
-  let cursor = Atomic.make 0 in
-  let chunk = max 1 (n / (8 * w)) in
-  let worker wid () =
-    let saved = Domain.DLS.get inside_pool in
-    Domain.DLS.set inside_pool true;
+(* One crew of helper domains per process serves both axes of
+   parallelism: the jobs of a [pool w] plan ({!run}) and the tiles of a
+   kernel fan-out ([Pool.run_tiles]). Helpers persist, sleeping on a
+   condition variable between tasks, because spawning a domain costs
+   ~100µs and a fresh domain starts with cold per-domain scratch; a
+   task wakes them, they claim indices from an atomic cursor and go
+   back to sleep. The caller participates too, so a task never blocks
+   on a sleeping crew.
+
+   A task of width [w] is served by the caller plus the helpers ranked
+   [1 .. w - 1] (rank = spawn order); the crew grows on demand to
+   [w - 1] helpers and never shrinks. Fixed ranks keep a plan of width
+   [w] on at most [w] domains even after a wider fan-out grew the crew,
+   and on the same domains from one task to the next.
+
+   Determinism contract: a task [f 0 .. f (n - 1)] has exactly the
+   semantics of [for i = 0 to n - 1 do f i done] provided the [f i] are
+   pairwise independent (disjoint writes). Which domain runs which
+   index is unobservable. *)
+module Pool = struct
+  let c_tile_plans = Obs.Metrics.counter "exec.tile_plans"
+
+  let c_tiles = Obs.Metrics.counter "exec.tiles"
+
+  (* Worker count: set explicitly by the hosting executable (--jobs),
+     else taken from DYNGRAPH_JOBS like [default ()]. *)
+  let requested = ref None
+
+  let set_workers w =
+    if w < 1 then invalid_arg "Exec.Pool.set_workers: workers must be >= 1";
+    requested := Some (min w max_workers)
+
+  let env_workers () = workers (default ())
+
+  let workers () = match !requested with Some w -> w | None -> env_workers ()
+
+  (* Minimum tiles per worker before fan-out engages: below it, the
+     per-task handoff (one mutex round-trip per tile) is not worth
+     waking the crew. Same warn-once env contract as DYNGRAPH_JOBS. *)
+  let tile_min_default = 2
+
+  let tile_min_env () =
+    match Sys.getenv_opt "DYNGRAPH_TILE_MIN" with
+    | None -> tile_min_default
+    | Some s -> (
+        match int_of_string_opt (String.trim s) with
+        | Some m when m >= 1 -> m
+        | Some _ -> tile_min_default
+        | None ->
+            warn_env "DYNGRAPH_TILE_MIN" s "a positive integer";
+            tile_min_default)
+
+  let tile_min_override = ref None
+
+  let set_tile_min = function
+    | Some m when m < 1 -> invalid_arg "Exec.Pool.set_tile_min: must be >= 1"
+    | o -> tile_min_override := o
+
+  let tile_min () =
+    match !tile_min_override with Some m -> m | None -> tile_min_env ()
+
+  let fan_out ntiles =
+    ntiles > 0
+    && (not (Domain.DLS.get inside_pool))
+    &&
+    let w = workers () in
+    w > 1 && ntiles >= tile_min () * w
+
+  type task = {
+    tf : int -> unit;
+    ntiles : int;
+    width : int;
+    cursor : int Atomic.t;
+    inflight : int Atomic.t;
+    failure : (exn * Printexc.raw_backtrace) option Atomic.t;
+  }
+
+  (* Guards [current], [generation], [quit] and [domains]. *)
+  let lock = Mutex.create ()
+
+  let work_cond = Condition.create ()
+
+  let done_cond = Condition.create ()
+
+  let current : task option ref = ref None
+
+  let generation = ref 0
+
+  let quit = ref false
+
+  let domains : unit Domain.t list ref = ref []
+
+  (* Claim-and-run loop shared by helpers and the caller. [inflight] is
+     raised before the failure check and the cursor claim, so the
+     completion predicate (cursor exhausted or failure set, AND
+     inflight zero) can never observe an index that is claimed — or
+     about to be — but not yet counted: once the caller sees the task
+     finished, no participant runs another index of it. The first
+     exception wins [failure]; everyone stops claiming once it is set,
+     so a failing job or tile drains the task instead of hanging it,
+     and leaves the crew idle and immediately reusable. *)
+  let drain t =
     let continue = ref true in
     while !continue do
-      let start = Atomic.fetch_and_add cursor chunk in
-      if start >= n || Atomic.get error <> None then continue := false
+      Atomic.incr t.inflight;
+      let i = if Atomic.get t.failure = None then Atomic.fetch_and_add t.cursor 1 else t.ntiles in
+      if i >= t.ntiles then continue := false
       else begin
-        if Obs.Metrics.enabled () then heartbeat wid;
-        let stop = min n (start + chunk) in
-        let i = ref start in
-        while !continue && !i < stop do
-          (match p.job !i with
-          | v -> results.(!i) <- Some v
-          | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              ignore (Atomic.compare_and_set error None (Some (e, bt)));
-              continue := false);
-          incr i
-        done
-      end
+        match t.tf i with
+        | () -> ()
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            ignore (Atomic.compare_and_set t.failure None (Some (e, bt)))
+      end;
+      Atomic.decr t.inflight
+    done
+
+  let finished t =
+    (Atomic.get t.cursor >= t.ntiles || Atomic.get t.failure <> None)
+    && Atomic.get t.inflight = 0
+
+  let rec worker_loop ~rank seen =
+    Mutex.lock lock;
+    while !generation = seen && not !quit do
+      Condition.wait work_cond lock
     done;
-    Domain.DLS.set inside_pool saved
-  in
-  let spawned = List.init (min w n - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-  worker 0 ();
-  List.iter Domain.join spawned;
-  (match Atomic.get error with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ());
-  Array.map (function Some v -> v | None -> assert false) results
+    let g = !generation and t = !current and q = !quit in
+    Mutex.unlock lock;
+    if not q then begin
+      (match t with
+      | Some t when rank < t.width ->
+          drain t;
+          (* The broadcast is taken only after this helper's final
+             inflight decrement, and the caller checks the completion
+             predicate under the same lock before waiting — so the
+             wakeup cannot be missed. *)
+          Mutex.lock lock;
+          Condition.broadcast done_cond;
+          Mutex.unlock lock
+      | _ -> ());
+      worker_loop ~rank g
+    end
+
+  (* Helpers are joined at process exit so a program that merely used
+     the crew never exits with domains blocked in [Condition.wait]. *)
+  let shutdown () =
+    Mutex.lock lock;
+    quit := true;
+    Condition.broadcast work_cond;
+    Mutex.unlock lock;
+    List.iter Domain.join !domains;
+    domains := []
+
+  (* Run [tf 0 .. tf (ntiles - 1)] on the caller plus helpers
+     [1 .. width - 1], growing the crew first if it is smaller. Called
+     with [width > 1] and never from inside the crew. *)
+  let run_task ~width ntiles tf =
+    let t =
+      {
+        tf;
+        ntiles;
+        width;
+        cursor = Atomic.make 0;
+        inflight = Atomic.make 0;
+        failure = Atomic.make None;
+      }
+    in
+    Mutex.protect lock (fun () ->
+        let have = List.length !domains in
+        if have = 0 then at_exit shutdown;
+        for rank = have + 1 to width - 1 do
+          let g = !generation in
+          domains :=
+            Domain.spawn (fun () ->
+                Domain.DLS.set inside_pool true;
+                worker_loop ~rank g)
+            :: !domains
+        done;
+        current := Some t;
+        incr generation;
+        Condition.broadcast work_cond);
+    (* Participate from the calling domain, marked [inside_pool] so
+       anything the task calls degrades to sequential. *)
+    let saved = Domain.DLS.get inside_pool in
+    Domain.DLS.set inside_pool true;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set inside_pool saved) (fun () -> drain t);
+    Mutex.protect lock (fun () ->
+        while not (finished t) do
+          Condition.wait done_cond lock
+        done;
+        (* Another thread of this domain may have published since. *)
+        match !current with Some c when c == t -> current := None | _ -> ());
+    match Atomic.get t.failure with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
+
+  let run_tiles ntiles tf =
+    if ntiles < 0 then invalid_arg "Exec.Pool.run_tiles: ntiles must be >= 0";
+    (* Counters are charged before the engage decision, so metric
+       totals never depend on worker count or calling context. *)
+    Obs.Metrics.incr c_tile_plans;
+    Obs.Metrics.add c_tiles ntiles;
+    if fan_out ntiles then run_task ~width:(workers ()) ntiles tf
+    else
+      for i = 0 to ntiles - 1 do
+        tf i
+      done
+end
 
 (* --- the worker side of the fleet protocol --- *)
 
@@ -975,228 +1140,15 @@ let run s p =
         | None -> (
             let q = { p with job = instrument ~ambient ~plan_ord ~progress p.job } in
             match s with
-            | Sequential -> run_sequential q
-            | Pool w | Procs w ->
-                if q.jobs <= 1 || Domain.DLS.get inside_pool then run_sequential q
-                else run_pool w q))
+            | Pool w | Procs w when q.jobs > 1 && not (Domain.DLS.get inside_pool) ->
+                (* One crew task; job [i] fills slot [i], and the task's
+                   completion handshake (atomics plus the crew lock)
+                   publishes every slot to the caller. *)
+                let results = Array.make q.jobs None in
+                Pool.run_task ~width:w q.jobs (fun i -> results.(i) <- Some (q.job i));
+                Array.map (function Some v -> v | None -> assert false) results
+            | _ -> Array.init q.jobs q.job))
   in
   p.reduce results
 
 let map s ~jobs f = run s (plan ~jobs ~job:f ~reduce:Fun.id)
-
-(* --- intra-run tile parallelism --- *)
-
-(* A persistent pool of worker domains that kernels borrow for the
-   duration of one fan-out call ([Pool.run_tiles]). Unlike [run_pool]
-   above — which spawns domains per plan because plans are long — tile
-   tasks are issued once per kernel phase per round, so domain spawn
-   cost (~100µs) would swamp the work. Workers therefore persist: they
-   sleep on a condition variable between tasks, wake when a new task
-   generation is published, claim tile indices from an atomic cursor,
-   and go back to sleep. The caller participates too, so [run_tiles]
-   never blocks on a sleeping pool.
-
-   Determinism contract: [run_tiles n f] has exactly the semantics of
-   [for i = 0 to n - 1 do f i done] provided the [f i] are pairwise
-   independent (disjoint writes). Which domain runs which tile — and
-   whether fan-out engages at all — is unobservable; kernels built on
-   this (flooding's tiled scan, the partitioned edge-MEG engines)
-   additionally arrange their own output merges in tile-index order so
-   their results are byte-identical at any worker count. *)
-module Pool = struct
-  let c_tile_plans = Obs.Metrics.counter "exec.tile_plans"
-
-  let c_tiles = Obs.Metrics.counter "exec.tiles"
-
-  (* Worker count: set explicitly by the hosting executable (--jobs),
-     else taken from DYNGRAPH_JOBS like [default ()]. *)
-  let requested = ref None
-
-  let set_workers w =
-    if w < 1 then invalid_arg "Exec.Pool.set_workers: workers must be >= 1";
-    requested := Some (min w max_workers)
-
-  let env_workers () = workers (default ())
-
-  let workers () = match !requested with Some w -> w | None -> env_workers ()
-
-  (* Minimum tiles per worker before fan-out engages: below it, the
-     per-task handoff (one mutex round-trip per tile) is not worth
-     waking the pool. Same warn-once env contract as DYNGRAPH_JOBS. *)
-  let tile_min_default = 2
-
-  let tile_min_env () =
-    match Sys.getenv_opt "DYNGRAPH_TILE_MIN" with
-    | None -> tile_min_default
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some m when m >= 1 -> m
-        | Some _ -> tile_min_default
-        | None ->
-            warn_env "DYNGRAPH_TILE_MIN" s "a positive integer";
-            tile_min_default)
-
-  let tile_min_override = ref None
-
-  let set_tile_min = function
-    | Some m when m < 1 -> invalid_arg "Exec.Pool.set_tile_min: must be >= 1"
-    | o -> tile_min_override := o
-
-  let tile_min () =
-    match !tile_min_override with Some m -> m | None -> tile_min_env ()
-
-  let fan_out ntiles =
-    ntiles > 0
-    && (not (Domain.DLS.get inside_pool))
-    &&
-    let w = workers () in
-    w > 1 && ntiles >= tile_min () * w
-
-  type task = {
-    tf : int -> unit;
-    ntiles : int;
-    cursor : int Atomic.t;
-    inflight : int Atomic.t;
-    failure : (exn * Printexc.raw_backtrace) option Atomic.t;
-  }
-
-  let lock = Mutex.create ()
-
-  let work_cond = Condition.create ()
-
-  let done_cond = Condition.create ()
-
-  let current : task option ref = ref None
-
-  let generation = ref 0
-
-  let quit = ref false
-
-  let domains : unit Domain.t list ref = ref []
-
-  (* Claim-and-run loop shared by workers and the caller. [inflight] is
-     raised before the cursor claim, so the completion predicate
-     (cursor exhausted AND inflight zero) can never observe a tile that
-     is claimed but not yet counted. The first exception wins [failure];
-     everyone stops claiming once it is set, extending the pool-drain
-     contract of [run] to tile tasks: a failing tile leaves the pool
-     idle and immediately reusable. *)
-  let drain t =
-    let continue = ref true in
-    while !continue do
-      if Atomic.get t.failure <> None then continue := false
-      else begin
-        Atomic.incr t.inflight;
-        let i = Atomic.fetch_and_add t.cursor 1 in
-        if i >= t.ntiles then begin
-          ignore (Atomic.fetch_and_add t.inflight (-1));
-          continue := false
-        end
-        else begin
-          (match t.tf i with
-          | () -> ()
-          | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              ignore (Atomic.compare_and_set t.failure None (Some (e, bt))));
-          ignore (Atomic.fetch_and_add t.inflight (-1))
-        end
-      end
-    done
-
-  let finished t =
-    (Atomic.get t.cursor >= t.ntiles || Atomic.get t.failure <> None)
-    && Atomic.get t.inflight = 0
-
-  let rec worker_loop seen =
-    Mutex.lock lock;
-    while !generation = seen && not !quit do
-      Condition.wait work_cond lock
-    done;
-    let g = !generation and t = !current and q = !quit in
-    Mutex.unlock lock;
-    if not q then begin
-      (match t with
-      | Some t ->
-          drain t;
-          (* The broadcast is taken only after this worker's final
-             inflight decrement, and the caller checks the completion
-             predicate under the same lock before waiting — so the
-             wakeup cannot be missed. *)
-          Mutex.lock lock;
-          Condition.broadcast done_cond;
-          Mutex.unlock lock
-      | None -> ());
-      worker_loop g
-    end
-
-  (* Workers are joined at process exit so a program that merely used a
-     kernel never exits with domains blocked in [Condition.wait]. *)
-  let shutdown () =
-    Mutex.lock lock;
-    quit := true;
-    Condition.broadcast work_cond;
-    Mutex.unlock lock;
-    List.iter Domain.join !domains;
-    domains := []
-
-  let ensure_spawned w =
-    let have = List.length !domains in
-    if have < w - 1 then begin
-      if have = 0 then at_exit shutdown;
-      Mutex.lock lock;
-      let g0 = !generation in
-      Mutex.unlock lock;
-      for _ = have + 1 to w - 1 do
-        domains :=
-          Domain.spawn (fun () ->
-              Domain.DLS.set inside_pool true;
-              worker_loop g0)
-          :: !domains
-      done
-    end
-
-  let run_tiles ntiles tf =
-    if ntiles < 0 then invalid_arg "Exec.Pool.run_tiles: ntiles must be >= 0";
-    (* Counters are charged before the engage decision, so metric
-       totals never depend on worker count or calling context. *)
-    Obs.Metrics.incr c_tile_plans;
-    Obs.Metrics.add c_tiles ntiles;
-    if ntiles > 0 then
-      if not (fan_out ntiles) then
-        for i = 0 to ntiles - 1 do
-          tf i
-        done
-      else begin
-        ensure_spawned (workers ());
-        let t =
-          {
-            tf;
-            ntiles;
-            cursor = Atomic.make 0;
-            inflight = Atomic.make 0;
-            failure = Atomic.make None;
-          }
-        in
-        Mutex.lock lock;
-        current := Some t;
-        incr generation;
-        Condition.broadcast work_cond;
-        Mutex.unlock lock;
-        (* Participate from the calling domain, marked [inside_pool] so
-           anything the tiles call degrades to sequential. *)
-        let saved = Domain.DLS.get inside_pool in
-        Domain.DLS.set inside_pool true;
-        Fun.protect
-          ~finally:(fun () -> Domain.DLS.set inside_pool saved)
-          (fun () -> drain t);
-        Mutex.lock lock;
-        while not (finished t) do
-          Condition.wait done_cond lock
-        done;
-        current := None;
-        Mutex.unlock lock;
-        match Atomic.get t.failure with
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ()
-      end
-end

@@ -4,9 +4,9 @@
     number, each deterministically seeded by its caller — plus a reducer
     that folds the job results, in index order, into one value. A
     {!scheduler} decides how the jobs run: strictly in order on the
-    calling domain ({!sequential}), distributed over a fixed pool of
-    worker domains ({!pool}), or sharded across a fleet of forked worker
-    {e processes} ({!procs}).
+    calling domain ({!sequential}), distributed over the process's
+    persistent crew of worker domains ({!pool}), or sharded across a
+    fleet of forked worker {e processes} ({!procs}).
 
     The determinism contract: because every job receives its randomness
     through its own index (e.g. [Prng.Rng.substream rng i]) and results
@@ -24,12 +24,13 @@
     [exec.jobs_failed] counters, emits [exec.claim] / [exec.finish] /
     [exec.fail] trace events at deterministic plan/job coordinates,
     ticks {!Obs.Progress} for root-level plans, and propagates the
-    caller's metric-attribution scope to pool workers. Pool workers
-    additionally stamp an [exec.worker<k>.heartbeat] gauge each time
-    they claim a chunk. Under {!procs} the envelope runs worker-side and
-    its counter deltas and trace events are merged back into the parent
-    ({!Obs.Metrics.absorb}, {!Obs.Trace.absorb}), so a merged metrics or
-    trace flush is identical to a single-process one modulo wall times.
+    caller's metric-attribution scope to pool workers. Under {!procs}
+    the envelope runs worker-side and its counter deltas and trace
+    events are merged back into the parent ({!Obs.Metrics.absorb},
+    {!Obs.Trace.absorb}), so a merged metrics or trace flush is
+    identical to a single-process one modulo wall times; the parent also
+    stamps an [exec.worker<k>.heartbeat] gauge each time fleet slot [k]
+    returns a result.
     With metrics, tracing and progress all disabled the envelope is a
     handful of atomic loads per job. *)
 
@@ -40,9 +41,11 @@ val sequential : scheduler
 (** Run jobs in index order on the calling domain. *)
 
 val pool : int -> scheduler
-(** [pool w] runs jobs on a fixed pool of [w] worker domains (the caller
-    counts as one), distributing jobs in contiguous chunks through a
-    shared atomic cursor. [w] is clamped to
+(** [pool w] runs jobs on [w] domains: the caller plus [w - 1] helpers
+    of the process's persistent crew (the one {!Pool.run_tiles} uses),
+    each claiming one job at a time from a shared atomic cursor. The
+    crew grows on first use and its helpers, with their per-domain
+    scratch, persist across plans. [w] is clamped to
     [max 4 (Domain.recommended_domain_count ())] — the lower bound keeps
     the multi-domain path exercisable on single-core CI machines, where
     extra workers cost only scheduling overhead, never determinism.
@@ -289,13 +292,13 @@ val plan_spec :
 
 val run : scheduler -> ('a, 'b) plan -> 'b
 (** Execute a plan. Results reach the reducer in job-index order
-    regardless of the scheduler. If a job raises, the pool drains
-    (no worker is left running), the remaining unclaimed jobs are
+    regardless of the scheduler. If a job raises, the crew drains
+    (no helper is left running a job), the remaining unclaimed jobs are
     skipped, and the first exception observed is re-raised with its
     backtrace — [run] never hangs on a failing job.
 
-    A [pool] run started from inside another pool's worker runs
-    sequentially instead of spawning nested domains, so one scheduler
+    A [pool] run started from inside a pool job (or a tile) runs
+    sequentially instead of re-entering the crew, so one scheduler
     value can be threaded through every layer of a computation without
     oversubscribing the machine.
 
@@ -312,30 +315,34 @@ val run : scheduler -> ('a, 'b) plan -> 'b
 val map : scheduler -> jobs:int -> (int -> 'a) -> 'a array
 (** [map s ~jobs f] is [run s (plan ~jobs ~job:f ~reduce:Fun.id)]. *)
 
-(** Intra-run tile parallelism: a persistent pool of worker domains
-    that kernels borrow for one fan-out call at a time.
+(** The persistent crew of helper domains, and intra-run tile
+    parallelism on it.
 
-    {!run} parallelizes {e across} independent trials; [Pool] is the
-    complementary axis — it splits the inside of one large run
-    (flooding's tiled frontier scan, the partitioned off-heap edge-MEG
-    step) into independent tiles. Workers persist between calls,
-    sleeping on a condition variable, because tile tasks are issued per
-    kernel phase per round and per-call domain spawns would swamp the
-    work; they are joined automatically at process exit.
+    One crew serves both axes: {!run} on a {!pool} parallelizes
+    {e across} independent trials, and [run_tiles] splits the inside of
+    one large run (flooding's tiled frontier scan, the partitioned
+    off-heap edge-MEG step) into independent tiles. Helpers persist
+    between tasks, sleeping on a condition variable, because tile tasks
+    are issued per kernel phase per round and per-call domain spawns
+    would swamp the work; they are joined automatically at process
+    exit. A task of width [w] runs on the caller and helpers
+    [1 .. w - 1] (in spawn order), so a plan or fan-out never uses more
+    domains than its width, even after a wider one grew the crew.
 
     Determinism contract: [run_tiles n f] is semantically
     [for i = 0 to n - 1 do f i done] provided the [f i] have disjoint
     effects. Whether fan-out engages, and which domain runs which tile,
     is unobservable — callers that merge per-tile output do so in
     tile-index order, keeping results byte-identical at any worker
-    count. Calls made from inside a pool worker (either this pool or a
-    {!run} pool) always degrade to the sequential loop, so kernels can
+    count. Calls made from inside the crew (a tile, or a {!run} pool
+    job) always degrade to the sequential loop, so kernels can
     be used freely under trial-level parallelism without
     oversubscribing the machine. *)
 module Pool : sig
   val set_workers : int -> unit
   (** Target worker count for subsequent fan-outs, clamped like {!pool}.
-      Typically wired to [--jobs] by the hosting executable. Raises
+      Typically wired to [--jobs] by the hosting executable; a fleet
+      worker takes it from the [--jobs] on its own command line. Raises
       [Invalid_argument] when [w < 1]. *)
 
   val workers : unit -> int
@@ -355,7 +362,7 @@ module Pool : sig
 
   val fan_out : int -> bool
   (** [fan_out ntiles] is whether [run_tiles ntiles f] would engage the
-      worker pool rather than run inline: more than one worker, at
+      crew rather than run inline: more than one worker, at
       least [tile_min () * workers ()] tiles, and the caller is not
       itself a pool worker. Exposed so kernels with a cheaper fused
       sequential path can branch before paying the parallel pipeline's
@@ -363,9 +370,10 @@ module Pool : sig
 
   val run_tiles : int -> (int -> unit) -> unit
   (** [run_tiles ntiles f] runs [f 0 .. f (ntiles - 1)], possibly in
-      parallel on the persistent pool with the caller participating.
+      parallel on the crew ([workers ()] wide) with the caller
+      participating.
       The [f i] must have pairwise-disjoint effects. If some [f i]
-      raises, remaining unclaimed tiles are skipped, the pool drains to
+      raises, remaining unclaimed tiles are skipped, the crew drains to
       idle (and stays reusable), and the first exception observed is
       re-raised with its backtrace. Charges [exec.tile_plans] /
       [exec.tiles] counters identically whether or not fan-out

@@ -43,72 +43,58 @@ let default_config =
     cache_capacity = 64;
   }
 
-(* Cost-weighted LRU (the GreedyDual-style ageing scheme): every entry
-   carries its measured compute cost in seconds, and the cache keeps a
-   rising level L — the credit of the last evicted entry. A hit or
-   insert sets the entry's credit to L + cost, so recency raises
-   everyone equally while cost decides how many rounds of eviction an
-   idle entry survives: one `full`-scale result worth tens of seconds
-   outlives hundreds of millisecond `quick` entries, instead of being
-   pushed out by them as under plain FIFO. Eviction is an O(n) scan for
-   the minimum credit — fine at the default capacity of 64. *)
+(* Least-recently-used eviction: every find hit and every store stamps
+   the entry from a per-cache use clock, and a full cache evicts the
+   smallest stamp. Eviction is an O(n) scan — fine at the default
+   capacity of 64. *)
 module Cache = struct
-  type entry = { output : string; ok : bool; cost : float; mutable credit : float }
+  type entry = { output : string; ok : bool; mutable stamp : int }
 
   type t = {
     capacity : int;
     m : Mutex.t;
     tbl : (string, entry) Hashtbl.t;
-    mutable level : float;
+    mutable clock : int;
   }
 
-  (* Floor on an entry's cost: even a cache hit served in "zero"
-     measured seconds must age out eventually, not instantly. *)
-  let min_cost = 0.001
-
-  let create capacity = { capacity; m = Mutex.create (); tbl = Hashtbl.create 64; level = 0. }
+  let create capacity = { capacity; m = Mutex.create (); tbl = Hashtbl.create 64; clock = 0 }
 
   let length t = Hashtbl.length t.tbl
 
+  (* Called under t.m. *)
+  let touch t e =
+    t.clock <- t.clock + 1;
+    e.stamp <- t.clock
+
   let find t key =
-    Mutex.lock t.m;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.m)
-      (fun () ->
+    Mutex.protect t.m (fun () ->
         match Hashtbl.find_opt t.tbl key with
         | None -> None
         | Some e ->
-            e.credit <- t.level +. e.cost;
+            touch t e;
             Some (e.output, e.ok))
 
   (* Called under t.m. *)
-  let evict_min t =
+  let evict_lru t =
     let victim = ref None in
     Hashtbl.iter
       (fun k e ->
         match !victim with
-        | Some (_, c) when c <= e.credit -> ()
-        | _ -> victim := Some (k, e.credit))
+        | Some (_, stamp) when stamp <= e.stamp -> ()
+        | _ -> victim := Some (k, e.stamp))
       t.tbl;
-    match !victim with
-    | None -> ()
-    | Some (k, credit) ->
-        Hashtbl.remove t.tbl k;
-        if credit > t.level then t.level <- credit
+    Option.iter (fun (k, _) -> Hashtbl.remove t.tbl k) !victim
 
-  let store t key ~output ~ok ~seconds =
-    if t.capacity > 0 then begin
-      Mutex.lock t.m;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.m)
-        (fun () ->
-          let cost = Float.max seconds min_cost in
+  let store t key ~output ~ok =
+    if t.capacity > 0 then
+      Mutex.protect t.m (fun () ->
           if not (Hashtbl.mem t.tbl key) then
             while Hashtbl.length t.tbl >= t.capacity do
-              evict_min t
+              evict_lru t
             done;
-          Hashtbl.replace t.tbl key { output; ok; cost; credit = t.level +. cost })
-    end
+          let e = { output; ok; stamp = 0 } in
+          touch t e;
+          Hashtbl.replace t.tbl key e)
 end
 
 let c_requests = Obs.Metrics.counter "serve.requests"
@@ -251,7 +237,7 @@ let execute t conn (job : job) =
           let degraded =
             match List.assoc_opt "exec.procs_degraded" metrics with Some k -> k | None -> 0
           in
-          Cache.store t.cache key ~output ~ok ~seconds;
+          Cache.store t.cache key ~output ~ok;
           send_msg conn
             (Result { req = job.req; id; ok; cached = false; seconds; degraded; output })
       | exception e ->
@@ -368,6 +354,13 @@ let accept_loop t () =
   done
 
 let create config =
+  let reject field v =
+    invalid_arg (Printf.sprintf "Server.create: %s must be >= %d" field v)
+  in
+  if config.jobs < 1 then reject "jobs" 1;
+  if config.executors < 1 then reject "executors" 1;
+  if config.cache_capacity < 0 then reject "cache_capacity" 0;
+  if config.procs < 0 then reject "procs" 0;
   (* A stale socket file from a crashed daemon would make bind fail. *)
   (match Unix.lstat config.socket_path with
   | { Unix.st_kind = Unix.S_SOCK; _ } -> (try Unix.unlink config.socket_path with _ -> ())
@@ -388,7 +381,7 @@ let create config =
   let stop_r, stop_w = Unix.pipe () in
   (* A dead client mid-write must cost EPIPE, not process death. *)
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
-  Exec.Pool.set_workers (max 1 config.jobs);
+  Exec.Pool.set_workers config.jobs;
   let t =
     {
       config;
@@ -396,8 +389,7 @@ let create config =
          fleet (the hosting executable must have called
          Exec.set_worker_command); otherwise the in-process pool. *)
       sched =
-        (if config.procs > 0 then Exec.procs config.procs
-         else Exec.of_int (max 1 config.jobs));
+        (if config.procs > 0 then Exec.procs config.procs else Exec.of_int config.jobs);
       stop = Atomic.make false;
       stop_r;
       stop_w;
@@ -414,7 +406,7 @@ let create config =
   in
   t.accept_thread <- Some (Thread.create (accept_loop t) ());
   t.executor_threads <-
-    List.init (max 1 config.executors) (fun _ -> Thread.create (executor t) ());
+    List.init config.executors (fun _ -> Thread.create (executor t) ());
   t
 
 let request_stop t =

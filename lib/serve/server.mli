@@ -9,8 +9,8 @@
     on the in-process Domain pool sized by [jobs], or shard across a
     [procs]-sized worker fleet, and the persistent {!Exec.Pool} tile
     workers, per-domain scratch and interned alias tables stay warm
-    across requests). A bounded cost-weighted result cache keyed by
-    [(id, seed, scale, render)] answers repeats instantly with
+    across requests). A bounded least-recently-used result cache keyed
+    by [(id, seed, scale, render)] answers repeats instantly with
     [cached = true].
 
     A [run] request's [output] is byte-identical to the batch CLI
@@ -31,23 +31,20 @@
 type config = {
   socket_path : string;
   tcp_port : int option;  (** bound on loopback when set *)
-  jobs : int;  (** in-process Domain pool size per request *)
+  jobs : int;  (** in-process Domain pool size per request (>= 1) *)
   executors : int;  (** concurrent executor threads (>= 1) *)
   procs : int;  (** worker-fleet size per request; 0 = in-process *)
-  cache_capacity : int;  (** warm result-cache entries; 0 disables *)
+  cache_capacity : int;  (** warm result-cache entries (>= 0); 0 disables *)
 }
 
 val default_config : config
 (** [dyngraph.sock], no TCP, 1 job, 1 executor, no fleet, 64 cache
     entries. *)
 
-(** The daemon's result cache: cost-weighted LRU (GreedyDual ageing).
-    Every entry carries its measured compute seconds as its cost; a hit
-    or insert sets the entry's credit to [level + cost], where [level]
-    rises to the evicted credit on each eviction — so one expensive
-    [full]/[large]-scale result survives hundreds of cheap [quick]
-    insertions instead of being pushed out FIFO-style. Thread-safe.
-    Exposed for the eviction tests. *)
+(** The daemon's result cache: least-recently-used eviction. Every hit
+    and every insert marks the entry as the most recently used; a full
+    cache evicts the entry used longest ago. Thread-safe. Exposed for
+    the eviction tests. *)
 module Cache : sig
   type t
 
@@ -57,11 +54,11 @@ module Cache : sig
   val length : t -> int
 
   val find : t -> string -> (string * bool) option
-  (** Lookup; a hit refreshes the entry's credit. *)
+  (** Lookup; a hit marks the entry most recently used. *)
 
-  val store : t -> string -> output:string -> ok:bool -> seconds:float -> unit
-  (** Insert or refresh, evicting minimum-credit entries as needed.
-      [seconds] is floored at 1ms so even "free" entries age out. *)
+  val store : t -> string -> output:string -> ok:bool -> unit
+  (** Insert or refresh as the most recently used entry, evicting the
+      least recently used ones while the cache is full. *)
 end
 
 type t
@@ -69,7 +66,9 @@ type t
 val create : config -> t
 (** Bind the sockets (unlinking a stale socket file first), start the
     accept and executor threads, and return immediately. Raises
-    [Unix.Unix_error] if a socket cannot be bound. Ignores SIGPIPE. *)
+    [Invalid_argument] when [jobs < 1], [executors < 1],
+    [procs < 0] or [cache_capacity < 0], and [Unix.Unix_error] if a
+    socket cannot be bound. Ignores SIGPIPE. *)
 
 val request_stop : t -> unit
 (** Begin shutdown; safe to call from a signal handler (one atomic

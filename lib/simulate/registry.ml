@@ -27,51 +27,67 @@ end
 let wrap (module E : EXPERIMENT) =
   { id = E.id; title = E.title; claim = E.claim; run = E.run; plan = None; assess = E.assess }
 
-(* ---- trial shards over the wire ------------------------------------- *)
+type render = Full | Scorecard
+
+(* ---- job payloads over the wire ------------------------------------- *)
 
 module B = Exec.Spec.Buf
 
-(* A trial-shard payload carries what a worker needs to rebuild the
-   plan and locate the shard: the experiment id, the experiment
-   generator's state bits (captured *before* plan construction, so the
-   worker's rebuilt generator performs the same splits), the scale, and
-   the shard index into the deterministic [Trial_plan.shards] list.
-   The leading 'T' distinguishes it from whole-experiment payloads
-   (tagged 'X' by Fleet) on the shared worker dispatcher. *)
-let encode_trial_payload ~id ~bits ~scale ~shard =
-  let state, gamma = bits in
-  let b = Buffer.create 48 in
-  Buffer.add_char b 'T';
+type payload =
+  | Experiment of { id : string; bits : int64 * int64; scale : Runner.scale; render : render }
+  | Trial of { id : string; bits : int64 * int64; scale : Runner.scale; shard : int }
+
+(* One codec for both granularities of fleet job. Both kinds carry what
+   a worker needs to rebuild the parent's computation: the experiment
+   id, the generator's state bits (an experiment's generator, or a
+   planned experiment's captured *before* plan construction, so the
+   worker's rebuilt generator performs the same splits) and the scale.
+   A whole experiment 'X' adds its render mode; a trial shard 'T' adds
+   its index into the deterministic [Trial_plan.shards] list. *)
+let encode_payload p =
+  let tag, id, (state, gamma), scale, last =
+    match p with
+    | Experiment { id; bits; scale; render } ->
+        ('X', id, bits, scale, match render with Full -> 0 | Scorecard -> 1)
+    | Trial { id; bits; scale; shard } -> ('T', id, bits, scale, shard)
+  in
+  let b = Buffer.create 64 in
+  Buffer.add_char b tag;
   B.add_string b id;
   B.add_int64 b state;
   B.add_int64 b gamma;
   B.add_int b (Runner.scale_to_int scale);
-  B.add_int b shard;
+  B.add_int b last;
   Buffer.contents b
 
-let decode_trial_payload payload =
-  let r = B.reader payload in
-  (match B.char r with
-  | 'T' -> ()
-  | c -> raise (B.Corrupt (Printf.sprintf "trial payload: bad tag %C" c)));
+let decode_payload s =
+  let r = B.reader s in
+  let tag = B.char r in
+  if tag <> 'X' && tag <> 'T' then raise (B.Corrupt (Printf.sprintf "payload: bad tag %C" tag));
   let id = B.string r in
   let state = B.int64 r in
   let gamma = B.int64 r in
+  let bits = (state, gamma) in
   let scale =
-    match B.int r with
-    | 0 -> Runner.Quick
-    | 1 -> Runner.Full
-    | 2 -> Runner.Large
-    | n -> raise (B.Corrupt (Printf.sprintf "trial payload: bad scale %d" n))
+    let n = B.int r in
+    try Runner.scale_of_int n
+    with Invalid_argument _ -> raise (B.Corrupt (Printf.sprintf "payload: bad scale %d" n))
   in
-  let shard = B.int r in
-  if not (B.at_end r) then raise (B.Corrupt "trial payload: trailing bytes");
-  (id, (state, gamma), scale, shard)
+  let p =
+    if tag = 'T' then Trial { id; bits; scale; shard = B.int r }
+    else
+      match B.int r with
+      | 0 -> Experiment { id; bits; scale; render = Full }
+      | 1 -> Experiment { id; bits; scale; render = Scorecard }
+      | n -> raise (B.Corrupt (Printf.sprintf "payload: bad render %d" n))
+  in
+  if not (B.at_end r) then raise (B.Corrupt "payload: trailing bytes");
+  p
 
 let trial_spec ~id ~bits ~scale shard =
   {
     Exec.Spec.id = Printf.sprintf "%s.t%d" id shard;
-    payload = encode_trial_payload ~id ~bits ~scale ~shard;
+    payload = encode_payload (Trial { id; bits; scale; shard });
     decode = Trial_plan.decode_result;
   }
 
@@ -131,40 +147,12 @@ let find id =
   let target = String.lowercase_ascii id in
   List.find_opt (fun e -> String.lowercase_ascii e.id = target) all
 
-(* Worker side of a trial shard: rebuild the plan from the payload and
-   run just the named shard. The trial work itself (substream
-   derivations, flooding counters) runs with metrics live — those
-   deltas are this shard's contribution, absorbed by the parent — while
-   reconstruction is suppressed (see [without_metrics]). *)
-let dispatch_trial ~spec_id ~payload =
-  let id, bits, scale, shard = decode_trial_payload payload in
-  let expected = Printf.sprintf "%s.t%d" id shard in
-  if spec_id <> expected then
-    failwith
-      (Printf.sprintf "Registry.dispatch_trial: spec id %S names shard %S" spec_id expected);
-  match find id with
-  | None -> failwith (Printf.sprintf "Registry.dispatch_trial: unknown experiment %S" id)
-  | Some { plan = None; _ } ->
-      failwith (Printf.sprintf "Registry.dispatch_trial: %S has no trial plan" id)
-  | Some { plan = Some make_plan; _ } ->
-      let p =
-        without_metrics (fun () -> make_plan ~rng:(Prng.Rng.of_state_bits bits) ~scale)
-      in
-      let shards = Trial_plan.shards p in
-      if shard < 0 || shard >= Array.length shards then
-        failwith
-          (Printf.sprintf "Registry.dispatch_trial: shard %d out of range (%d shards)" shard
-             (Array.length shards));
-      Trial_plan.encode_result (Trial_plan.run_shard p shards.(shard))
-
 (* The one experiment-seeding scheme, shared by [run_each] (hence
    run_all / verify / Export.export_all): experiment [i] always draws
    from substream 1000 + i of the top-level generator, so every entry
    point produces the same numbers for the same seed, whatever subset
    of experiments it runs and in whatever order. *)
 let experiment_rng rng i = Prng.Rng.substream rng (1000 + i)
-
-type render = Full | Scorecard
 
 (* Render one experiment to a string. Parallel callers buffer rather
    than print so that concurrent experiments cannot interleave output:
@@ -200,11 +188,10 @@ type outcome = {
 let c_experiments = Obs.Metrics.counter "sim.experiments"
 
 (* The complete per-experiment job body, shared verbatim by the
-   in-process schedulers (below) and by fleet workers
-   (Fleet.dispatch): counting, exp.start / exp.end bracketing, and the
-   attribution scope all happen wherever the experiment actually runs,
-   so counters and trace events are identical at any [--jobs] or
-   [--procs] setting. *)
+   in-process schedulers and by fleet workers ([dispatch], below):
+   counting, exp.start / exp.end bracketing, and the attribution scope
+   all happen wherever the experiment actually runs, so counters and
+   trace events are identical at any [--jobs] or [--procs] setting. *)
 let rendered_outcome ?clock ~render ~sched ~rng ~scale e =
   let now () = match clock with Some f -> f () | None -> 0. in
   Obs.Metrics.incr c_experiments;
@@ -230,11 +217,69 @@ let rendered_outcome ?clock ~render ~sched ~rng ~scale e =
 let single_outcome ?clock ?(render = Full) ?(sched = Exec.sequential) ~seed ~scale e =
   rendered_outcome ?clock ~render ~sched ~rng:(Prng.Rng.of_seed seed) ~scale e
 
-let run_each ?(render = Full) ?(sched = Exec.sequential) ?clock ?spec ~rng ~scale () =
+(* An outcome's wire form: rendered output, verdict, duration (worker
+   wall clock — the only nondeterministic field, and one that never
+   reaches deterministic output) and the attributed counter deltas. *)
+let decode_outcome experiment raw =
+  let r = B.reader raw in
+  let output = B.string r in
+  let ok = B.int r <> 0 in
+  let seconds = B.float r in
+  let metrics = B.pairs r in
+  { experiment; output; ok; seconds; metrics }
+
+(* The worker side of every fleet job. A whole experiment runs through
+   [rendered_outcome] on this process's [--jobs] domains, so the bytes
+   it returns are the bytes the parent would have rendered in-process.
+   A trial shard rebuilds its experiment's plan and runs just that
+   shard: the trial work (substream derivations, flooding counters)
+   runs with metrics live — those deltas are this shard's contribution,
+   absorbed by the parent — while reconstruction is suppressed (see
+   [without_metrics]). *)
+let dispatch ~id:spec_id ~payload =
+  let lookup id =
+    match find id with
+    | Some e -> e
+    | None -> failwith (Printf.sprintf "Registry.dispatch: unknown experiment %S" id)
+  in
+  match decode_payload payload with
+  | Experiment { id; bits; scale; render } ->
+      if spec_id <> id then
+        failwith (Printf.sprintf "Registry.dispatch: spec id %S names experiment %S" spec_id id);
+      let output, ok, seconds, metrics =
+        rendered_outcome ~clock:Obs.Clock.now ~render
+          ~sched:(Exec.of_int (Exec.Pool.workers ()))
+          ~rng:(Prng.Rng.of_state_bits bits) ~scale (lookup id)
+      in
+      let b = Buffer.create (String.length output + 64) in
+      B.add_string b output;
+      B.add_int b (if ok then 1 else 0);
+      B.add_float b seconds;
+      B.add_pairs b metrics;
+      Buffer.contents b
+  | Trial { id; bits; scale; shard } -> (
+      let expected = Printf.sprintf "%s.t%d" id shard in
+      if spec_id <> expected then
+        failwith (Printf.sprintf "Registry.dispatch: spec id %S names shard %S" spec_id expected);
+      match (lookup id).plan with
+      | None -> failwith (Printf.sprintf "Registry.dispatch: %S has no trial plan" id)
+      | Some make_plan ->
+          let p =
+            without_metrics (fun () -> make_plan ~rng:(Prng.Rng.of_state_bits bits) ~scale)
+          in
+          let shards = Trial_plan.shards p in
+          if shard < 0 || shard >= Array.length shards then
+            failwith
+              (Printf.sprintf "Registry.dispatch: shard %d out of range (%d shards)" shard
+                 (Array.length shards));
+          Trial_plan.encode_result (Trial_plan.run_shard p shards.(shard)))
+
+let run_each ?(render = Full) ?(sched = Exec.sequential) ?clock ~rng ~scale () =
   let exps = Array.of_list all in
-  (* The substream split happens inside the job, not up front: on the
-     fleet path the worker performs it instead (Fleet.dispatch), so the
-     rng.splits total stays identical at every --procs setting. *)
+  (* Exactly one side splits each experiment's substream: the job when
+     it runs in-process, or [spec] in the parent when the fleet runs it
+     (the worker only restores the state bits), so the rng.splits total
+     is identical at every --jobs and --procs setting. *)
   let job i =
     let e = exps.(i) in
     let output, ok, seconds, metrics =
@@ -242,11 +287,16 @@ let run_each ?(render = Full) ?(sched = Exec.sequential) ?clock ?spec ~rng ~scal
     in
     { experiment = e; output; ok; seconds; metrics }
   in
-  let jobs = Array.length exps in
-  let reduce = Array.to_list in
-  match spec with
-  | None -> Exec.run sched (Exec.plan ~jobs ~job ~reduce)
-  | Some spec -> Exec.run sched (Exec.plan_spec ~jobs ~job ~spec ~reduce)
+  let spec i =
+    let e = exps.(i) in
+    let bits = Prng.Rng.state_bits (experiment_rng rng i) in
+    {
+      Exec.Spec.id = e.id;
+      payload = encode_payload (Experiment { id = e.id; bits; scale; render });
+      decode = decode_outcome e;
+    }
+  in
+  Exec.run sched (Exec.plan_spec ~jobs:(Array.length exps) ~job ~spec ~reduce:Array.to_list)
 
 let run_one ?(out = stdout) ?(sched = Exec.sequential) ~rng ~scale e =
   let output, ok = render_one ~render:Full ~sched ~rng ~scale e in
@@ -266,19 +316,18 @@ let summary_table verdicts =
     verdicts;
   summary
 
-let run_all_timed ?(out = stdout) ?sched ?clock ?spec ~rng ~scale () =
-  let results = run_each ~render:Full ?sched ?clock ?spec ~rng ~scale () in
+let run_all_timed ?(out = stdout) ?sched ?clock ~rng ~scale () =
+  let results = run_each ~render:Full ?sched ?clock ~rng ~scale () in
   List.iter (fun o -> output_string out o.output) results;
   let verdicts = List.map (fun o -> (o.experiment, o.ok)) results in
   Printf.fprintf out "%s\n" (Stats.Table.render (summary_table verdicts));
   flush out;
   (List.for_all snd verdicts, results)
 
-let run_all ?out ?sched ?spec ~rng ~scale () =
-  fst (run_all_timed ?out ?sched ?spec ~rng ~scale ())
+let run_all ?out ?sched ~rng ~scale () = fst (run_all_timed ?out ?sched ~rng ~scale ())
 
-let verify ?(out = stdout) ?sched ?spec ~rng ~scale () =
-  let results = run_each ~render:Scorecard ?sched ?spec ~rng ~scale () in
+let verify ?(out = stdout) ?sched ~rng ~scale () =
+  let results = run_each ~render:Scorecard ?sched ~rng ~scale () in
   List.iter (fun o -> output_string out o.output) results;
   flush out;
   List.length (List.filter (fun o -> not o.ok) results)

@@ -31,39 +31,61 @@ val all : experiment list
 val find : string -> experiment option
 (** Case-insensitive lookup by id. *)
 
-(** {2 Trial shards over the wire}
+type render =
+  | Full       (** header, claim, tables, scorecard *)
+  | Scorecard  (** scorecard only (the [verify] view) *)
 
-    A planned experiment's {!Trial_plan.t} executes as one spec'd
-    {!Exec} plan over its shards. Each shard's job spec payload —
-    tagged with a leading ['T'] so {!Fleet.dispatch} can route it —
-    carries the experiment id, the experiment generator's
-    {!Prng.Rng.state_bits} captured before plan construction, the
-    scale, and the shard index; a worker rebuilds the identical plan
-    and runs just that shard. Codec exposed for the round-trip tests. *)
+(** {2 Fleet payloads}
 
-val encode_trial_payload :
-  id:string -> bits:int64 * int64 -> scale:Runner.scale -> shard:int -> string
+    Every {!Exec.procs} job the registry hands out carries one of two
+    payloads, both rebuilt from the generator the parent was given —
+    never from a seed — so any generator can cross the process
+    boundary. Both carry the experiment id, the generator's
+    {!Prng.Rng.state_bits} and the scale:
 
-val decode_trial_payload : string -> string * (int64 * int64) * Runner.scale * int
-(** Inverse of {!encode_trial_payload}; raises [Exec.Spec.Buf.Corrupt]
-    on truncated, tagless or oversized input. *)
+    - a whole experiment (tag ['X'], spec id ["<id>"]) adds its render
+      mode; {!run_each} derives one per experiment from its [rng];
+    - a trial shard (tag ['T'], spec id ["<id>.t<shard>"]) adds its
+      index into {!Trial_plan.shards}; a planned experiment captures
+      the bits before it builds its plan.
 
-val dispatch_trial : spec_id:string -> payload:string -> string
-(** Worker side of one trial shard: decode the payload, rebuild the
-    experiment's plan (with construction-time metrics suppressed — the
-    parent already charged them once), run the shard, and encode its
-    result with {!Trial_plan.encode_result}. [spec_id] must be the
-    ["<id>.t<shard>"] name the parent generated. *)
+    The worker side is {!dispatch}. Codec exposed for the round-trip
+    tests. *)
+
+type payload =
+  | Experiment of { id : string; bits : int64 * int64; scale : Runner.scale; render : render }
+  | Trial of { id : string; bits : int64 * int64; scale : Runner.scale; shard : int }
+
+val encode_payload : payload -> string
+
+val decode_payload : string -> payload
+(** Inverse of {!encode_payload}; raises [Exec.Spec.Buf.Corrupt] on
+    truncated input, trailing bytes, an unknown tag, scale or render. *)
+
+val dispatch : id:string -> payload:string -> string
+(** Execute one fleet job (worker side) and encode its result; the
+    [dispatch] of {!Exec.Worker.serve}. [id] must be the spec id the
+    parent generated for the payload.
+
+    - A whole experiment runs {!rendered_outcome} on
+      [Exec.of_int (Exec.Pool.workers ())] — the worker's own [--jobs] —
+      so it returns exactly the bytes the parent would have rendered
+      in-process. The decoded [seconds] are measured on the worker's
+      {!Obs.Clock}.
+    - A trial shard rebuilds the experiment's plan (construction-time
+      metrics suppressed: the parent already charged them once), runs
+      the shard, and encodes its result with
+      {!Trial_plan.encode_result}.
+
+    Raises [Failure] on a spec id that does not match the payload, an
+    unknown experiment, an unplanned experiment named by a shard, or a
+    shard out of range. *)
 
 val experiment_rng : Prng.Rng.t -> int -> Prng.Rng.t
 (** [experiment_rng rng i] is the generator for the [i]-th registry
     entry: substream [1000 + i] of [rng]. The single seeding scheme
     behind [run_all], [verify] and CSV export — all of them produce the
     same numbers for the same seed. *)
-
-type render =
-  | Full       (** header, claim, tables, scorecard *)
-  | Scorecard  (** scorecard only (the [verify] view) *)
 
 val render_one :
   ?render:render ->
@@ -96,7 +118,7 @@ val rendered_outcome :
   experiment ->
   string * bool * float * (string * int) list
 (** The complete per-experiment job body shared by {!run_each} and by
-    fleet workers ({!Fleet}): counts [sim.experiments], brackets the run
+    fleet workers ({!dispatch}): counts [sim.experiments], brackets the run
     with [exp.start] / [exp.end] trace events, renders under a
     {!Obs.Metrics.with_scope} attribution scope, and measures duration
     with [clock] (reported as [0.] without one). Returns
@@ -123,7 +145,6 @@ val run_each :
   ?render:render ->
   ?sched:Exec.scheduler ->
   ?clock:(unit -> float) ->
-  ?spec:(int -> outcome Exec.Spec.t) ->
   rng:Prng.Rng.t ->
   scale:Runner.scale ->
   unit ->
@@ -137,9 +158,10 @@ val run_each :
     enabled, each experiment is bracketed by [exp.start] / [exp.end]
     events carrying its id.
 
-    [spec] (typically {!Fleet.specs}) makes the plan serializable so an
-    {!Exec.procs} scheduler can shard experiments over worker processes;
-    without it a [procs] scheduler degrades to the domain pool. *)
+    Under an {!Exec.procs} scheduler each experiment is one fleet job
+    whose ['X'] payload (see {!payload}) is derived from [rng], so the
+    fleet renders the same bytes as every other scheduler for any
+    generator. *)
 
 val run_one :
   ?out:out_channel ->
@@ -154,7 +176,6 @@ val run_one :
 val run_all :
   ?out:out_channel ->
   ?sched:Exec.scheduler ->
-  ?spec:(int -> outcome Exec.Spec.t) ->
   rng:Prng.Rng.t ->
   scale:Runner.scale ->
   unit ->
@@ -166,7 +187,6 @@ val run_all_timed :
   ?out:out_channel ->
   ?sched:Exec.scheduler ->
   ?clock:(unit -> float) ->
-  ?spec:(int -> outcome Exec.Spec.t) ->
   rng:Prng.Rng.t ->
   scale:Runner.scale ->
   unit ->
@@ -179,7 +199,6 @@ val run_all_timed :
 val verify :
   ?out:out_channel ->
   ?sched:Exec.scheduler ->
-  ?spec:(int -> outcome Exec.Spec.t) ->
   rng:Prng.Rng.t ->
   scale:Runner.scale ->
   unit ->

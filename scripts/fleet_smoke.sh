@@ -5,7 +5,8 @@
 # the contracts DESIGN.md section 10 promises:
 #
 #   1. `run all` stdout is byte-identical across --jobs 1, --jobs 4,
-#      and --procs 1/2/4, at two seeds;
+#      --procs 1/2/4 and --procs 2 --jobs 2 (the workers' own --jobs),
+#      at two seeds;
 #   2. verify with --metrics and --trace on a fleet matches the
 #      in-process run byte-for-byte on stdout, and the traces are
 #      identical modulo the "wall" field;
@@ -29,7 +30,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 for seed in 42 7; do
   "$cli" run all --seed "$seed" --jobs 1 >"$tmp/base_$seed.txt" 2>/dev/null
-  for variant in "--jobs 4" "--procs 1" "--procs 2" "--procs 4"; do
+  for variant in "--jobs 4" "--procs 1" "--procs 2" "--procs 4" "--procs 2 --jobs 2"; do
     # shellcheck disable=SC2086
     "$cli" run all --seed "$seed" $variant >"$tmp/got.txt" 2>/dev/null
     if ! cmp -s "$tmp/base_$seed.txt" "$tmp/got.txt"; then
@@ -38,7 +39,7 @@ for seed in 42 7; do
       exit 1
     fi
   done
-  echo "ok: run all byte-identical across --jobs 1/4 and --procs 1/2/4 (seed $seed)"
+  echo "ok: run all byte-identical across --jobs 1/4, --procs 1/2/4 and --procs 2 --jobs 2 (seed $seed)"
 done
 
 # --- 2. observability across the process boundary --------------------

@@ -125,6 +125,43 @@ let test_nested_pool_runs_sequentially () =
         inner)
     nested_domains
 
+(* --- the persistent crew --- *)
+
+(* Jobs and tiles that sleep about 1 ms, so helpers get their share,
+   and record the domain they ran on. *)
+let sleepy_domain _ =
+  Unix.sleepf 0.001;
+  (Domain.self () :> int)
+
+let distinct arrays = List.length (List.sort_uniq compare (List.concat_map Array.to_list arrays))
+
+let with_tile_workers w f =
+  Exec.Pool.set_workers w;
+  Exec.Pool.set_tile_min (Some 1);
+  Fun.protect
+    ~finally:(fun () ->
+      Exec.Pool.set_workers 1;
+      Exec.Pool.set_tile_min None)
+    f
+
+(* Plans run on the crew the tile kernels use, not on domains spawned
+   per plan: two consecutive pool-2 plans and a width-2 fan-out after
+   them all run on the caller plus one and the same helper. *)
+let test_plans_reuse_crew () =
+  let first = Exec.map (Exec.pool 2) ~jobs:16 sleepy_domain in
+  let second = Exec.map (Exec.pool 2) ~jobs:16 sleepy_domain in
+  let tiles = Array.make 16 0 in
+  with_tile_workers 2 (fun () ->
+      Exec.Pool.run_tiles 16 (fun i -> tiles.(i) <- sleepy_domain i));
+  Alcotest.(check bool) "at most 2 domains" true (distinct [ first; second; tiles ] <= 2)
+
+(* A wider fan-out grows the crew, but a plan keeps its width: only
+   the caller and helper 1 serve a pool-2 plan. *)
+let test_plan_width_after_wide_fan_out () =
+  with_tile_workers 4 (fun () -> Exec.Pool.run_tiles 32 (fun i -> ignore (sleepy_domain i)));
+  let ran = Exec.map (Exec.pool 2) ~jobs:32 sleepy_domain in
+  Alcotest.(check bool) "at most 2 domains" true (distinct [ ran ] <= 2)
+
 (* --- determinism of the full pipeline --- *)
 
 (* The tentpole invariant: `run all` output is byte-identical for every
@@ -249,6 +286,12 @@ let suites =
         Alcotest.test_case "nested plan" `Quick test_nested_plan;
         Alcotest.test_case "nested pool runs sequentially" `Quick
           test_nested_pool_runs_sequentially;
+      ] );
+    ( "exec.crew",
+      [
+        Alcotest.test_case "plans and tiles reuse one helper" `Quick test_plans_reuse_crew;
+        Alcotest.test_case "plan width holds after a wider fan-out" `Quick
+          test_plan_width_after_wide_fan_out;
       ] );
     ( "exec.determinism",
       [

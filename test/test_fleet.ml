@@ -5,7 +5,8 @@ open Helpers
    dyngraph CLI in `worker` mode — declared as a dep in test/dune, so
    it exists at ../bin/ relative to the test's cwd). *)
 
-let worker_command = [| "../bin/dyngraph_cli.exe"; "worker" |]
+(* Like every real parent, the tests pass the worker its --jobs. *)
+let worker_command = [| "../bin/dyngraph_cli.exe"; "worker"; "--jobs"; "1" |]
 
 (* Every fleet test resets the engine's global fleet configuration on
    the way out so tests stay order-independent. *)
@@ -177,15 +178,25 @@ let sequential_bytes seed =
 
 let fleet_bytes ~procs seed =
   render_outputs
-    (Simulate.Registry.run_each ~sched:(Exec.procs procs)
-       ~spec:(Simulate.Fleet.specs ~render:Simulate.Registry.Full ~seed ~scale:quick ~jobs:1)
-       ~rng:(rng_of_seed seed) ~scale:quick ())
+    (Simulate.Registry.run_each ~sched:(Exec.procs procs) ~rng:(rng_of_seed seed) ~scale:quick ())
 
 let test_fleet_byte_identity () =
   with_fleet @@ fun () ->
   let seq = sequential_bytes 42 in
   check_true "rendered something" (String.length seq > 2_000);
   Alcotest.(check string) "procs 2 = sequential" seq (fleet_bytes ~procs:2 42)
+
+(* Payloads carry the generator's state, not a seed: a substream that
+   no seed names still renders the same bytes across the fleet. *)
+let test_fleet_any_generator () =
+  with_fleet @@ fun () ->
+  let rendered sched =
+    render_outputs
+      (Simulate.Registry.run_each ~sched ~rng:(Prng.Rng.substream (rng_of_seed 3) 5)
+         ~scale:quick ())
+  in
+  Alcotest.(check string) "procs 2 = sequential" (rendered Exec.sequential)
+    (rendered (Exec.procs 2))
 
 let test_fleet_journal_resume () =
   with_fleet @@ fun () ->
@@ -239,19 +250,29 @@ let test_fleet_timeout_rerun () =
 
 let test_fleet_worker_exception () =
   with_fleet @@ fun () ->
-  (* A spec id the worker-side dispatcher rejects: the worker answers
-     with an error frame and the parent fails the plan (matching the
-     in-process semantics of a raising job), rather than hanging or
-     silently dropping the shard. *)
-  let bogus i =
-    let good = Simulate.Fleet.specs ~render:Simulate.Registry.Full ~seed:1 ~scale:quick ~jobs:1 i in
-    if i = 3 then { good with Exec.Spec.id = "E99" } else good
+  (* A payload naming an experiment the worker-side dispatcher does not
+     know: the worker answers with an error frame and the parent fails
+     the plan (matching the in-process semantics of a raising job),
+     rather than hanging or silently dropping the shard. *)
+  let spec _ =
+    {
+      Exec.Spec.id = "E99";
+      payload =
+        Simulate.Registry.encode_payload
+          (Experiment
+             {
+               id = "E99";
+               bits = Prng.Rng.state_bits (rng_of_seed 1);
+               scale = quick;
+               render = Full;
+             });
+      decode = Fun.id;
+    }
   in
+  let plan = Exec.plan_spec ~jobs:2 ~job:(fun _ -> "") ~spec ~reduce:Fun.id in
   check_true "worker-side exception fails the plan"
     (try
-       ignore
-         (Simulate.Registry.run_each ~sched:(Exec.procs 2) ~spec:bogus ~rng:(rng_of_seed 1)
-            ~scale:quick ());
+       ignore (Exec.run (Exec.procs 2) plan);
        false
      with Exec.Fleet_failure _ -> true)
 
@@ -297,6 +318,8 @@ let suites =
         Alcotest.test_case "crash isolation" `Slow test_fleet_crash_isolation;
         Alcotest.test_case "timeout re-run" `Slow test_fleet_timeout_rerun;
         Alcotest.test_case "worker exception fails plan" `Slow test_fleet_worker_exception;
+        Alcotest.test_case "unseeded generator, procs 2 = sequential" `Slow
+          test_fleet_any_generator;
       ] );
     ( "fleet.env",
       [ Alcotest.test_case "DYNGRAPH_JOBS / DYNGRAPH_PROCS parsing" `Quick test_env_parsing ] );

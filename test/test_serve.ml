@@ -199,6 +199,25 @@ let with_server f =
     ~finally:(fun () -> Serve.Server.stop server)
     (fun () -> f socket_path)
 
+(* Out-of-range settings are rejected before any socket is bound,
+   never clamped. *)
+let test_server_rejects_config () =
+  let base = { Serve.Server.default_config with socket_path = "unbound.sock" } in
+  List.iter
+    (fun (what, config) ->
+      check_true (what ^ " rejected")
+        (try
+           ignore (Serve.Server.create config);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("jobs 0", { base with jobs = 0 });
+      ("executors 0", { base with executors = 0 });
+      ("procs -1", { base with procs = -1 });
+      ("cache -1", { base with cache_capacity = -1 });
+    ];
+  check_true "no socket bound" (not (Sys.file_exists "unbound.sock"))
+
 let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
@@ -305,54 +324,47 @@ let test_server_concurrent_clients () =
       check_true "repeats hit the warm cache" (s.Serve.Load.cached >= 1);
       check_true "progress frames streamed" (s.Serve.Load.progress_frames >= 1))
 
-(* --- cost-weighted result cache --- *)
+(* --- least-recently-used result cache --- *)
 
 module Cache = Serve.Server.Cache
 
-let store c key seconds = Cache.store c key ~output:("out:" ^ key) ~ok:true ~seconds
+let store c key = Cache.store c key ~output:("out:" ^ key) ~ok:true
 
-let test_cache_cost_weighted_eviction () =
-  let c = Cache.create 4 in
-  (* One expensive full-scale result among cheap quick ones. *)
-  store c "E1|1|full|42" 30.0;
-  for i = 0 to 2 do
-    store c (Printf.sprintf "E2|1|quick|%d" i) 0.01
-  done;
-  Alcotest.(check int) "at capacity" 4 (Cache.length c);
-  (* A burst of fresh cheap entries: each insertion evicts the
-     minimum-credit entry, which must always be a cheap one — the
-     measured-compute credit keeps the expensive result resident. *)
-  for i = 3 to 40 do
-    store c (Printf.sprintf "E2|1|quick|%d" i) 0.01
-  done;
-  Alcotest.(check int) "capacity held" 4 (Cache.length c);
-  check_true "expensive entry survived the cheap burst"
-    (Cache.find c "E1|1|full|42" <> None);
-  check_true "earliest cheap entries evicted" (Cache.find c "E2|1|quick|0" = None)
+let cached c key = Cache.find c key <> None
 
-let test_cache_hit_refreshes_credit () =
+let test_cache_lru_eviction () =
   let c = Cache.create 3 in
-  store c "a" 0.10;
-  store c "b" 0.30;
-  store c "c" 0.31;
-  (* Fill past capacity once so the cache's inflation level is above
-     zero — "a" (cheapest) evicts, level rises to its credit. *)
-  store c "d" 0.32;
-  check_true "cheapest entry evicted first" (Cache.find c "a" = None);
-  (* "b" is now the minimum-credit survivor; a hit lifts its credit to
-     level + cost, above the untouched "c". The next eviction must
-     therefore take "c", not the refreshed "b" — pure recency (or pure
-     cost) ordering would pick the other victim. *)
-  ignore (Cache.find c "b");
-  store c "e" 0.05;
-  check_true "hit-refreshed entry survived" (Cache.find c "b" <> None);
-  check_true "untouched entry evicted" (Cache.find c "c" = None)
+  List.iter (store c) [ "a"; "b"; "c" ];
+  Alcotest.(check int) "at capacity" 3 (Cache.length c);
+  store c "d";
+  Alcotest.(check int) "capacity held" 3 (Cache.length c);
+  check_true "least recent entry evicted" (not (cached c "a"));
+  store c "e";
+  check_true "next least recent evicted" (not (cached c "b"));
+  check_true "recent entries kept" (cached c "c" && cached c "d" && cached c "e")
+
+let test_cache_hit_refreshes () =
+  let c = Cache.create 3 in
+  List.iter (store c) [ "a"; "b"; "c" ];
+  (* A hit makes "a" the most recent, so "b" is evicted in its place.
+     (Checks below only probe missing keys until the end: a hit would
+     refresh the entry it probes.) *)
+  check_true "hit" (cached c "a");
+  store c "d";
+  check_true "least recent entry evicted instead of the hit one" (not (cached c "b"));
+  (* Re-storing an existing key refreshes it without evicting: "c" is
+     now newer than "a" and "d", so "a" goes next. *)
+  store c "c";
+  Alcotest.(check int) "refresh keeps the size" 3 (Cache.length c);
+  store c "e";
+  check_true "then the oldest went" (not (cached c "a"));
+  check_true "refreshed entries kept" (cached c "c" && cached c "d" && cached c "e")
 
 let test_cache_zero_capacity () =
   let c = Cache.create 0 in
-  store c "k" 1.0;
+  store c "k";
   Alcotest.(check int) "capacity 0 stores nothing" 0 (Cache.length c);
-  check_true "no phantom hits" (Cache.find c "k" = None)
+  check_true "no phantom hits" (not (cached c "k"))
 
 let suites =
   [
@@ -373,13 +385,15 @@ let suites =
       ] );
     ( "serve.cache",
       [
-        Alcotest.test_case "cost-weighted eviction" `Quick test_cache_cost_weighted_eviction;
-        Alcotest.test_case "hits refresh credit" `Quick test_cache_hit_refreshes_credit;
+        Alcotest.test_case "least recent evicted" `Quick test_cache_lru_eviction;
+        Alcotest.test_case "hit refreshes recency" `Quick test_cache_hit_refreshes;
         Alcotest.test_case "zero capacity" `Quick test_cache_zero_capacity;
       ] );
     ( "serve.server",
       [
         Alcotest.test_case "end to end on a unix socket" `Slow test_server_end_to_end;
         Alcotest.test_case "concurrent clients via load" `Slow test_server_concurrent_clients;
+        Alcotest.test_case "create rejects out-of-range config" `Quick
+          test_server_rejects_config;
       ] );
   ]

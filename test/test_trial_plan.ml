@@ -8,7 +8,8 @@ open Helpers
 module TP = Simulate.Trial_plan
 module B = Exec.Spec.Buf
 
-let worker_command = [| "../bin/dyngraph_cli.exe"; "worker" |]
+(* Like every real parent, the tests pass the worker its --jobs. *)
+let worker_command = [| "../bin/dyngraph_cli.exe"; "worker"; "--jobs"; "1" |]
 
 let with_fleet f =
   Exec.set_worker_command (Some worker_command);
@@ -137,46 +138,72 @@ let test_result_corrupt () =
   check_true "oversized count rejected"
     (rejects (fun () -> TP.decode_result (Buffer.contents b)))
 
-(* --- trial payload codec --- *)
+(* --- fleet payload codec --- *)
+
+module R = Simulate.Registry
 
 let test_payload_roundtrip () =
   let cases =
     [
-      ("E6", (42L, 7L), Simulate.Runner.Quick, 0);
-      ("E1", (-1L, Int64.min_int), Simulate.Runner.Full, 17);
-      ("E11", (Int64.max_int, 1L), Simulate.Runner.Large, 3);
+      R.Trial { id = "E6"; bits = (42L, 7L); scale = Simulate.Runner.Quick; shard = 0 };
+      R.Trial { id = "E1"; bits = (-1L, Int64.min_int); scale = Simulate.Runner.Full; shard = 17 };
+      R.Experiment
+        { id = "E11"; bits = (Int64.max_int, 1L); scale = Simulate.Runner.Large; render = R.Full };
+      R.Experiment
+        { id = "E3"; bits = (0L, 3L); scale = Simulate.Runner.Quick; render = R.Scorecard };
     ]
   in
   List.iter
-    (fun (id, bits, scale, shard) ->
-      let payload = Simulate.Registry.encode_trial_payload ~id ~bits ~scale ~shard in
-      let id', bits', scale', shard' = Simulate.Registry.decode_trial_payload payload in
-      Alcotest.(check string) "id" id id';
-      Alcotest.(check (pair int64 int64)) "rng bits" bits bits';
-      check_true "scale" (scale = scale');
-      Alcotest.(check int) "shard" shard shard')
+    (fun p -> check_true "decode inverts encode" (R.decode_payload (R.encode_payload p) = p))
     cases
 
+(* [s] with the 8-byte integer field at byte [off] replaced by [v]. *)
+let with_int_at s off v =
+  let b = Buffer.create 8 in
+  B.add_int b v;
+  String.sub s 0 off ^ Buffer.contents b ^ String.sub s (off + 8) (String.length s - off - 8)
+
 let test_payload_corrupt () =
-  let payload =
-    Simulate.Registry.encode_trial_payload ~id:"E6" ~bits:(42L, 7L)
-      ~scale:Simulate.Runner.Quick ~shard:2
-  in
-  let decode s = fun () -> Simulate.Registry.decode_trial_payload s in
-  check_true "truncated payload rejected"
-    (rejects (decode (String.sub payload 0 (String.length payload - 1))));
-  check_true "trailing bytes rejected" (rejects (decode (payload ^ "z")));
-  check_true "empty payload rejected" (rejects (decode ""));
-  check_true "wrong tag rejected" (rejects (decode ("X" ^ String.sub payload 1 (String.length payload - 1))))
+  let bits = (42L, 7L) and scale = Simulate.Runner.Quick in
+  List.iter
+    (fun (kind, p) ->
+      let payload = R.encode_payload p in
+      let decode s () = R.decode_payload s in
+      for len = 0 to String.length payload - 1 do
+        check_true
+          (Printf.sprintf "%s: %d-byte prefix rejected" kind len)
+          (rejects (decode (String.sub payload 0 len)))
+      done;
+      check_true (kind ^ ": trailing byte rejected") (rejects (decode (payload ^ "\x00")));
+      check_true (kind ^ ": unknown tag rejected")
+        (rejects (decode ("Z" ^ String.sub payload 1 (String.length payload - 1))));
+      (* Tag, then the id "E6" (8-byte length + 2 bytes), then the two
+         8-byte halves of the generator state: the scale follows, and
+         the kind's last field (render or shard) after it. *)
+      let scale_at = 1 + 8 + 2 + 16 in
+      check_true (kind ^ ": unknown scale rejected")
+        (rejects (decode (with_int_at payload scale_at 7)));
+      match p with
+      | R.Experiment _ ->
+          check_true "X: unknown render rejected"
+            (rejects (decode (with_int_at payload (scale_at + 8) 9)))
+      | R.Trial _ -> ())
+    [
+      ("X", R.Experiment { id = "E6"; bits; scale; render = R.Full });
+      ("T", R.Trial { id = "E6"; bits; scale; shard = 2 });
+    ]
 
 (* --- worker-side dispatch --- *)
 
-(* dispatch_trial must rebuild the identical plan from (id, bits,
-   scale) and return exactly the bytes the parent-side run_shard would
-   encode. *)
+let trial_payload ~bits ~shard =
+  R.encode_payload (R.Trial { id = "E6"; bits; scale = Simulate.Runner.Quick; shard })
+
+(* A trial shard's dispatch must rebuild the identical plan from (id,
+   bits, scale) and return exactly the bytes the parent-side run_shard
+   would encode. *)
 let test_dispatch_matches_local () =
-  let e = Option.get (Simulate.Registry.find "E6") in
-  let make_plan = Option.get e.Simulate.Registry.plan in
+  let e = Option.get (R.find "E6") in
+  let make_plan = Option.get e.R.plan in
   let rng = rng_of_seed 42 in
   let bits = Prng.Rng.state_bits rng in
   let p = make_plan ~rng ~scale:Simulate.Runner.Quick in
@@ -184,34 +211,29 @@ let test_dispatch_matches_local () =
   check_true "E6 quick has several shards" (Array.length shards >= 4);
   Array.iteri
     (fun shard s ->
-      let payload =
-        Simulate.Registry.encode_trial_payload ~id:"E6" ~bits ~scale:Simulate.Runner.Quick
-          ~shard
-      in
-      let spec_id = Printf.sprintf "E6.t%d" shard in
+      let id = Printf.sprintf "E6.t%d" shard in
       Alcotest.(check string)
         (Printf.sprintf "shard %d bytes" shard)
         (TP.encode_result (TP.run_shard p s))
-        (Simulate.Registry.dispatch_trial ~spec_id ~payload))
+        (R.dispatch ~id ~payload:(trial_payload ~bits ~shard)))
     shards
 
 let test_dispatch_rejects () =
-  let payload =
-    Simulate.Registry.encode_trial_payload ~id:"E6" ~bits:(Prng.Rng.state_bits (rng_of_seed 1))
-      ~scale:Simulate.Runner.Quick ~shard:0
-  in
-  let fails spec_id payload =
+  let bits = Prng.Rng.state_bits (rng_of_seed 1) in
+  let fails id payload =
     try
-      ignore (Simulate.Registry.dispatch_trial ~spec_id ~payload);
+      ignore (R.dispatch ~id ~payload);
       false
     with Failure _ -> true
   in
-  check_true "mismatched spec id rejected" (fails "E6.t5" payload);
-  let out_of_range =
-    Simulate.Registry.encode_trial_payload ~id:"E6" ~bits:(Prng.Rng.state_bits (rng_of_seed 1))
-      ~scale:Simulate.Runner.Quick ~shard:10_000
+  check_true "mismatched spec id rejected" (fails "E6.t5" (trial_payload ~bits ~shard:0));
+  check_true "out-of-range shard rejected"
+    (fails "E6.t10000" (trial_payload ~bits ~shard:10_000));
+  let experiment id =
+    R.encode_payload (R.Experiment { id; bits; scale = Simulate.Runner.Quick; render = R.Full })
   in
-  check_true "out-of-range shard rejected" (fails "E6.t10000" out_of_range)
+  check_true "unknown experiment rejected" (fails "E99" (experiment "E99"));
+  check_true "mismatched experiment spec id rejected" (fails "E2" (experiment "E1"))
 
 (* --- end-to-end: single planned experiment across a real fleet --- *)
 
