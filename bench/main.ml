@@ -387,6 +387,13 @@ let micro_tests () =
      steps. *)
   let frontier_rng = Prng.Rng.of_seed 9 in
   let frontier_model = Edge_meg.Classic.make ~n:128 ~p:(1. /. 256.) ~q:0.25 () in
+  (* The headline model at the perfbench flood-waypoint density (L =
+     sqrt n, r = 1.5, steady-state init): plain flooding through the
+     grid's boundary hook, reset and steps included. *)
+  let waypoint_flood_rng = Prng.Rng.of_seed 10 in
+  let waypoint_flood =
+    Mobility.Waypoint.dynamic ~init:Steady ~n:1024 ~l:32. ~r:1.5 ~v_min:1. ~v_max:1.25 ()
+  in
   let pair_rng = Prng.Rng.of_seed 7 in
   let space_rng = Prng.Rng.of_seed 8 in
   let xs = Array.init 512 (fun _ -> Prng.Rng.float space_rng 16.) in
@@ -429,6 +436,9 @@ let micro_tests () =
     Test.make ~name:"flooding.end_to_end edge-MEG n=128"
       (Staged.stage (fun () ->
            ignore (Core.Flooding.time ~rng:flood_rng ~source:0 flood_model)));
+    Test.make ~name:"flooding.end_to_end waypoint n=1024"
+      (Staged.stage (fun () ->
+           ignore (Core.Flooding.time ~rng:waypoint_flood_rng ~source:0 waypoint_flood)));
     Test.make ~name:"flooding.frontier_scan n=128"
       (Staged.stage (fun () ->
            ignore (Core.Flooding.time ~rng:frontier_rng ~source:0 frontier_model)));

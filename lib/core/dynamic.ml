@@ -24,16 +24,21 @@ type t = {
          applying the deltas and rebuilding from the snapshot without
          consuming anything. Advisory: approximate values are fine,
          correctness never depends on it. *)
+  boundary : (Graph.Storage.Bitset.t -> (int -> unit) -> int) option;
+      (* Reports, once each, the nodes outside the given set with a
+         neighbour inside it in the current snapshot, and returns the
+         number of candidate pairs tested. Coin-free; see dynamic.mli. *)
 }
 
-let make ?fill_edges ?deltas ?delta_size ?expected_edges ~n ~reset ~step ~iter_edges () =
+let make ?fill_edges ?deltas ?delta_size ?boundary ?expected_edges ~n ~reset ~step ~iter_edges
+    () =
   if n < 1 then invalid_arg "Dynamic.make: n must be >= 1";
   let fill_edges =
     match fill_edges with
     | Some fill -> fill
     | None -> fun buf -> iter_edges (fun u v -> Graph.Edge_buffer.push buf u v)
   in
-  { n; reset; step; iter_edges; fill_edges; deltas; delta_size; expected_edges }
+  { n; reset; step; iter_edges; fill_edges; deltas; delta_size; boundary; expected_edges }
 
 let n t = t.n
 
@@ -53,6 +58,13 @@ let deltas t ~birth ~death =
   match t.deltas with None -> false | Some report -> report ~birth ~death
 
 let delta_size t = match t.delta_size with None -> None | Some f -> Some (f ())
+
+let has_boundary t = Option.is_some t.boundary
+
+let boundary t inside f =
+  match t.boundary with
+  | Some b -> b inside f
+  | None -> invalid_arg "Dynamic.boundary: model has no boundary hook"
 
 let expected_edges t = match t.expected_edges with Some e -> max 1 e | None -> 4 * t.n
 
@@ -295,7 +307,7 @@ let subsample ~every inner =
        inner delta stream (if any) is already the right one. *)
     make ~n:inner.n ~reset:inner.reset ~step:inner.step ~iter_edges:inner.iter_edges
       ~fill_edges:inner.fill_edges ?deltas:inner.deltas ?delta_size:inner.delta_size
-      ?expected_edges:inner.expected_edges ()
+      ?boundary:inner.boundary ?expected_edges:inner.expected_edges ()
   else
     match inner.deltas with
     | None ->
@@ -304,7 +316,7 @@ let subsample ~every inner =
             for _ = 1 to every do
               inner.step ()
             done)
-          ~iter_edges:inner.iter_edges ~fill_edges:inner.fill_edges
+          ~iter_edges:inner.iter_edges ~fill_edges:inner.fill_edges ?boundary:inner.boundary
           ?expected_edges:inner.expected_edges ()
     | Some inner_deltas ->
         (* Net the inner sub-steps' churn per edge across one observed
@@ -353,7 +365,7 @@ let subsample ~every inner =
             (* Netted multiplicities are almost always +-1, so the key
                count is a good event-count estimate. *)
           ~delta_size:(fun () -> if !pending_valid then Hashtbl.length net else 0)
-          ?expected_edges:inner.expected_edges ()
+          ?boundary:inner.boundary ?expected_edges:inner.expected_edges ()
 
 let union a b =
   if a.n <> b.n then invalid_arg "Dynamic.union: node-count mismatch";

@@ -20,6 +20,7 @@ val make :
   ?fill_edges:(Graph.Edge_buffer.t -> unit) ->
   ?deltas:(birth:(int -> int -> unit) -> death:(int -> int -> unit) -> bool) ->
   ?delta_size:(unit -> int) ->
+  ?boundary:(Graph.Storage.Bitset.t -> (int -> unit) -> int) ->
   ?expected_edges:int ->
   n:int ->
   reset:(Prng.Rng.t -> unit) ->
@@ -51,6 +52,11 @@ val make :
     it to choose between applying deltas and rebuilding from the
     snapshot, so an approximate value only ever costs performance,
     never correctness.
+
+    [boundary], when given, answers the one question plain flooding
+    asks of a snapshot — which nodes outside a set have a neighbour
+    inside it — without enumerating the snapshot. Its contract is on
+    the {!boundary} accessor.
 
     [expected_edges] is a hint — a typical snapshot's edge count — used
     to size snapshot buffers ({!snapshot_graph}, the kernels' working
@@ -118,6 +124,36 @@ val deltas : t -> birth:(int -> int -> unit) -> death:(int -> int -> unit) -> bo
        order as {!iter_edges} would have, so golden results of
        enumeration-order-independent protocols are unaffected.}} *)
 
+val has_boundary : t -> bool
+(** Whether the model carries a native boundary hook. A static
+    capability, like {!has_deltas}: consumers pick their scan strategy
+    once per run. *)
+
+val boundary : t -> Graph.Storage.Bitset.t -> (int -> unit) -> int
+(** [boundary t inside f] calls [f v] exactly once for each node [v]
+    outside [inside] that has a neighbour inside it in the current
+    snapshot, and returns the number of candidate pairs it tested (a
+    work count for metrics, not part of the answer). [inside] has one
+    bit per node. Raises [Invalid_argument] on a model without the
+    hook ({!has_boundary}).
+
+    Contract, for implementors and consumers alike:
+    {ul
+    {- The reported set is exactly the nodes that
+       [iter_edges] would reveal as [inside]'s new neighbours: the
+       hook is a faster way to compute I_t ∪ N_t(I_t), never a
+       different graph. Report order is unspecified but
+       deterministic.}
+    {- It draws no randomness and leaves the model's state alone, so
+       calling it between two steps, once or not at all, changes no
+       later snapshot. Protocols that draw a coin per edge (Push, or
+       anything reading {!filter_edges}) cannot use it: they need the
+       edges themselves, in enumeration order.}
+    {- {!subsample} forwards the hook. {!union} and {!filter_edges}
+       drop it: a union's boundary would need both operands' reports
+       deduplicated, and the filter draws a coin per enumerated edge,
+       which a boundary query never enumerates.}} *)
+
 val expected_edges : t -> int
 (** The model's {!make}-supplied edge-count hint, or a [4 * n]
     heuristic when absent. Always at least 1. A buffer-sizing guess,
@@ -162,7 +198,9 @@ val filter_edges : p_keep:float -> t -> t
 
     Always delta-capable regardless of the inner model: the hook diffs
     this step's keep decisions against the previous step's, declining
-    only when the previous snapshot was never fully enumerated. *)
+    only when the previous snapshot was never fully enumerated. Drops
+    the inner model's {!boundary} hook: keep decisions are coins drawn
+    per enumerated edge. *)
 
 val union : t -> t -> t
 (** Superposition of two processes on the same node set: an edge is
@@ -170,7 +208,8 @@ val union : t -> t -> t
     be reported twice (consumers tolerate duplicates — the delta
     protocol and {!Graph.Mutable_adj} treat snapshots as multisets for
     exactly this reason). Delta-capable iff both operands are: the
-    operands' streams are forwarded verbatim. *)
+    operands' streams are forwarded verbatim. Never has a {!boundary}
+    hook. *)
 
 val subsample : every:int -> t -> t
 (** [subsample ~every:m g] observes only every m-th snapshot of [g]:
@@ -183,4 +222,5 @@ val subsample : every:int -> t -> t
 
     Delta-capable iff [g] is: one observed step nets [g]'s per-substep
     births and deaths per edge, so churn that cancels within the window
-    is not reported. *)
+    is not reported. Forwards [g]'s {!boundary} hook, which always
+    answers for the current (observed) snapshot. *)

@@ -12,10 +12,11 @@ let default_cap n = 10_000 + (200 * n)
    quarter milestones, cap hits — never per edge). Disabled, each hook
    is one atomic load. [flood.edges] counts edge slots the kernel
    actually scanned: full snapshot lengths on the enumeration path,
-   Σ deg(active) on the frontier path — so the counter itself shows the
-   frontier kernel touching less of the graph. [flood.delta_edges]
-   totals the births + deaths applied incrementally instead of being
-   re-enumerated. *)
+   Σ deg(active) on the frontier path, the candidate pairs the model
+   tested on the boundary path — so the counter itself shows the
+   frontier and boundary kernels touching less of the graph.
+   [flood.delta_edges] totals the births + deaths applied incrementally
+   instead of being re-enumerated. *)
 let c_runs = Obs.Metrics.counter "flood.runs"
 
 let c_rounds = Obs.Metrics.counter "flood.rounds"
@@ -42,7 +43,17 @@ let c_cap_hits = Obs.Metrics.counter "flood.cap_hits"
    invalidated per run, so only its grown row storage survives, never
    stale topology.
 
-   Two scan strategies, chosen once per run:
+   Three scan strategies, chosen once per run from the protocol and the
+   model's capabilities:
+
+   - Plain flooding on a model with a boundary hook
+     ({!Dynamic.has_boundary}, e.g. the geometric mobility models) asks
+     the model for N_t(I_t) \ I_t directly — for the grid models, one
+     counting-sort sweep that skips cells far from every informed node
+     — then commits and steps: no edge buffer, no per-edge work.
+     Flooding draws no coins and I_{t+1} is a set, so the result is the
+     one enumeration would give. [flood.edges] counts the candidate
+     pairs the hook tested, and every round is one [flood.snapshots].
 
    - Delta-capable models ({!Dynamic.has_deltas}) keep an incremental
      adjacency in sync through {!Adj_sync} (which itself chooses
@@ -59,7 +70,10 @@ let c_cap_hits = Obs.Metrics.counter "flood.cap_hits"
    - Everything else takes the original path: enumerate the snapshot
      into a reused Edge_buffer and consider both directions of every
      edge. Observable behaviour on this path is identical to the
-     original kernel (same sets, same coin order).
+     original kernel (same sets, same coin order). Push and
+     Parsimonious on a boundary-capable model land here too: Push
+     draws a coin per edge, and Parsimonious's senders are a window of
+     the informed set, not the set the kernel keeps as a bitset.
 
    On an arena-backed (off-heap) adjacency, the plain-flooding
    informed-side scan additionally runs {e tiled}: candidate receivers
@@ -74,11 +88,11 @@ let c_cap_hits = Obs.Metrics.counter "flood.cap_hits"
    goldens, which is exactly the order a tiled scan destroys — they
    keep the in-order scan on every layout.
 
-   The two paths reach the same informed sets at the same times; they
-   differ only in the order protocol coins are drawn (frontier scans by
-   arriving sender, enumeration by edge), which is why Push goldens on
-   delta-capable models were regenerated when the frontier path
-   landed — see DESIGN.md section 8. *)
+   The delta and enumeration paths reach the same informed sets at the
+   same times; they differ only in the order protocol coins are drawn
+   (frontier scans by arriving sender, enumeration by edge), which is
+   why Push goldens on delta-capable models were regenerated when the
+   frontier path landed — see DESIGN.md section 8. *)
 type scratch = {
   mutable s_n : int;  (* node count the arrays are sized for; -1 initially *)
   mutable informed : St.Bitset.t;
@@ -260,7 +274,19 @@ let run_raw ?cap ?(protocol = Flood) ?storage ~rng ~source g =
         incr next_milestone
       done
   in
-  if not (Dynamic.has_deltas g) then begin
+  if protocol = Flood && Dynamic.has_boundary g then
+    (* The model reports N_t(I_t) \ I_t itself. [get] is the checked
+       read, so a hook reporting an out-of-range node raises instead of
+       overrunning the frontier. *)
+    let reached v = if not (St.Bitset.get informed v) then enqueue v in
+    while !n_informed < n && !t < cap do
+      frontier_len := 0;
+      Obs.Metrics.add c_edges (Dynamic.boundary g informed reached);
+      Obs.Metrics.incr c_snapshots;
+      commit ();
+      Dynamic.step g
+    done
+  else if not (Dynamic.has_deltas g) then begin
     let edges = sc.edges in
     while !n_informed < n && !t < cap do
       (* Edges of E_t determine I_{t+1}. *)

@@ -44,6 +44,11 @@ val run :
     [rng]; the remainder of [rng] drives the protocol's own coins (for
     [Push]). [cap] defaults to [10_000 + 200 * n] steps.
 
+    [Flood] on a model with a boundary hook ({!Dynamic.has_boundary},
+    e.g. the grid mobility models) asks the model for each round's new
+    neighbours instead of enumerating the snapshot; the results are the
+    same, and [storage] plays no part on that path.
+
     [storage] picks the layout of the delta path's incremental
     adjacency (see {!Adj_sync.create}): by default off-heap from
     [Graph.Storage.offheap_nodes] nodes up, heap rows below. The

@@ -1,8 +1,11 @@
 type init = Uniform | Corner
 
 let create ?(init = Uniform) ~n ~l ~r ~v ~turn_every () =
-  if v <= 0. then invalid_arg "Direction.create: speed must be positive";
-  if turn_every < 1. then invalid_arg "Direction.create: turn_every must be >= 1";
+  (* An infinite speed would make [reflect] bounce between ±∞ forever;
+     the [not (_ >= _)] form rejects NaN as well. *)
+  if not (v > 0. && Float.is_finite v) then
+    invalid_arg "Direction.create: speed must be finite and positive";
+  if not (turn_every >= 1.) then invalid_arg "Direction.create: turn_every must be >= 1";
   let xs = Array.make n 0. and ys = Array.make n 0. in
   let angle = Array.make n 0. in
   let new_heading rng i = angle.(i) <- Prng.Rng.float rng (2. *. Float.pi) in

@@ -16,7 +16,8 @@ let make ~n ~l ~r ~xs ~ys ~reset_node ~move_node =
   if n < 1 then invalid_arg "Geo.make: n must be >= 1";
   if Array.length xs <> n || Array.length ys <> n then
     invalid_arg "Geo.make: position array length mismatch";
-  if l <= 0. || r < 0. then invalid_arg "Geo.make: bad dimensions";
+  if not (l > 0. && Float.is_finite l) then invalid_arg "Geo.make: l must be finite and > 0";
+  if not (r >= 0.) then invalid_arg "Geo.make: r must be >= 0";
   {
     n;
     l;
@@ -75,4 +76,8 @@ let dynamic t =
     ~fill_edges:(fun buf ->
       refresh_edges t;
       Graph.Edge_buffer.append t.edges ~into:buf)
+      (* Sorts by (cell, inside?) into the same grid scratch; the edge
+         cache is left as it is. *)
+    ~boundary:(fun inside f ->
+      Space.iter_boundary ~scratch:t.grid ~l:t.l ~r:t.r ~xs:t.xs ~ys:t.ys ~inside f)
     ()

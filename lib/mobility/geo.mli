@@ -19,7 +19,9 @@ val make :
 (** The model owns [xs]/[ys] (positions in [\[0, l\]²]) and mutates them
     through [reset_node] / [move_node]; the chassis calls [reset_node]
     once per node on reset and [move_node] once per node per step, each
-    time passing that node's private substream. *)
+    time passing that node's private substream. Raises
+    [Invalid_argument] unless [l] is finite and positive and [r >= 0]
+    (a NaN radius is rejected). *)
 
 val n : t -> int
 val l : t -> float
@@ -31,4 +33,8 @@ val step : t -> unit
 
 val dynamic : t -> Core.Dynamic.t
 (** View as a dynamic graph. The view shares state with [t]: resetting
-    or stepping one affects the other. *)
+    or stepping one affects the other. Edges come from
+    {!Space.iter_close_pairs}, cached per step. The view carries a
+    {!Core.Dynamic.boundary} hook backed by {!Space.iter_boundary}, so
+    plain flooding asks the grid for the informed set's new neighbours
+    instead of enumerating the snapshot. *)

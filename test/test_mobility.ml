@@ -30,6 +30,113 @@ let test_close_pairs_r0 () =
   Mobility.Space.iter_close_pairs ~l:5. ~r:0. ~xs ~ys (fun i j -> found := (i, j) :: !found);
   Alcotest.(check (list (pair int int))) "coincident points only" [ (0, 1) ] !found
 
+let raises f =
+  try
+    f ();
+    false
+  with Invalid_argument _ -> true
+
+let test_close_pairs_nan_radius () =
+  let xs = [| 1.; 2. |] and ys = [| 1.; 2. |] in
+  check_true "iter_close_pairs rejects r = nan"
+    (raises (fun () -> Mobility.Space.iter_close_pairs ~l:5. ~r:Float.nan ~xs ~ys (fun _ _ -> ())));
+  check_true "iter_boundary rejects r = nan"
+    (raises (fun () ->
+         ignore
+           (Mobility.Space.iter_boundary ~l:5. ~r:Float.nan ~xs ~ys
+              ~inside:(Graph.Storage.Bitset.create 2) ignore)));
+  check_true "iter_boundary rejects a short inside set"
+    (raises (fun () ->
+         ignore
+           (Mobility.Space.iter_boundary ~l:5. ~r:1. ~xs ~ys ~inside:(Graph.Storage.Bitset.create 1)
+              ignore)))
+
+(* Points that stress the grid's edges: some on x = l or y = l (the
+   clamped last column or row of cells), some exactly on top of an
+   earlier point. *)
+let stress_points rng ~n ~l =
+  let xs = Array.make n 0. and ys = Array.make n 0. in
+  for i = 0 to n - 1 do
+    match Prng.Rng.int rng 5 with
+    | 0 ->
+        xs.(i) <- l;
+        ys.(i) <- Prng.Rng.float rng l
+    | 1 ->
+        xs.(i) <- Prng.Rng.float rng l;
+        ys.(i) <- l
+    | 2 when i > 0 ->
+        let j = Prng.Rng.int rng i in
+        xs.(i) <- xs.(j);
+        ys.(i) <- ys.(j)
+    | _ ->
+        xs.(i) <- Prng.Rng.float rng l;
+        ys.(i) <- Prng.Rng.float rng l
+  done;
+  (xs, ys)
+
+let brute_force_boundary ~r xs ys member =
+  let n = Array.length xs in
+  List.filter
+    (fun v ->
+      (not member.(v))
+      && List.exists
+           (fun u -> member.(u) && Mobility.Space.dist2 xs.(u) ys.(u) xs.(v) ys.(v) <= r *. r)
+           (List.init n Fun.id))
+    (List.init n Fun.id)
+
+(* Every radius regime (r = 0, sub-cell, the usual 1.5, one cell
+   covering the square) and every kind of inside set, all through one
+   scratch that a close-pairs sweep also uses in between, as Geo
+   does. *)
+let q_boundary_bruteforce =
+  qtest ~count:50 "iter_boundary = brute force"
+    QCheck2.Gen.(pair seed_gen (int_range 0 60))
+    (fun (seed, n) ->
+      let rng = Prng.Rng.of_seed seed in
+      let l = 10. in
+      let xs, ys = stress_points rng ~n ~l in
+      let sc = Mobility.Space.scratch () in
+      List.iter
+        (fun r ->
+          List.iter
+            (fun (kind, pick) ->
+              let member = Array.init n (fun _ -> pick ()) in
+              let inside = Graph.Storage.Bitset.create n in
+              Array.iteri (fun i b -> if b then Graph.Storage.Bitset.set inside i) member;
+              let seen = Array.make n 0 and found = ref [] in
+              let tested =
+                Mobility.Space.iter_boundary ~scratch:sc ~l ~r ~xs ~ys ~inside (fun v ->
+                    seen.(v) <- seen.(v) + 1;
+                    found := v :: !found)
+              in
+              let ctx = Printf.sprintf "seed %d n %d r %g %s" seed n r kind in
+              Array.iteri
+                (fun v c -> if c > 1 then Alcotest.failf "%s: node %d reported %d times" ctx v c)
+                seen;
+              Alcotest.(check (list int))
+                (ctx ^ ": boundary") (brute_force_boundary ~r xs ys member)
+                (List.sort compare !found);
+              let n_in = Array.fold_left (fun a b -> if b then a + 1 else a) 0 member in
+              if tested < List.length !found || tested > n_in * (n - n_in) then
+                Alcotest.failf "%s: %d candidate pairs tested" ctx tested)
+            [
+              ("empty", fun () -> false);
+              ("full", fun () -> true);
+              ("random", fun () -> Prng.Rng.bool rng);
+            ];
+          Mobility.Space.iter_close_pairs ~scratch:sc ~l ~r ~xs ~ys (fun _ _ -> ()))
+        [ 0.; 0.3; 1.5; l *. sqrt 2.; 3. *. l ];
+      true)
+
+let test_boundary_r0_coincident () =
+  let xs = [| 1.; 1.; 2.; 1. |] and ys = [| 3.; 3.; 3.; 3. |] in
+  let inside = Graph.Storage.Bitset.create 4 in
+  Graph.Storage.Bitset.set inside 0;
+  let found = ref [] in
+  ignore
+    (Mobility.Space.iter_boundary ~l:5. ~r:0. ~xs ~ys ~inside (fun v -> found := v :: !found));
+  Alcotest.(check (list int)) "coincident points only" [ 1; 3 ] (List.sort compare !found)
+
 let test_cell_index_bounds () =
   let l = 8. and bins = 4 in
   Alcotest.(check int) "origin" 0 (Mobility.Space.cell_index ~l ~bins 0. 0.);
@@ -352,6 +459,22 @@ let q_manhattan_axis_aligned =
 
 (* --- Direction --- *)
 
+let direction ~v ~turn_every () =
+  ignore (Mobility.Direction.create ~n:3 ~l:10. ~r:1. ~v ~turn_every ())
+
+(* An infinite speed used to hang the first step: [reflect] bounced
+   between plus and minus infinity. *)
+let test_direction_infinite_speed () =
+  check_true "v = infinity rejected" (raises (direction ~v:Float.infinity ~turn_every:5.))
+
+let test_direction_nan_speed () =
+  check_true "v = nan rejected" (raises (direction ~v:Float.nan ~turn_every:5.))
+
+let test_direction_nan_turn_every () =
+  check_true "turn_every = nan rejected" (raises (direction ~v:1. ~turn_every:Float.nan));
+  check_true "turn_every < 1 rejected" (raises (direction ~v:1. ~turn_every:0.5))
+
+
 let q_direction_in_bounds =
   qtest ~count:30 "random direction stays in bounds"
     QCheck2.Gen.(pair seed_gen (int_range 1 6))
@@ -629,6 +752,101 @@ let test_mixing_curve_decreases () =
   | Some t -> check_true "mixing detected within window" (t <= 30)
   | None -> Alcotest.fail "expected mixing within 30 steps on a 6x6 square"
 
+(* --- Geo chassis --- *)
+
+let geo ~l ~r () =
+  let xs = [| 0.; 1. |] and ys = [| 0.; 1. |] in
+  ignore
+    (Mobility.Geo.make ~n:2 ~l ~r ~xs ~ys ~reset_node:(fun _ _ -> ()) ~move_node:(fun _ _ -> ()))
+
+let test_geo_nan_radius () =
+  check_true "r = nan rejected" (raises (geo ~l:5. ~r:Float.nan));
+  check_true "r < 0 rejected" (raises (geo ~l:5. ~r:(-1.)))
+
+let test_geo_infinite_side () =
+  check_true "l = infinity rejected" (raises (geo ~l:Float.infinity ~r:1.));
+  check_true "l = nan rejected" (raises (geo ~l:Float.nan ~r:1.));
+  check_true "l = 0 rejected" (raises (geo ~l:0. ~r:1.))
+
+(* --- Flooding through the boundary hook --- *)
+
+(* The same process minus its boundary hook: edges come from
+   [iter_edges], so flooding takes the enumeration path. *)
+let without_boundary g =
+  let module D = Core.Dynamic in
+  D.make ~n:(D.n g) ~expected_edges:(D.expected_edges g) ~reset:(D.reset g)
+    ~step:(fun () -> D.step g)
+    ~iter_edges:(D.iter_edges g) ()
+
+let n_flood = 40
+
+let boundary_models =
+  let n = n_flood in
+  let waypoint ?init ?region ?pause ?(l = 7.) ?(r = 1.2) () =
+    Mobility.Waypoint.dynamic ?init ?region ?pause ~n ~l ~r ~v_min:0.5 ~v_max:1. ()
+  in
+  [
+    ("waypoint uniform", fun () -> waypoint ());
+    ("waypoint steady", fun () -> waypoint ~init:Steady ());
+    ("waypoint corner, pause", fun () -> waypoint ~init:Corner ~pause:3 ~r:0.4 ());
+    ("waypoint disk", fun () -> waypoint ~region:Disk ());
+    ("waypoint r > l", fun () -> waypoint ~l:3. ~r:5. ());
+    ("direction", fun () -> Mobility.Direction.dynamic ~n ~l:7. ~r:1.2 ~v:0.8 ~turn_every:5. ());
+    ("manhattan", fun () -> Mobility.Manhattan.dynamic ~n ~l:7. ~r:1.2 ~v_min:0.5 ~v_max:1. ());
+    ("grid random walk", fun () -> Mobility.Random_walk_model.dynamic ~n ~m:7 ~r:1. ());
+    ("subsample every 3", fun () -> Core.Dynamic.subsample ~every:3 (waypoint ()));
+  ]
+
+let flood_counters f =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was then Obs.Metrics.disable ())
+    (fun () -> Obs.Metrics.with_scope f)
+
+let check_same_flood label (a : Core.Flooding.result) (b : Core.Flooding.result) =
+  Alcotest.(check (option int)) (label ^ ": time") b.time a.time;
+  Alcotest.(check (array int)) (label ^ ": trajectory") b.trajectory a.trajectory;
+  Alcotest.(check (array int)) (label ^ ": arrivals") b.arrivals a.arrivals
+
+(* Plain flooding through the hook reaches the same sets at the same
+   times as enumerating every snapshot, and reads one boundary per
+   round. Push and Parsimonious ignore the hook, coins included. *)
+let test_boundary_flood_equivalence (name, build) () =
+  let g = build () in
+  check_true (name ^ ": has_boundary") (Core.Dynamic.has_boundary g);
+  check_true (name ^ ": re-wrap drops it")
+    (not (Core.Dynamic.has_boundary (without_boundary g)));
+  for seed = 0 to 59 do
+    let source = seed mod n_flood in
+    let label = Printf.sprintf "%s seed %d" name seed in
+    (* Parsimonious floods can die out; the cap keeps those runs short. *)
+    let run ?protocol g = Core.Flooding.run ~cap:300 ?protocol ~rng:(rng_of_seed seed) ~source g in
+    let hooked, counters = flood_counters (fun () -> run (build ())) in
+    check_same_flood label hooked (run (without_boundary (build ())));
+    let count key = Option.value ~default:0 (List.assoc_opt key counters) in
+    Alcotest.(check int) (label ^ ": one boundary per round") (count "flood.rounds")
+      (count "flood.snapshots");
+    if seed < 5 then
+      List.iter
+        (fun protocol ->
+          check_same_flood (label ^ " (coins)")
+            (run ~protocol (build ()))
+            (run ~protocol (without_boundary (build ()))))
+        [ Core.Flooding.Push 0.5; Core.Flooding.Parsimonious 2 ]
+  done
+
+let test_boundary_combinators () =
+  let g () = Mobility.Waypoint.dynamic ~n:10 ~l:5. ~r:1. ~v_min:0.5 ~v_max:1. () in
+  let module D = Core.Dynamic in
+  check_true "subsample every 1 forwards" (D.has_boundary (D.subsample ~every:1 (g ())));
+  check_true "subsample every 3 forwards" (D.has_boundary (D.subsample ~every:3 (g ())));
+  check_true "union drops" (not (D.has_boundary (D.union (g ()) (g ()))));
+  check_true "filter_edges drops" (not (D.has_boundary (D.filter_edges ~p_keep:0.5 (g ()))));
+  let static = D.of_static (Graph.Static.of_edges ~n:2 [ (0, 1) ]) in
+  check_true "a hook-less model raises"
+    (raises (fun () -> ignore (D.boundary static (Graph.Storage.Bitset.create 2) ignore)))
+
 let suites =
   [
     ( "mobility.space",
@@ -636,8 +854,22 @@ let suites =
         Alcotest.test_case "r=0 coincident" `Quick test_close_pairs_r0;
         Alcotest.test_case "cell index bounds" `Quick test_cell_index_bounds;
         Alcotest.test_case "clamp" `Quick test_clamp;
+        Alcotest.test_case "nan radius rejected" `Quick test_close_pairs_nan_radius;
+        Alcotest.test_case "boundary r=0 coincident" `Quick test_boundary_r0_coincident;
         q_close_pairs_bruteforce;
+        q_boundary_bruteforce;
       ] );
+    ( "mobility.geo",
+      [
+        Alcotest.test_case "nan radius rejected" `Quick test_geo_nan_radius;
+        Alcotest.test_case "infinite side rejected" `Quick test_geo_infinite_side;
+      ] );
+    ( "mobility.boundary_flood",
+      Alcotest.test_case "combinators" `Quick test_boundary_combinators
+      :: List.map
+           (fun ((name, _) as model) ->
+             Alcotest.test_case name `Quick (test_boundary_flood_equivalence model))
+           boundary_models );
     ( "mobility.waypoint",
       [
         Alcotest.test_case "corner init" `Quick test_waypoint_corner_init;
@@ -671,6 +903,9 @@ let suites =
     ( "mobility.direction",
       [
         Alcotest.test_case "displacement bound" `Quick test_direction_displacement;
+        Alcotest.test_case "infinite speed rejected" `Quick test_direction_infinite_speed;
+        Alcotest.test_case "nan speed rejected" `Quick test_direction_nan_speed;
+        Alcotest.test_case "nan turn_every rejected" `Quick test_direction_nan_turn_every;
         q_direction_in_bounds;
       ] );
     ( "mobility.density",
