@@ -1,10 +1,11 @@
 type init = Uniform | Corner
 
 let create ?(init = Uniform) ~n ~l ~r ~v ~turn_every () =
-  (* An infinite speed would make [reflect] bounce between ±∞ forever;
-     the [not (_ >= _)] form rejects NaN as well. *)
-  if not (v > 0. && Float.is_finite v) then
-    invalid_arg "Direction.create: speed must be finite and positive";
+  (* With 0 < v <= l a step overshoots a border by at most l, so
+     [reflect] bounces at most once; a larger speed would bounce about
+     v / 2l times, and from about 2^53 l on (or at v = ∞) forever, as
+     2l - x rounds to -x. The [not (_ && _)] form rejects NaN too. *)
+  if not (v > 0. && v <= l) then invalid_arg "Direction.create: speed must be in (0, l]";
   if not (turn_every >= 1.) then invalid_arg "Direction.create: turn_every must be >= 1";
   let xs = Array.make n 0. and ys = Array.make n 0. in
   let angle = Array.make n 0. in
@@ -20,7 +21,7 @@ let create ?(init = Uniform) ~n ~l ~r ~v ~turn_every () =
     new_heading rng i
   in
   (* Reflect a coordinate into [0, l], flipping the matching velocity
-     component; at most a few bounces per step since v << l. *)
+     component; at most one bounce per step since v <= l. *)
   let rec reflect x = if x < 0. then reflect (-.x) else if x > l then reflect ((2. *. l) -. x) else x in
   let move_node rng i =
     if Prng.Rng.bernoulli rng (1. /. turn_every) then new_heading rng i;

@@ -11,9 +11,10 @@ type init = Uniform | Corner
 val create :
   ?init:init ->
   n:int -> l:float -> r:float -> v:float -> turn_every:float -> unit -> Geo.t
-(** [v] is the speed per step (finite and positive); [turn_every] is the
-    mean leg duration in steps (at least 1; infinite means a node never
-    turns). Raises [Invalid_argument] otherwise, NaN included. *)
+(** [v] is the speed per step, in [(0, l\]], so a step reflects off a
+    border at most once; [turn_every] is the mean leg duration in steps
+    (at least 1; infinite means a node never turns). Raises
+    [Invalid_argument] otherwise, NaN included. *)
 
 val dynamic :
   ?init:init ->

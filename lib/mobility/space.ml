@@ -34,11 +34,11 @@ let check name ~r ~xs ~ys =
   if not (r >= 0.) then invalid_arg (name ^ ": radius must be >= 0")
 
 (* Cells are at least [r] wide, so a pair within [r] lies in the same
-   or adjacent cells, and at least [l / max_side] wide, so the grid
-   stays bounded for tiny radii. Returns the cell width and the grid
-   side. *)
-let geometry ~l ~r ~max_side =
-  let cell = Float.max r (Float.max (l /. float_of_int max_side) 1e-9) in
+   or adjacent cells, and at least [l / 1024] wide, so the grid stays
+   bounded for tiny radii. Both sweeps use this one grid. Returns the
+   cell width and the grid side. *)
+let geometry ~l ~r =
+  let cell = Float.max r (Float.max (l /. 1024.) 1e-9) in
   (cell, max 1 (int_of_float (ceil (l /. cell))))
 
 (* Counting sort by key: count (offset by one) -> prefix sum ->
@@ -91,7 +91,7 @@ let bucket sc ~cell ~side ?inside ~xs ~ys () =
 let iter_close_pairs ?scratch:sc ~l ~r ~xs ~ys f =
   check "Space.iter_close_pairs" ~r ~xs ~ys;
   let sc = match sc with Some sc -> sc | None -> scratch () in
-  let cell, side = geometry ~l ~r ~max_side:1024 in
+  let cell, side = geometry ~l ~r in
   bucket sc ~cell ~side ~xs ~ys ();
   let start = sc.start and order = sc.order and xo = sc.xo and yo = sc.yo in
   let r2 = r *. r in
@@ -143,11 +143,7 @@ let iter_boundary ?scratch:sc ~l ~r ~xs ~ys ~inside f =
   let n = Array.length xs in
   if Bitset.length inside <> n then invalid_arg "Space.iter_boundary: inside set length mismatch";
   let sc = match sc with Some sc -> sc | None -> scratch () in
-  (* Report order is free here, so the grid is also capped at about one
-     cell per point: a radius far below the point spacing costs O(n),
-     not a 1024² sweep. *)
-  let max_side = min 1024 (1 + int_of_float (sqrt (float_of_int n))) in
-  let cell, side = geometry ~l ~r ~max_side in
+  let cell, side = geometry ~l ~r in
   bucket sc ~cell ~side ~inside ~xs ~ys ();
   let start = sc.start and order = sc.order and xo = sc.xo and yo = sc.yo in
   let r2 = r *. r in

@@ -50,9 +50,10 @@ val iter_boundary :
     of some point inside it, and returns the number of candidate pairs
     it tested. It is the set that {!iter_close_pairs} would reveal as
     the inside set's new neighbours, found without enumerating pairs:
-    the counting sort is keyed by (cell, inside?), cells whose 3×3
-    block holds no inside point are skipped, and each remaining outside
-    point stops at its first inside point within [r]. Points are
+    on the same grid, the counting sort is keyed by (cell, inside?),
+    cells whose 3×3 block holds no inside point are skipped, and each
+    remaining outside point stops at its first inside point within
+    [r]. Points are
     reported in row-major cell order, ascending id within a cell.
     Draws no randomness. Same input contract as {!iter_close_pairs};
     [inside] must have one bit per point. *)

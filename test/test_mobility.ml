@@ -467,6 +467,13 @@ let direction ~v ~turn_every () =
 let test_direction_infinite_speed () =
   check_true "v = infinity rejected" (raises (direction ~v:Float.infinity ~turn_every:5.))
 
+(* A huge finite speed hung the same way, as 2l - x rounds to -x, and
+   any v > l could bounce more than once per step. *)
+let test_direction_speed_above_side () =
+  check_true "v = 1e300 rejected" (raises (direction ~v:1e300 ~turn_every:5.));
+  check_true "v > l rejected" (raises (direction ~v:10.5 ~turn_every:5.));
+  check_true "v = l accepted" (not (raises (direction ~v:10. ~turn_every:5.)))
+
 let test_direction_nan_speed () =
   check_true "v = nan rejected" (raises (direction ~v:Float.nan ~turn_every:5.))
 
@@ -904,6 +911,7 @@ let suites =
       [
         Alcotest.test_case "displacement bound" `Quick test_direction_displacement;
         Alcotest.test_case "infinite speed rejected" `Quick test_direction_infinite_speed;
+        Alcotest.test_case "speed above side rejected" `Quick test_direction_speed_above_side;
         Alcotest.test_case "nan speed rejected" `Quick test_direction_nan_speed;
         Alcotest.test_case "nan turn_every rejected" `Quick test_direction_nan_turn_every;
         q_direction_in_bounds;
