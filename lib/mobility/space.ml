@@ -33,23 +33,20 @@ let check name ~r ~xs ~ys =
   if Array.length ys <> Array.length xs then invalid_arg (name ^ ": length mismatch");
   if not (r >= 0.) then invalid_arg (name ^ ": radius must be >= 0")
 
-(* Cells are at least [r] wide, so a pair within [r] lies in the same
-   or adjacent cells, and at least [l / 1024] wide, so the grid stays
-   bounded for tiny radii. Both sweeps use this one grid. Returns the
-   cell width and the grid side. *)
-let geometry ~l ~r =
+(* Counting sort by key into the grid both sweeps share, returning
+   the grid side. Cells are at least [r] wide, so a pair within [r]
+   lies in the same or adjacent cells, and at least [l / 1024] wide, so
+   the grid stays bounded for tiny radii. Count (offset by one) ->
+   prefix sum -> ascending fill, so each key's slice of [order] lists
+   its points in increasing id. The key is the point's row-major cell
+   c, or, given [inside], 2c for a point in the set and 2c + 1 for one
+   outside it, so a cell's slice splits into its inside points then its
+   outside points. Coordinates are scattered alongside the ids so the
+   candidate loops stream two contiguous unboxed float arrays instead
+   of gathering through [order]. *)
+let bucket sc ~l ~r ?inside ~xs ~ys () =
   let cell = Float.max r (Float.max (l /. 1024.) 1e-9) in
-  (cell, max 1 (int_of_float (ceil (l /. cell))))
-
-(* Counting sort by key: count (offset by one) -> prefix sum ->
-   ascending fill, so each key's slice of [order] lists its points in
-   increasing id. The key is the point's row-major cell c, or, given
-   [inside], 2c for a point in the set and 2c + 1 for one outside it,
-   so a cell's slice splits into its inside points then its outside
-   points. Coordinates are scattered alongside the ids so the candidate
-   loops stream two contiguous unboxed float arrays instead of
-   gathering through [order]. *)
-let bucket sc ~cell ~side ?inside ~xs ~ys () =
+  let side = max 1 (int_of_float (ceil (l /. cell))) in
   let n = Array.length xs in
   let nkeys = (match inside with None -> 1 | Some _ -> 2) * side * side in
   sc.start <- ensure sc.start (nkeys + 1);
@@ -86,13 +83,13 @@ let bucket sc ~cell ~side ?inside ~xs ~ys () =
     Array.unsafe_set xo slot (Array.unsafe_get xs i);
     Array.unsafe_set yo slot (Array.unsafe_get ys i);
     Array.unsafe_set cursor k (slot + 1)
-  done
+  done;
+  side
 
 let iter_close_pairs ?scratch:sc ~l ~r ~xs ~ys f =
   check "Space.iter_close_pairs" ~r ~xs ~ys;
   let sc = match sc with Some sc -> sc | None -> scratch () in
-  let cell, side = geometry ~l ~r in
-  bucket sc ~cell ~side ~xs ~ys ();
+  let side = bucket sc ~l ~r ~xs ~ys () in
   let start = sc.start and order = sc.order and xo = sc.xo and yo = sc.yo in
   let r2 = r *. r in
   (* Emit each unordered pair once: within-cell pairs over the flat
@@ -143,8 +140,7 @@ let iter_boundary ?scratch:sc ~l ~r ~xs ~ys ~inside f =
   let n = Array.length xs in
   if Bitset.length inside <> n then invalid_arg "Space.iter_boundary: inside set length mismatch";
   let sc = match sc with Some sc -> sc | None -> scratch () in
-  let cell, side = geometry ~l ~r in
-  bucket sc ~cell ~side ~inside ~xs ~ys ();
+  let side = bucket sc ~l ~r ~inside ~xs ~ys () in
   let start = sc.start and order = sc.order and xo = sc.xo and yo = sc.yo in
   let r2 = r *. r in
   let tested = ref 0 in

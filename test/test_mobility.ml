@@ -87,7 +87,8 @@ let brute_force_boundary ~r xs ys member =
 (* Every radius regime (r = 0, sub-cell, the usual 1.5, one cell
    covering the square) and every kind of inside set, all through one
    scratch that a close-pairs sweep also uses in between, as Geo
-   does. *)
+   does. The boundary must also be exactly what that sweep's pairs
+   reveal. *)
 let q_boundary_bruteforce =
   qtest ~count:50 "iter_boundary = brute force"
     QCheck2.Gen.(pair seed_gen (int_range 0 60))
@@ -98,6 +99,9 @@ let q_boundary_bruteforce =
       let sc = Mobility.Space.scratch () in
       List.iter
         (fun r ->
+          let pairs = ref [] in
+          Mobility.Space.iter_close_pairs ~scratch:sc ~l ~r ~xs ~ys (fun i j ->
+              pairs := (i, j) :: !pairs);
           List.iter
             (fun (kind, pick) ->
               let member = Array.init n (fun _ -> pick ()) in
@@ -116,6 +120,16 @@ let q_boundary_bruteforce =
               Alcotest.(check (list int))
                 (ctx ^ ": boundary") (brute_force_boundary ~r xs ys member)
                 (List.sort compare !found);
+              let revealed = Array.make n false in
+              List.iter
+                (fun (i, j) ->
+                  if member.(i) && not member.(j) then revealed.(j) <- true;
+                  if member.(j) && not member.(i) then revealed.(i) <- true)
+                !pairs;
+              Alcotest.(check (list int))
+                (ctx ^ ": close pairs reveal the same set")
+                (List.filter (fun v -> revealed.(v)) (List.init n Fun.id))
+                (List.sort compare !found);
               let n_in = Array.fold_left (fun a b -> if b then a + 1 else a) 0 member in
               if tested < List.length !found || tested > n_in * (n - n_in) then
                 Alcotest.failf "%s: %d candidate pairs tested" ctx tested)
@@ -123,8 +137,7 @@ let q_boundary_bruteforce =
               ("empty", fun () -> false);
               ("full", fun () -> true);
               ("random", fun () -> Prng.Rng.bool rng);
-            ];
-          Mobility.Space.iter_close_pairs ~scratch:sc ~l ~r ~xs ~ys (fun _ _ -> ()))
+            ])
         [ 0.; 0.3; 1.5; l *. sqrt 2.; 3. *. l ];
       true)
 
