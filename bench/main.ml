@@ -465,14 +465,16 @@ let micro_tests () =
 (* The large-tier micro: a full flood per call on the off-heap backing
    at a fixed n = 2^18 (deliberately NOT BENCH_LARGE_N: the gated
    baseline and the CI smoke run must measure the same thing). The
-   sticky sparse regime mirrors flooding.frontier_scan — later rounds
-   are dominated by the tiled Sigma deg(informed) frontier scans. *)
+   sticky sparse regime mirrors flooding.frontier_scan. A call is the
+   whole delta path of about 64 rounds: model steps, one adjacency
+   build, then some 4 M edge births and deaths applied in place
+   against under 1 M row entries scanned (flood.delta_edges vs
+   flood.edges), so the delta apply and the step outweigh the scan. *)
 let large_micro_tests () =
   let n = 1 lsl 18 in
   let rng = Prng.Rng.of_seed 11 in
-  (* alpha ~ 2/n: expected degree ~2 keeps a single call in the
-     hundreds of milliseconds, and the low churn (edges persist ~1/q
-     steps) makes the informed-side frontier scans the dominant term. *)
+  (* alpha ~ 2/n: expected degree ~2, and the low churn (edges persist
+     ~1/q steps) keeps every round on the incremental delta path. *)
   let model = Edge_meg.Classic.make ~n ~p:(0.25 /. float_of_int n) ~q:0.125 () in
   [
     Test.make
@@ -610,9 +612,9 @@ let write_json path ~claims ~micro ~service =
 
 let () =
   (* --jobs also powers intra-run tile parallelism: the large-tier
-     flood and the partitioned edge-MEG step fan their tiles over
-     Exec.Pool, so a single large run accelerates, not just the
-     many-trials phases. Results are identical at every jobs count. *)
+     flood's partitioned edge-MEG step fans its strips over Exec.Pool,
+     so a single large run accelerates, not just the many-trials
+     phases. Results are identical at every jobs count. *)
   Exec.Pool.set_workers (Exec.workers (sched ()));
   (* Fleet worker mode: spawned by a parent bench running with --procs
      (and its --jobs). Serve experiment shards over stdin/stdout and

@@ -139,8 +139,8 @@ let obs_finish ~metrics ~trace =
    are complete. Returns the scheduler to use. *)
 let fleet_setup ~procs ~jobs ~journal ~metrics ~trace ~progress =
   (* --jobs also drives intra-run tile parallelism (Exec.Pool): the
-     off-heap flood scan and partitioned edge-MEG step fan out inside a
-     single trial, with results identical at every jobs count. *)
+     partitioned off-heap edge-MEG step fans out inside a single
+     trial, with results identical at every jobs count. *)
   Exec.Pool.set_workers jobs;
   if procs > 0 then begin
     let cmd =

@@ -58,14 +58,16 @@ let c_cap_hits = Obs.Metrics.counter "flood.cap_hits"
    - Delta-capable models ({!Dynamic.has_deltas}) keep an incremental
      adjacency in sync through {!Adj_sync} (which itself chooses
      between O(Δ) patching and an O(n + m) rebuild per round — see its
-     docs) and scan rows instead of whole snapshots. Plain flooding
-     draws no coins, so it may scan whichever side of the cut is
-     smaller: the active rows, or — once most nodes are informed — the
-     remaining uninformed rows with early exit on the first informed
-     neighbour. Push and Parsimonious scan the active rows in arrival
-     order; arrival times are nondecreasing along [order], so the
-     Parsimonious window's expired nodes form a prefix and one
-     monotone pointer maintains the active suffix.
+     docs) and scan rows instead of whole snapshots, in one loop per
+     side of the informed/uninformed cut. The informed side scans the
+     senders' rows in arrival order, drawing a Push coin per uninformed
+     neighbour: arrival-then-row order is the coin sequence the goldens
+     pin, on either storage layout. Every informed node sends, except
+     under Parsimonious: arrival times are nondecreasing along [order],
+     so the window's expired nodes form a prefix and one monotone
+     pointer maintains the active suffix. Plain flooding draws no
+     coins, so once the uninformed nodes are the fewer it scans their
+     rows instead, with early exit on the first informed neighbour.
 
    - Everything else takes the original path: enumerate the snapshot
      into a reused Edge_buffer and consider both directions of every
@@ -74,19 +76,6 @@ let c_cap_hits = Obs.Metrics.counter "flood.cap_hits"
      Parsimonious on a boundary-capable model land here too: Push
      draws a coin per edge, and Parsimonious's senders are a window of
      the informed set, not the set the kernel keeps as a bitset.
-
-   On an arena-backed (off-heap) adjacency, the plain-flooding
-   informed-side scan additionally runs {e tiled}: candidate receivers
-   are staged per active row, partitioned by counting sort into
-   [St.chunk_nodes]-wide node tiles, and only then tested against the
-   informed/queued bitsets — so the random bit traffic of a round is
-   confined to one 4 KiB bitset window at a time instead of roaming an
-   [n/8]-byte array (DESIGN.md section 9). Flooding draws no coins and
-   its outputs are scan-order-independent, so the tiled scan is
-   observationally identical to the in-order one; Push and
-   Parsimonious coins are pinned to arrival-then-row order by the
-   goldens, which is exactly the order a tiled scan destroys — they
-   keep the in-order scan on every layout.
 
    The delta and enumeration paths reach the same informed sets at the
    same times; they differ only in the order protocol coins are drawn
@@ -103,23 +92,6 @@ type scratch = {
   mutable unf : St.I32.t;      (* uninformed nodes, compact *)
   mutable unf_pos : St.I32.t;  (* position of node v in [unf] while uninformed *)
   traj : St.I32.t;             (* grows via the explicit ensure contract *)
-  stage : St.I32.t;            (* tiled scan: candidates in row order *)
-  bins : St.I32.t;             (* tiled scan: candidates in tile order *)
-  mutable tile_cnt : int array;
-  mutable tile_cur : int array;
-  (* Parallel tiled scan (DESIGN.md section 11): per-slice/per-tile
-     bookkeeping for the fanned-out pipeline. [par_cnt]/[par_cur] are
-     slice-major S x T matrices (candidate counts and scatter cursors),
-     [par_sl] holds S + 1 slice offsets into [stage], [par_scan] the
-     per-slice scanned-entry counts, [par_tile] T + 1 tile offsets into
-     [bins], [par_out] the per-tile newly-queued counts. Sized on
-     demand: S tracks the worker count, T the node-tile count. *)
-  mutable par_cnt : int array;
-  mutable par_cur : int array;
-  mutable par_sl : int array;
-  mutable par_scan : int array;
-  mutable par_tile : int array;
-  mutable par_out : int array;
   mutable edges : Graph.Edge_buffer.t;
   mutable sync_for : Dynamic.t option;  (* physical key for [sync] *)
   mutable sync_off : bool;              (* layout the cached sync was built with *)
@@ -138,16 +110,6 @@ let scratch_key =
         unf = St.I32.create 1;
         unf_pos = St.I32.create 1;
         traj = St.I32.create 256;
-        stage = St.I32.create 16;
-        bins = St.I32.create 16;
-        tile_cnt = [| 0 |];
-        tile_cur = [| 0 |];
-        par_cnt = [||];
-        par_cur = [||];
-        par_sl = [||];
-        par_scan = [||];
-        par_tile = [||];
-        par_out = [||];
         edges = Graph.Edge_buffer.create ~capacity:16 ();
         sync_for = None;
         sync_off = false;
@@ -168,6 +130,7 @@ let run_raw ?cap ?(protocol = Flood) ?storage ~rng ~source g =
   | Parsimonious k when k < 1 -> invalid_arg "Flooding.run: parsimonious window must be >= 1"
   | Flood | Push _ | Parsimonious _ -> ());
   let cap = match cap with Some c -> c | None -> default_cap n in
+  if cap < 0 then invalid_arg "Flooding.run: cap must be >= 0";
   Obs.Metrics.incr c_runs;
   let tracing = Obs.Trace.enabled () in
   if tracing then Obs.Trace.emit "flood.start" [ ("n", Int n); ("source", Int source) ];
@@ -188,10 +151,7 @@ let run_raw ?cap ?(protocol = Flood) ?storage ~rng ~source g =
     sc.order <- St.I32.create n;
     sc.frontier <- St.I32.create n;
     sc.unf <- St.I32.create n;
-    sc.unf_pos <- St.I32.create n;
-    let ntiles = ((n - 1) lsr St.chunk_shift) + 1 in
-    sc.tile_cnt <- Array.make ntiles 0;
-    sc.tile_cur <- Array.make ntiles 0
+    sc.unf_pos <- St.I32.create n
   end
   else begin
     St.Bitset.clear_all sc.informed;
@@ -325,372 +285,94 @@ let run_raw ?cap ?(protocol = Flood) ?storage ~rng ~source g =
     let refreshes0 = Adj_sync.refreshes sync in
     let delta_ops0 = Adj_sync.delta_ops sync in
     let scanned = ref 0 in
-    (match protocol with
-    | Flood ->
-        (* Coin-free, so scan whichever side of the informed/uninformed
-           cut is smaller. Uninformed-side scans exit a row at the first
-           informed neighbour; [scanned] counts entries actually read,
-           so the counter reflects the real work either way. *)
-        track_unf := true;
-        for i = 0 to n - 1 do
-          St.I32.unsafe_set unf i i;
-          St.I32.unsafe_set unf_pos i i
-        done;
-        unf_len := n;
-        remove_unf source;
-        while !n_informed < n && !t < cap do
-          frontier_len := 0;
-          Adj_sync.ensure sync;
-          let adj = Adj_sync.adj sync in
-          if not (Graph.Mutable_adj.offheap adj) then begin
-            if !unf_len < !n_informed then
-              for ui = 0 to !unf_len - 1 do
-                let v = St.I32.unsafe_get unf ui in
-                let d = Graph.Mutable_adj.degree adj v in
-                let row = Graph.Mutable_adj.row adj v in
-                let j = ref 0 in
-                let hit = ref false in
-                while (not !hit) && !j < d do
-                  if St.Bitset.unsafe_get informed (Array.unsafe_get row !j) then hit := true;
-                  incr j
-                done;
-                scanned := !scanned + !j;
-                if !hit then enqueue v
-              done
-            else
-              for oi = 0 to !n_informed - 1 do
-                let u = St.I32.unsafe_get order oi in
-                let d = Graph.Mutable_adj.degree adj u in
-                let row = Graph.Mutable_adj.row adj u in
-                scanned := !scanned + d;
-                for j = 0 to d - 1 do
-                  let v = Array.unsafe_get row j in
-                  if not (St.Bitset.unsafe_get informed v) then enqueue v
-                done
-              done
-          end
-          else begin
-            let ({ v_deg; v_off; v_data } : Graph.Mutable_adj.view) =
-              Graph.Mutable_adj.view adj
-            in
-            (* Fan-out geometry for the parallel pipeline: S contiguous
-               slices of whichever side is scanned, T node tiles. Any
-               contiguous slicing yields byte-identical output (the
-               counting sort is stable and merges are slice- then
-               tile-ordered), so S may track the worker count freely.
-               When the pool would not engage we keep the fused
-               sequential loops — same bytes, fewer passes. *)
-            let ntiles = Array.length sc.tile_cnt in
-            let s_cnt = Exec.Pool.tile_min () * Exec.Pool.workers () in
-            let par = Exec.Pool.fan_out s_cnt in
-            if par then begin
-              if Array.length sc.par_cnt < s_cnt * ntiles then begin
-                sc.par_cnt <- Array.make (s_cnt * ntiles) 0;
-                sc.par_cur <- Array.make (s_cnt * ntiles) 0
-              end;
-              if Array.length sc.par_sl < s_cnt + 1 then begin
-                sc.par_sl <- Array.make (s_cnt + 1) 0;
-                sc.par_scan <- Array.make s_cnt 0
-              end;
-              if Array.length sc.par_tile < ntiles + 1 then begin
-                sc.par_tile <- Array.make (ntiles + 1) 0;
-                sc.par_out <- Array.make ntiles 0
-              end
-            end;
-            if !unf_len < !n_informed then begin
-              if not par then
-                for ui = 0 to !unf_len - 1 do
-                  let v = St.I32.unsafe_get unf ui in
-                  let d = St.I32.raw_get v_deg v in
-                  let off = St.I32.raw_get v_off v in
-                  let j = ref 0 in
-                  let hit = ref false in
-                  while (not !hit) && !j < d do
-                    if St.Bitset.unsafe_get informed (St.I32.raw_get v_data (off + !j)) then
-                      hit := true;
-                    incr j
-                  done;
-                  scanned := !scanned + !j;
-                  if !hit then enqueue v
-                done
-              else begin
-                (* Parallel uninformed-side scan: each slice early-exit
-                   scans its own range of [unf] and writes hits into
-                   [bins] at the slice's base offset; the slice-order
-                   merge reproduces the sequential frontier exactly
-                   ([unf] entries are distinct, so the [queued] dedup
-                   the sequential path runs through [enqueue] is
-                   vacuous here and [commit]'s clear is a no-op). *)
-                let m = !unf_len in
-                St.I32.ensure sc.bins m;
-                let braw = St.I32.raw sc.bins in
-                let par_sl = sc.par_sl and par_scan = sc.par_scan in
-                Exec.Pool.run_tiles s_cnt (fun s ->
-                    let lo = s * m / s_cnt and hi = (s + 1) * m / s_cnt in
-                    let out = ref lo in
-                    let sl_scanned = ref 0 in
-                    for ui = lo to hi - 1 do
-                      let v = St.I32.unsafe_get unf ui in
-                      let d = St.I32.raw_get v_deg v in
-                      let off = St.I32.raw_get v_off v in
-                      let j = ref 0 in
-                      let hit = ref false in
-                      while (not !hit) && !j < d do
-                        if St.Bitset.unsafe_get informed (St.I32.raw_get v_data (off + !j))
-                        then hit := true;
-                        incr j
-                      done;
-                      sl_scanned := !sl_scanned + !j;
-                      if !hit then begin
-                        St.I32.raw_set braw !out v;
-                        incr out
-                      end
-                    done;
-                    Array.unsafe_set par_sl s (!out - lo);
-                    Array.unsafe_set par_scan s !sl_scanned);
-                for s = 0 to s_cnt - 1 do
-                  let c = Array.unsafe_get par_sl s in
-                  St.I32.blit sc.bins (s * m / s_cnt) frontier !frontier_len c;
-                  frontier_len := !frontier_len + c;
-                  scanned := !scanned + Array.unsafe_get par_scan s
-                done
-              end
-            end
-            else if not par then begin
-              (* Tiled informed-side scan: stage every candidate in row
-                 order, counting-sort them into chunk_nodes-wide tiles,
-                 then do all bitset tests tile by tile. *)
-              let stage_len = ref 0 in
-              let tile_cnt = sc.tile_cnt in
-              Array.fill tile_cnt 0 (Array.length tile_cnt) 0;
-              for oi = 0 to !n_informed - 1 do
-                let u = St.I32.unsafe_get order oi in
-                let d = St.I32.raw_get v_deg u in
-                let off = St.I32.raw_get v_off u in
-                scanned := !scanned + d;
-                St.I32.ensure sc.stage (!stage_len + d);
-                let sraw = St.I32.raw sc.stage in
-                for j = off to off + d - 1 do
-                  let v = St.I32.raw_get v_data j in
-                  St.I32.raw_set sraw !stage_len v;
-                  incr stage_len;
-                  let k = v lsr St.chunk_shift in
-                  Array.unsafe_set tile_cnt k (Array.unsafe_get tile_cnt k + 1)
-                done
-              done;
-              let tile_cur = sc.tile_cur in
-              let acc = ref 0 in
-              for k = 0 to Array.length tile_cnt - 1 do
-                Array.unsafe_set tile_cur k !acc;
-                acc := !acc + Array.unsafe_get tile_cnt k
-              done;
-              St.I32.ensure sc.bins !stage_len;
-              let braw = St.I32.raw sc.bins in
-              let sraw = St.I32.raw sc.stage in
-              for i = 0 to !stage_len - 1 do
-                let v = St.I32.raw_get sraw i in
-                let k = v lsr St.chunk_shift in
-                let p = Array.unsafe_get tile_cur k in
-                St.I32.raw_set braw p v;
-                Array.unsafe_set tile_cur k (p + 1)
-              done;
-              (* [bins] is now tile-ordered, so one linear walk keeps
-                 each round's random bit traffic inside a single 4 KiB
-                 bitset window at a time. *)
-              for i = 0 to !stage_len - 1 do
-                let v = St.I32.raw_get braw i in
-                if not (St.Bitset.unsafe_get informed v) then enqueue v
-              done
-            end
-            else begin
-              (* Parallel tiled informed-side scan, five phases with the
-                 tile pool (DESIGN.md section 11). The counting sort is
-                 stable per slice and scatter offsets are laid out
-                 slice-major within each tile, so [bins] — and therefore
-                 the frontier — comes out byte-identical to the
-                 sequential tiled scan for any S. *)
-              let m = !n_informed in
-              let par_cnt = sc.par_cnt
-              and par_cur = sc.par_cur
-              and par_sl = sc.par_sl
-              and par_tile = sc.par_tile
-              and par_out = sc.par_out in
-              (* Phase 1: per-slice candidate counts (row headers only). *)
-              Exec.Pool.run_tiles s_cnt (fun s ->
-                  let lo = s * m / s_cnt and hi = (s + 1) * m / s_cnt in
-                  let sum = ref 0 in
-                  for oi = lo to hi - 1 do
-                    sum := !sum + St.I32.raw_get v_deg (St.I32.unsafe_get order oi)
-                  done;
-                  Array.unsafe_set par_sl s !sum);
-              let total = ref 0 in
-              for s = 0 to s_cnt - 1 do
-                let c = par_sl.(s) in
-                par_sl.(s) <- !total;
-                total := !total + c
-              done;
-              par_sl.(s_cnt) <- !total;
-              let total = !total in
-              scanned := !scanned + total;
-              St.I32.ensure sc.stage total;
-              St.I32.ensure sc.bins total;
-              Array.fill par_cnt 0 (s_cnt * ntiles) 0;
-              let sraw = St.I32.raw sc.stage in
-              let braw = St.I32.raw sc.bins in
-              (* Phase 2: stage candidates at slice offsets, counting
-                 per-slice-per-tile. *)
-              Exec.Pool.run_tiles s_cnt (fun s ->
-                  let lo = s * m / s_cnt and hi = (s + 1) * m / s_cnt in
-                  let pos = ref (Array.unsafe_get par_sl s) in
-                  let base = s * ntiles in
-                  for oi = lo to hi - 1 do
-                    let u = St.I32.unsafe_get order oi in
-                    let d = St.I32.raw_get v_deg u in
-                    let off = St.I32.raw_get v_off u in
-                    for j = off to off + d - 1 do
-                      let v = St.I32.raw_get v_data j in
-                      St.I32.raw_set sraw !pos v;
-                      incr pos;
-                      let k = base + (v lsr St.chunk_shift) in
-                      Array.unsafe_set par_cnt k (Array.unsafe_get par_cnt k + 1)
-                    done
-                  done);
-              (* Tile starts and slice-major scatter cursors. *)
-              let pos = ref 0 in
-              for k = 0 to ntiles - 1 do
-                par_tile.(k) <- !pos;
-                for s = 0 to s_cnt - 1 do
-                  par_cur.((s * ntiles) + k) <- !pos;
-                  pos := !pos + par_cnt.((s * ntiles) + k)
-                done
-              done;
-              par_tile.(ntiles) <- !pos;
-              (* Phase 3: scatter each slice's stage segment into its
-                 private per-tile cursor ranges of [bins]. *)
-              Exec.Pool.run_tiles s_cnt (fun s ->
-                  let base = s * ntiles in
-                  for i = Array.unsafe_get par_sl s to Array.unsafe_get par_sl (s + 1) - 1 do
-                    let v = St.I32.raw_get sraw i in
-                    let k = base + (v lsr St.chunk_shift) in
-                    let p = Array.unsafe_get par_cur k in
-                    St.I32.raw_set braw p v;
-                    Array.unsafe_set par_cur k (p + 1)
-                  done);
-              (* Phase 4: per-tile bitset tests. A tile's bitset window
-                 is an aligned chunk_nodes/8-byte range, so [queued]
-                 writes from different tiles never share a byte; the
-                 compacted survivors go back into the tile's own stage
-                 segment. *)
-              Exec.Pool.run_tiles ntiles (fun k ->
-                  let lo = Array.unsafe_get par_tile k in
-                  let hi = Array.unsafe_get par_tile (k + 1) in
-                  let out = ref lo in
-                  for i = lo to hi - 1 do
-                    let v = St.I32.raw_get braw i in
-                    if
-                      (not (St.Bitset.unsafe_get informed v))
-                      && not (St.Bitset.unsafe_get queued v)
-                    then begin
-                      St.Bitset.unsafe_set queued v;
-                      St.I32.raw_set sraw !out v;
-                      incr out
-                    end
-                  done;
-                  Array.unsafe_set par_out k (!out - lo));
-              (* Phase 5: tile-order merge into the frontier. *)
-              for k = 0 to ntiles - 1 do
-                let c = Array.unsafe_get par_out k in
-                St.I32.blit sc.stage (Array.unsafe_get par_tile k) frontier !frontier_len c;
-                frontier_len := !frontier_len + c
-              done
-            end
-          end;
-          commit ();
-          Dynamic.step g;
-          Adj_sync.advance sync
-        done
-    | Push p ->
-        (* Every informed node is active; coins are drawn in arrival-
-           then-row order, exactly the sequence the goldens pin — on
-           either storage layout. *)
-        while !n_informed < n && !t < cap do
-          frontier_len := 0;
-          Adj_sync.ensure sync;
-          let adj = Adj_sync.adj sync in
-          if not (Graph.Mutable_adj.offheap adj) then
-            for oi = 0 to !n_informed - 1 do
-              let u = St.I32.unsafe_get order oi in
-              let d = Graph.Mutable_adj.degree adj u in
-              let row = Graph.Mutable_adj.row adj u in
-              scanned := !scanned + d;
-              for j = 0 to d - 1 do
-                let v = Array.unsafe_get row j in
-                if (not (St.Bitset.unsafe_get informed v)) && Prng.Rng.bernoulli rng p then
-                  enqueue v
-              done
-            done
-          else begin
-            let ({ v_deg; v_off; v_data } : Graph.Mutable_adj.view) =
-              Graph.Mutable_adj.view adj
-            in
-            for oi = 0 to !n_informed - 1 do
-              let u = St.I32.unsafe_get order oi in
-              let d = St.I32.raw_get v_deg u in
-              let off = St.I32.raw_get v_off u in
-              scanned := !scanned + d;
-              for j = off to off + d - 1 do
-                let v = St.I32.raw_get v_data j in
-                if (not (St.Bitset.unsafe_get informed v)) && Prng.Rng.bernoulli rng p then
-                  enqueue v
-              done
-            done
-          end;
-          commit ();
-          Dynamic.step g;
-          Adj_sync.advance sync
-        done
-    | Parsimonious k ->
-        let lo = ref 0 in
-        while !n_informed < n && !t < cap do
-          frontier_len := 0;
-          Adj_sync.ensure sync;
-          let adj = Adj_sync.adj sync in
+    (* Coin-free plain flooding may scan the uninformed side of the
+       cut; [unf] lists that side. *)
+    if protocol = Flood then begin
+      track_unf := true;
+      for i = 0 to n - 1 do
+        St.I32.unsafe_set unf i i;
+        St.I32.unsafe_set unf_pos i i
+      done;
+      unf_len := n;
+      remove_unf source
+    end;
+    (* The senders are [order.(lo ..)]. *)
+    let lo = ref 0 in
+    while !n_informed < n && !t < cap do
+      frontier_len := 0;
+      Adj_sync.ensure sync;
+      (match protocol with
+      | Parsimonious k ->
           while
             !lo < !n_informed
             && !t - St.I32.unsafe_get informed_at (St.I32.unsafe_get order !lo) >= k
           do
             incr lo
-          done;
-          if not (Graph.Mutable_adj.offheap adj) then
-            for oi = !lo to !n_informed - 1 do
-              let u = St.I32.unsafe_get order oi in
-              let d = Graph.Mutable_adj.degree adj u in
-              let row = Graph.Mutable_adj.row adj u in
-              scanned := !scanned + d;
-              for j = 0 to d - 1 do
-                let v = Array.unsafe_get row j in
-                if not (St.Bitset.unsafe_get informed v) then enqueue v
-              done
-            done
-          else begin
-            let ({ v_deg; v_off; v_data } : Graph.Mutable_adj.view) =
-              Graph.Mutable_adj.view adj
-            in
-            for oi = !lo to !n_informed - 1 do
-              let u = St.I32.unsafe_get order oi in
-              let d = St.I32.raw_get v_deg u in
-              let off = St.I32.raw_get v_off u in
-              scanned := !scanned + d;
-              for j = off to off + d - 1 do
-                let v = St.I32.raw_get v_data j in
-                if not (St.Bitset.unsafe_get informed v) then enqueue v
-              done
-            done
-          end;
-          commit ();
-          Dynamic.step g;
-          Adj_sync.advance sync
-        done);
+          done
+      | Flood | Push _ -> ());
+      let adj = Adj_sync.adj sync in
+      let offheap = Graph.Mutable_adj.offheap adj in
+      if !track_unf && !unf_len < !n_informed then
+        (* Uninformed side: a row is read up to its first informed
+           neighbour, and [scanned] counts the entries actually read. *)
+        if not offheap then
+          for ui = 0 to !unf_len - 1 do
+            let v = St.I32.unsafe_get unf ui in
+            let d = Graph.Mutable_adj.degree adj v in
+            let row = Graph.Mutable_adj.row adj v in
+            let j = ref 0 in
+            let hit = ref false in
+            while (not !hit) && !j < d do
+              if St.Bitset.unsafe_get informed (Array.unsafe_get row !j) then hit := true;
+              incr j
+            done;
+            scanned := !scanned + !j;
+            if !hit then enqueue v
+          done
+        else begin
+          let ({ v_deg; v_off; v_data } : Graph.Mutable_adj.view) = Graph.Mutable_adj.view adj in
+          for ui = 0 to !unf_len - 1 do
+            let v = St.I32.unsafe_get unf ui in
+            let d = St.I32.raw_get v_deg v in
+            let off = St.I32.raw_get v_off v in
+            let j = ref 0 in
+            let hit = ref false in
+            while (not !hit) && !j < d do
+              if St.Bitset.unsafe_get informed (St.I32.raw_get v_data (off + !j)) then hit := true;
+              incr j
+            done;
+            scanned := !scanned + !j;
+            if !hit then enqueue v
+          done
+        end
+      else if not offheap then
+        for oi = !lo to !n_informed - 1 do
+          let u = St.I32.unsafe_get order oi in
+          let d = Graph.Mutable_adj.degree adj u in
+          let row = Graph.Mutable_adj.row adj u in
+          scanned := !scanned + d;
+          for j = 0 to d - 1 do
+            let v = Array.unsafe_get row j in
+            if (not (St.Bitset.unsafe_get informed v)) && transmits () then enqueue v
+          done
+        done
+      else begin
+        let ({ v_deg; v_off; v_data } : Graph.Mutable_adj.view) = Graph.Mutable_adj.view adj in
+        for oi = !lo to !n_informed - 1 do
+          let u = St.I32.unsafe_get order oi in
+          let d = St.I32.raw_get v_deg u in
+          let off = St.I32.raw_get v_off u in
+          scanned := !scanned + d;
+          for j = off to off + d - 1 do
+            let v = St.I32.raw_get v_data j in
+            if (not (St.Bitset.unsafe_get informed v)) && transmits () then enqueue v
+          done
+        done
+      end;
+      commit ();
+      Dynamic.step g;
+      Adj_sync.advance sync
+    done;
     Obs.Metrics.add c_edges !scanned;
     Obs.Metrics.add c_snapshots (Adj_sync.refreshes sync - refreshes0);
     Obs.Metrics.add c_delta_edges (Adj_sync.delta_ops sync - delta_ops0)
@@ -751,6 +433,7 @@ let characteristic_time result =
 let worst_source_time ?cap ?protocol ?storage ?(sched = Exec.sequential) ~rng ?sources build =
   let sources =
     match sources with
+    | Some [] -> invalid_arg "Flooding.worst_source_time: sources must be non-empty"
     | Some l -> Array.of_list l
     | None -> Array.init (Dynamic.n (build ())) (fun i -> i)
   in

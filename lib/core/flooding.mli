@@ -53,9 +53,14 @@ val run :
     adjacency (see {!Adj_sync.create}): by default off-heap from
     [Graph.Storage.offheap_nodes] nodes up, heap rows below. The
     informed sets, arrival times and trajectory are identical in both
-    layouts (the equivalence tests in test/test_flooding.ml force each
-    in turn); requires [n <= Graph.Storage.max_nodes] either way, as
-    the kernel's own scratch is int32-backed. *)
+    layouts (the equivalence tests in test/test_core.ml and
+    test/test_parallel.ml force each in turn); requires
+    [n <= Graph.Storage.max_nodes] either way, as the kernel's own
+    scratch is int32-backed.
+
+    Raises [Invalid_argument] on a source outside [0 .. n - 1], a
+    negative [cap], a [Push] probability outside (0, 1] or a
+    [Parsimonious] window below 1. *)
 
 val time :
   ?cap:int ->
@@ -123,4 +128,5 @@ val worst_source_time :
     paper, estimated with one run per source. Each source's run is
     seeded by [Prng.Rng.substream rng s] on a fresh instance from the
     builder, so the result is scheduler-independent (same contract as
-    {!mean_time}). *)
+    {!mean_time}). Raises [Invalid_argument] on an empty [sources]
+    list. *)

@@ -559,35 +559,8 @@ module Pool = struct
 
   (* Minimum tiles per worker before fan-out engages: below it, the
      per-task handoff (one mutex round-trip per tile) is not worth
-     waking the crew. Same warn-once env contract as DYNGRAPH_JOBS. *)
-  let tile_min_default = 2
-
-  let tile_min_env () =
-    match Sys.getenv_opt "DYNGRAPH_TILE_MIN" with
-    | None -> tile_min_default
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some m when m >= 1 -> m
-        | Some _ -> tile_min_default
-        | None ->
-            warn_env "DYNGRAPH_TILE_MIN" s "a positive integer";
-            tile_min_default)
-
-  let tile_min_override = ref None
-
-  let set_tile_min = function
-    | Some m when m < 1 -> invalid_arg "Exec.Pool.set_tile_min: must be >= 1"
-    | o -> tile_min_override := o
-
-  let tile_min () =
-    match !tile_min_override with Some m -> m | None -> tile_min_env ()
-
-  let fan_out ntiles =
-    ntiles > 0
-    && (not (Domain.DLS.get inside_pool))
-    &&
-    let w = workers () in
-    w > 1 && ntiles >= tile_min () * w
+     waking the crew. *)
+  let tiles_per_worker = 2
 
   type task = {
     tf : int -> unit;
@@ -723,7 +696,9 @@ module Pool = struct
        totals never depend on worker count or calling context. *)
     Obs.Metrics.incr c_tile_plans;
     Obs.Metrics.add c_tiles ntiles;
-    if fan_out ntiles then run_task ~width:(workers ()) ntiles tf
+    let w = workers () in
+    if w > 1 && ntiles >= tiles_per_worker * w && not (Domain.DLS.get inside_pool) then
+      run_task ~width:w ntiles tf
     else
       for i = 0 to ntiles - 1 do
         tf i

@@ -320,14 +320,14 @@ val map : scheduler -> jobs:int -> (int -> 'a) -> 'a array
 
     One crew serves both axes: {!run} on a {!pool} parallelizes
     {e across} independent trials, and [run_tiles] splits the inside of
-    one large run (flooding's tiled frontier scan, the partitioned
-    off-heap edge-MEG step) into independent tiles. Helpers persist
-    between tasks, sleeping on a condition variable, because tile tasks
-    are issued per kernel phase per round and per-call domain spawns
-    would swamp the work; they are joined automatically at process
-    exit. A task of width [w] runs on the caller and helpers
-    [1 .. w - 1] (in spawn order), so a plan or fan-out never uses more
-    domains than its width, even after a wider one grew the crew.
+    one large run (the partitioned off-heap edge-MEG step) into
+    independent tiles. Helpers persist between tasks, sleeping on a
+    condition variable, because tile tasks are issued every round and
+    per-call domain spawns would swamp the work; they are joined
+    automatically at process exit. A task of width [w] runs on the
+    caller and helpers [1 .. w - 1] (in spawn order), so a plan or
+    fan-out never uses more domains than its width, even after a wider
+    one grew the crew.
 
     Determinism contract: [run_tiles n f] is semantically
     [for i = 0 to n - 1 do f i done] provided the [f i] have disjoint
@@ -349,29 +349,12 @@ module Pool : sig
   (** The current target: the last {!set_workers} value, else
       [DYNGRAPH_JOBS] (via {!default}), else 1. *)
 
-  val tile_min : unit -> int
-  (** Minimum tiles per worker before {!run_tiles} fans out (default 2):
-      below [tile_min () * workers ()] tiles, the call runs inline. From
-      the [DYNGRAPH_TILE_MIN] environment variable when set and
-      parsable (warned once otherwise), unless overridden by
-      {!set_tile_min}. *)
-
-  val set_tile_min : int option -> unit
-  (** Override {!tile_min} ([None] returns to the environment/default
-      value). Raises [Invalid_argument] on [Some m] with [m < 1]. *)
-
-  val fan_out : int -> bool
-  (** [fan_out ntiles] is whether [run_tiles ntiles f] would engage the
-      crew rather than run inline: more than one worker, at
-      least [tile_min () * workers ()] tiles, and the caller is not
-      itself a pool worker. Exposed so kernels with a cheaper fused
-      sequential path can branch before paying the parallel pipeline's
-      extra passes — the choice must never be observable in results. *)
-
   val run_tiles : int -> (int -> unit) -> unit
   (** [run_tiles ntiles f] runs [f 0 .. f (ntiles - 1)], possibly in
       parallel on the crew ([workers ()] wide) with the caller
-      participating.
+      participating. The crew engages only with more than one worker,
+      at least two tiles per worker, and a caller that is not itself
+      inside the crew; otherwise the loop runs inline.
       The [f i] must have pairwise-disjoint effects. If some [f i]
       raises, remaining unclaimed tiles are skipped, the crew drains to
       idle (and stays reusable), and the first exception observed is

@@ -2,10 +2,6 @@ let max_nodes = 1 lsl 31
 
 let offheap_nodes = 1 lsl 17
 
-let chunk_shift = 15
-
-let chunk_nodes = 1 lsl chunk_shift
-
 module I32 = struct
   type raw = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -30,16 +30,6 @@ val offheap_nodes : int
     runs keep the exact heap code paths — and their goldens —
     untouched. *)
 
-val chunk_shift : int
-(** [chunk_nodes = 1 lsl chunk_shift]; kernels compute a node's tile
-    as [v lsr chunk_shift]. *)
-
-val chunk_nodes : int
-(** Tile width, in node ids, of the chunked frontier kernels (2¹⁵
-    nodes = 4 KiB of packed bitset per tile — comfortably
-    cache-resident together with the staging buffers; see DESIGN.md
-    section 9). *)
-
 (** Growable int32 vector on a Bigarray. *)
 module I32 : sig
   type raw = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -108,8 +98,7 @@ end
 
 (** Packed bitset: one bit per element in a Bytes block. The GC never
     scans Bytes contents, and the packing keeps the informed set of a
-    2²⁰-node run in 128 KiB — L2-resident, which is what makes the
-    chunked frontier scan's tiles pay off. *)
+    2²⁰-node run in 128 KiB — L2-resident. *)
 module Bitset : sig
   type t
 

@@ -113,13 +113,13 @@ echo "ok: journal resume after SIGKILL reproduces the uninterrupted output"
 
 # --- 5. intra-run parallelism: large flood byte-identity --------------
 
-# The off-heap flood tier (DESIGN.md section 11) fans its tiles and
-# edge-MEG partitions over the domain pool; the claim JSON it writes
+# The off-heap flood tier (DESIGN.md section 11) fans its edge-MEG
+# partitions over the domain pool; the claim JSON it writes
 # must be byte-identical at --jobs 1 and --jobs 4 modulo wall-clock
 # facts (seconds, date, topology/workers, provenance) and the gc.*
 # gauges (memory facts of one process run, not deterministic results).
 # n = 2^18 keeps the run in smoke territory while still crossing the
-# off-heap threshold where the parallel kernels engage.
+# off-heap threshold where the partitioned engine engages.
 bench="_build/default/bench/main.exe"
 if [ ! -x "$bench" ]; then
   dune build bench/main.exe

@@ -17,6 +17,17 @@ let qtest ?(count = 100) name gen law =
 
 let rng_of_seed = Prng.Rng.of_seed
 
+(* [f ()] with metrics on, paired with the counter deltas it recorded;
+   [count key counters] reads one of them (0 when never charged). *)
+let with_counters f =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was then Obs.Metrics.disable ())
+    (fun () -> Obs.Metrics.with_scope f)
+
+let count key counters = Option.value ~default:0 (List.assoc_opt key counters)
+
 (* A generator of (seed, n) pairs for randomised structures. *)
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
 

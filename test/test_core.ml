@@ -423,22 +423,54 @@ let test_flood_empty_graph () =
      with Invalid_argument _ -> true)
 
 (* Forcing the off-heap scratch + arena adjacency at a size that would
-   normally stay on the heap must not change any observable: the tiled
-   Flood scan is order-independent, and Push / Parsimonious draw their
-   coins in the same pinned order on both layouts. *)
+   normally stay on the heap must not change any observable: both
+   layouts scan the same rows in the same order, so Flood reads the
+   same entries and Push / Parsimonious draw their coins in the same
+   pinned order. *)
 let test_flood_storage_layouts_agree () =
   let build () = Edge_meg.Classic.make ~n:96 ~p:0.04 ~q:0.3 () in
   List.iter
     (fun protocol ->
       let go storage =
-        Core.Flooding.run ~protocol ~storage ~rng:(rng_of_seed 17) ~source:3 (build ())
+        with_counters (fun () ->
+            Core.Flooding.run ~protocol ~storage ~rng:(rng_of_seed 17) ~source:3 (build ()))
       in
-      let h = go `Heap and o = go `Offheap in
+      let h, hc = go `Heap and o, oc = go `Offheap in
       Alcotest.(check (option int)) "time" h.Core.Flooding.time o.Core.Flooding.time;
       Alcotest.(check (array int)) "trajectory" h.Core.Flooding.trajectory
         o.Core.Flooding.trajectory;
-      Alcotest.(check (array int)) "arrivals" h.Core.Flooding.arrivals o.Core.Flooding.arrivals)
+      Alcotest.(check (array int)) "arrivals" h.Core.Flooding.arrivals o.Core.Flooding.arrivals;
+      List.iter
+        (fun key ->
+          check_true (key ^ " counted") (count key hc > 0);
+          Alcotest.(check int) key (count key hc) (count key oc))
+        [ "flood.edges"; "flood.snapshots" ])
     [ Core.Flooding.Flood; Core.Flooding.Push 0.4; Core.Flooding.Parsimonious 2 ]
+
+(* A negative cap is rejected by every entry point that runs a flood,
+   rather than reported as an unfinished run or a negative mean. *)
+let test_flood_negative_cap () =
+  let dyn () = Core.Dynamic.of_static (Graph.Builders.path_graph 4) in
+  let rng = rng_of_seed 1 in
+  let raises name f =
+    Alcotest.check_raises name (Invalid_argument "Flooding.run: cap must be >= 0") (fun () ->
+        ignore (f ()))
+  in
+  raises "run" (fun () -> Core.Flooding.run ~cap:(-5) ~rng ~source:0 (dyn ()));
+  raises "time" (fun () -> Core.Flooding.time ~cap:(-5) ~rng ~source:0 (dyn ()));
+  raises "trial_time" (fun () -> Core.Flooding.trial_time ~cap:(-5) ~rng ~source:0 (dyn ()));
+  raises "mean_time" (fun () -> Core.Flooding.mean_time ~cap:(-5) ~rng ~trials:3 dyn);
+  raises "worst_source_time" (fun () -> Core.Flooding.worst_source_time ~cap:(-5) ~rng dyn);
+  Alcotest.(check (option int)) "cap 0 is a legal, unfinished run" None
+    (Core.Flooding.time ~cap:0 ~rng ~source:0 (dyn ()))
+
+(* The worst case over no sources is undefined, not 0. *)
+let test_worst_source_empty () =
+  Alcotest.check_raises "empty sources rejected"
+    (Invalid_argument "Flooding.worst_source_time: sources must be non-empty") (fun () ->
+      ignore
+        (Core.Flooding.worst_source_time ~rng:(rng_of_seed 1) ~sources:[]
+           (fun () -> Core.Dynamic.of_static (Graph.Builders.path_graph 4))))
 
 let suites =
   [
@@ -478,6 +510,8 @@ let suites =
         Alcotest.test_case "parsimonious validation" `Quick test_parsimonious_validation;
         Alcotest.test_case "mean_time deterministic" `Quick test_mean_time_deterministic;
         Alcotest.test_case "worst source" `Quick test_worst_source_path;
+        Alcotest.test_case "worst source needs sources" `Quick test_worst_source_empty;
+        Alcotest.test_case "negative cap rejected" `Quick test_flood_negative_cap;
         Alcotest.test_case "characteristic time" `Quick test_characteristic_time;
         Alcotest.test_case "arrivals = BFS on static" `Quick test_arrivals_are_bfs_on_static;
         Alcotest.test_case "arrivals unreachable" `Quick test_arrivals_unreachable;

@@ -137,12 +137,7 @@ let distinct arrays = List.length (List.sort_uniq compare (List.concat_map Array
 
 let with_tile_workers w f =
   Exec.Pool.set_workers w;
-  Exec.Pool.set_tile_min (Some 1);
-  Fun.protect
-    ~finally:(fun () ->
-      Exec.Pool.set_workers 1;
-      Exec.Pool.set_tile_min None)
-    f
+  Fun.protect ~finally:(fun () -> Exec.Pool.set_workers 1) f
 
 (* Plans run on the crew the tile kernels use, not on domains spawned
    per plan: two consecutive pool-2 plans and a width-2 fan-out after

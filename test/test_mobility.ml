@@ -817,13 +817,6 @@ let boundary_models =
     ("subsample every 3", fun () -> Core.Dynamic.subsample ~every:3 (waypoint ()));
   ]
 
-let flood_counters f =
-  let was = Obs.Metrics.enabled () in
-  Obs.Metrics.enable ();
-  Fun.protect
-    ~finally:(fun () -> if not was then Obs.Metrics.disable ())
-    (fun () -> Obs.Metrics.with_scope f)
-
 let check_same_flood label (a : Core.Flooding.result) (b : Core.Flooding.result) =
   Alcotest.(check (option int)) (label ^ ": time") b.time a.time;
   Alcotest.(check (array int)) (label ^ ": trajectory") b.trajectory a.trajectory;
@@ -842,11 +835,10 @@ let test_boundary_flood_equivalence (name, build) () =
     let label = Printf.sprintf "%s seed %d" name seed in
     (* Parsimonious floods can die out; the cap keeps those runs short. *)
     let run ?protocol g = Core.Flooding.run ~cap:300 ?protocol ~rng:(rng_of_seed seed) ~source g in
-    let hooked, counters = flood_counters (fun () -> run (build ())) in
+    let hooked, counters = with_counters (fun () -> run (build ())) in
     check_same_flood label hooked (run (without_boundary (build ())));
-    let count key = Option.value ~default:0 (List.assoc_opt key counters) in
-    Alcotest.(check int) (label ^ ": one boundary per round") (count "flood.rounds")
-      (count "flood.snapshots");
+    Alcotest.(check int) (label ^ ": one boundary per round") (count "flood.rounds" counters)
+      (count "flood.snapshots" counters);
     if seed < 5 then
       List.iter
         (fun protocol ->

@@ -1,36 +1,31 @@
 (* Intra-run parallelism (DESIGN.md section 11): the tile pool and the
    kernels built on it must be byte-identical to their sequential
    counterparts at every worker count, across the heap/off-heap layout
-   boundary and the chunk/partition boundaries. *)
+   boundary and the partition boundaries. *)
 
 let seeded k = Prng.Rng.of_seed k
 
-(* Run each test body with the tile pool forced to [w] workers (and,
-   when given, an explicit tile_min), restoring a quiescent pool
-   (workers = 1, env-driven tile_min) afterwards so the golden and
-   determinism suites that follow never see a fan-out. *)
-let with_pool ?tile_min w body =
+(* Run each test body with the tile pool forced to [w] workers,
+   restoring a quiescent pool (workers = 1) afterwards so the golden
+   and determinism suites that follow never see a fan-out. *)
+let with_pool w body =
   Exec.Pool.set_workers w;
-  Exec.Pool.set_tile_min tile_min;
-  Fun.protect
-    ~finally:(fun () ->
-      Exec.Pool.set_workers 1;
-      Exec.Pool.set_tile_min None)
-    body
+  Fun.protect ~finally:(fun () -> Exec.Pool.set_workers 1) body
 
 let check_result name (a : Core.Flooding.result) (b : Core.Flooding.result) =
   Alcotest.(check (option int)) (name ^ ": time") a.time b.time;
   Alcotest.(check (array int)) (name ^ ": trajectory") a.trajectory b.trajectory;
   Alcotest.(check (array int)) (name ^ ": arrivals") a.arrivals b.arrivals
 
-(* Heap-vs-offheap Flood equality at the storage boundary (2^17 +- 1)
-   and at chunk_nodes multiples +- 1, with the pool engaged — the
-   parallel tiled scan must reproduce the heap rows' answer exactly. *)
+(* Heap-vs-offheap equality at the storage boundary (2^17 +- 1) for
+   every protocol, with the model stepping on an engaged pool: the two
+   layouts' scans reach the same sets at the same times, draw the same
+   coins, read the same number of row entries and rebuild on the same
+   rounds. *)
 let test_flood_layouts_agree_parallel () =
-  let chunk = Graph.Storage.chunk_nodes in
   let sizes =
-    [ chunk - 1; chunk; chunk + 1; Graph.Storage.offheap_nodes - 1;
-      Graph.Storage.offheap_nodes; Graph.Storage.offheap_nodes + 1 ]
+    [ Graph.Storage.offheap_nodes - 1; Graph.Storage.offheap_nodes;
+      Graph.Storage.offheap_nodes + 1 ]
   in
   with_pool 4 (fun () ->
       List.iter
@@ -40,13 +35,22 @@ let test_flood_layouts_agree_parallel () =
              2^17 nodes. Only the flood kernel's adjacency layout
              varies. *)
           let g = Edge_meg.Classic.make ~parts:64 ~n ~p:(4. /. float_of_int n) ~q:0.5 () in
-          let heap =
-            Core.Flooding.run ~cap:64 ~storage:`Heap ~rng:(seeded 42) ~source:0 g
-          in
-          let off =
-            Core.Flooding.run ~cap:64 ~storage:`Offheap ~rng:(seeded 42) ~source:0 g
-          in
-          check_result (Printf.sprintf "n=%d" n) heap off)
+          List.iter
+            (fun (name, protocol) ->
+              let go storage =
+                Helpers.with_counters (fun () ->
+                    Core.Flooding.run ~cap:64 ~protocol ~storage ~rng:(seeded 42) ~source:0 g)
+              in
+              let heap, hc = go `Heap and off, oc = go `Offheap in
+              let label = Printf.sprintf "n=%d %s" n name in
+              check_result label heap off;
+              List.iter
+                (fun key ->
+                  Alcotest.(check int) (label ^ ": " ^ key) (Helpers.count key hc)
+                    (Helpers.count key oc))
+                [ "flood.edges"; "flood.snapshots" ])
+            [ ("flood", Core.Flooding.Flood); ("push", Core.Flooding.Push 0.4);
+              ("parsimonious", Core.Flooding.Parsimonious 2) ])
         sizes)
 
 (* The same off-heap run at 1, 2 and 4 workers: identical results, and
@@ -61,28 +65,41 @@ let test_flood_worker_count_invariance () =
   check_result "jobs 1 vs 2" r1 r2;
   check_result "jobs 1 vs 4" r1 r4
 
-(* Fan-out gating: undersized tile counts stay sequential. Observed
-   directly through [fan_out], and behaviourally by counting distinct
-   domains that execute tiles. *)
+(* Fan-out gating at two tiles per worker, observed through
+   [run_tiles] alone: undersized tile counts and a one-worker pool keep
+   every tile on the caller (tiles sleep 1 ms, so an engaged crew
+   would take some), while 8 tiles at 4 workers reach a helper (the
+   caller's tile waits, up to a deadline, for one to start). *)
 let test_fan_out_gating () =
-  with_pool ~tile_min:2 4 (fun () ->
-      Alcotest.(check bool) "8 tiles at 4 workers fans out" true (Exec.Pool.fan_out 8);
-      Alcotest.(check bool) "7 tiles stays sequential" false (Exec.Pool.fan_out 7);
-      Alcotest.(check bool) "0 tiles stays sequential" false (Exec.Pool.fan_out 0);
-      let caller = (Domain.self () :> int) in
-      let doms = Array.make 7 (-1) in
-      Exec.Pool.run_tiles 7 (fun i -> doms.(i) <- (Domain.self () :> int));
-      Array.iteri
-        (fun i d ->
-          Alcotest.(check int) (Printf.sprintf "undersized tile %d on caller" i) caller d)
-        doms);
-  with_pool ~tile_min:1 1 (fun () ->
-      Alcotest.(check bool) "1 worker never fans out" false (Exec.Pool.fan_out 1024))
+  let caller = (Domain.self () :> int) in
+  let on_caller label w ntiles =
+    with_pool w (fun () ->
+        let doms = Array.make ntiles (-1) in
+        Exec.Pool.run_tiles ntiles (fun i ->
+            Unix.sleepf 0.001;
+            doms.(i) <- (Domain.self () :> int));
+        Array.iteri
+          (fun i d ->
+            Alcotest.(check int) (Printf.sprintf "%s: tile %d on caller" label i) caller d)
+          doms)
+  in
+  on_caller "7 tiles at 4 workers" 4 7;
+  on_caller "64 tiles at 1 worker" 1 64;
+  with_pool 4 (fun () ->
+      let helper_ran = Atomic.make false in
+      let deadline = Unix.gettimeofday () +. 10. in
+      Exec.Pool.run_tiles 8 (fun _ ->
+          if (Domain.self () :> int) <> caller then Atomic.set helper_ran true
+          else
+            while (not (Atomic.get helper_ran)) && Unix.gettimeofday () < deadline do
+              Domain.cpu_relax ()
+            done);
+      Alcotest.(check bool) "8 tiles at 4 workers reach a helper" true (Atomic.get helper_ran))
 
 (* Inside a pool worker (trial-level parallelism), run_tiles degrades to
    the sequential loop instead of nesting fan-outs. *)
 let test_run_tiles_nested_sequential () =
-  with_pool ~tile_min:1 4 (fun () ->
+  with_pool 4 (fun () ->
       let results =
         Exec.map (Exec.pool 2) ~jobs:2 (fun _ ->
             let caller = (Domain.self () :> int) in
@@ -96,7 +113,7 @@ let test_run_tiles_nested_sequential () =
 (* A raising tile drains the pool (first exception wins, with its
    backtrace) and leaves it immediately reusable. *)
 let test_run_tiles_failure_drains () =
-  with_pool ~tile_min:1 4 (fun () ->
+  with_pool 4 (fun () ->
       (match Exec.Pool.run_tiles 64 (fun i -> if i = 13 then failwith "tile boom") with
       | () -> Alcotest.fail "expected run_tiles to raise"
       | exception Failure msg -> Alcotest.(check string) "message" "tile boom" msg);
@@ -139,7 +156,7 @@ let trace ?(steps = 5) ~seed g =
 let test_classic_parts_independence () =
   let n = 512 in
   let mk parts = Edge_meg.Classic.make ~parts ~n ~p:(4. /. float_of_int n) ~q:0.3 () in
-  with_pool ~tile_min:1 4 (fun () ->
+  with_pool 4 (fun () ->
       let ref_trace = trace ~seed:11 (mk 1) in
       List.iter
         (fun parts ->
@@ -154,42 +171,9 @@ let test_classic_parts_independence () =
 let test_partitioned_worker_invariance () =
   let n = 512 in
   let classic () = Edge_meg.Classic.make ~parts:8 ~n ~p:(4. /. float_of_int n) ~q:0.3 () in
-  let c1 = with_pool ~tile_min:1 1 (fun () -> trace ~seed:19 (classic ())) in
-  let c3 = with_pool ~tile_min:1 3 (fun () -> trace ~seed:19 (classic ())) in
+  let c1 = with_pool 1 (fun () -> trace ~seed:19 (classic ())) in
+  let c3 = with_pool 3 (fun () -> trace ~seed:19 (classic ())) in
   Alcotest.(check string) "classic: 1 vs 3 workers" c1 c3
-
-(* DYNGRAPH_TILE_MIN follows the warn-once env contract of
-   DYNGRAPH_JOBS: unset or junk fall back to the default, a positive
-   integer is honoured, and an explicit override beats the env. *)
-let test_tile_min_env () =
-  let saved = Sys.getenv_opt "DYNGRAPH_TILE_MIN" in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "DYNGRAPH_TILE_MIN" (Option.value ~default:"" saved);
-      Exec.Pool.set_tile_min None)
-  @@ fun () ->
-  Unix.putenv "DYNGRAPH_TILE_MIN" "";
-  Alcotest.(check int) "empty value ignored" 2 (Exec.Pool.tile_min ());
-  Unix.putenv "DYNGRAPH_TILE_MIN" "notanumber";
-  Alcotest.(check int) "unparsable value ignored" 2 (Exec.Pool.tile_min ());
-  Unix.putenv "DYNGRAPH_TILE_MIN" "0";
-  Alcotest.(check int) "non-positive value ignored" 2 (Exec.Pool.tile_min ());
-  Unix.putenv "DYNGRAPH_TILE_MIN" " 5 ";
-  Alcotest.(check int) "positive value honoured" 5 (Exec.Pool.tile_min ());
-  Exec.Pool.set_tile_min (Some 3);
-  Alcotest.(check int) "override beats env" 3 (Exec.Pool.tile_min ());
-  Alcotest.check_raises "set_tile_min 0 rejected"
-    (Invalid_argument "Exec.Pool.set_tile_min: must be >= 1") (fun () ->
-      Exec.Pool.set_tile_min (Some 0));
-  (* An undersized run under an env-raised tile_min stays sequential. *)
-  Exec.Pool.set_tile_min None;
-  Unix.putenv "DYNGRAPH_TILE_MIN" "64";
-  Exec.Pool.set_workers 4;
-  Fun.protect ~finally:(fun () -> Exec.Pool.set_workers 1) @@ fun () ->
-  Alcotest.(check bool) "255 tiles under tile_min=64*4" false (Exec.Pool.fan_out 255);
-  let caller = (Domain.self () :> int) in
-  Exec.Pool.run_tiles 255 (fun _ ->
-      Alcotest.(check int) "undersized tile on caller" caller ((Domain.self () :> int)))
 
 let suites =
   [
@@ -198,7 +182,6 @@ let suites =
         Alcotest.test_case "fan-out gating" `Quick test_fan_out_gating;
         Alcotest.test_case "nested stays sequential" `Quick test_run_tiles_nested_sequential;
         Alcotest.test_case "failure drains and reraises" `Quick test_run_tiles_failure_drains;
-        Alcotest.test_case "DYNGRAPH_TILE_MIN parsing" `Quick test_tile_min_env;
       ] );
     ( "parallel.meg",
       [
