@@ -617,7 +617,7 @@ let () =
      phases. Results are identical at every jobs count. *)
   Exec.Pool.set_workers (Exec.workers (sched ()));
   (* Fleet worker mode: spawned by a parent bench running with --procs
-     (and its --jobs). Serve experiment shards over stdin/stdout and
+     (and its --jobs). Serve experiments over stdin/stdout and
      exit — no banner, no micro phase. Metrics are always on (the
      parent's claim phase runs with them on and absorbs the deltas we
      ship back). *)

@@ -59,23 +59,23 @@ let jobs_arg =
 let procs_arg =
   let doc =
     "Number of forked worker processes for the execution engine. 0 (the \
-     default) keeps execution in-process; N shards whole experiments (or, for \
-     a single planned experiment, its trial shards) over a fleet of N \
-     $(b,dyngraph worker) processes with byte-identical output for every N. A \
-     crashed or wedged worker loses only its own shard, which is re-run on a \
-     fresh worker. Composes with $(b,--jobs): each worker is started with the \
-     same $(b,--jobs) and runs its shard's trial plans and tile kernels on \
-     that many domains. Defaults to $(b,DYNGRAPH_PROCS) when set (unparsable \
-     values are ignored with a warning)."
+     default) keeps execution in-process; N runs whole experiments on a fleet \
+     of up to N $(b,dyngraph worker) processes, one experiment per worker at \
+     a time, with byte-identical output for every N. A single experiment runs \
+     on one worker. A crashed or wedged worker loses only its own experiment, \
+     which is re-run on a fresh worker. Composes with $(b,--jobs): each worker \
+     is started with the same $(b,--jobs) and runs its experiment's trials \
+     and tile kernels on that many domains. Defaults to $(b,DYNGRAPH_PROCS) \
+     when set (negative or unparsable values are ignored with a warning)."
   in
   Arg.(value & opt (int_at_least 0) (Exec.default_procs ()) & info [ "procs" ] ~docv:"N" ~doc)
 
 let journal_arg =
   let doc =
-    "Checkpoint completed experiment shards to $(docv) (only meaningful with \
-     $(b,--procs)). If the run is interrupted, re-running the same command \
-     resumes from the journal instead of recomputing finished shards; a \
-     journal recorded for a different seed/scale/command is discarded."
+    "Checkpoint completed experiments to $(docv); requires $(b,--procs). If \
+     the run is interrupted, re-running the same command resumes from the \
+     journal instead of recomputing finished experiments; a journal recorded \
+     for a different seed/scale/command is discarded."
   in
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
 
@@ -133,16 +133,20 @@ let obs_finish ~metrics ~trace =
     end
   end
 
+let ( let* ) = Result.bind
+
 (* Fleet wiring shared by run/verify: spawn workers as this very
    executable's `worker` subcommand with the parent's --jobs, mirroring
    its metrics and tracing switches so the deltas the workers ship back
-   are complete. Returns the scheduler to use. *)
+   are complete. Returns the scheduler to use, or an error for a
+   journal without a fleet to checkpoint. *)
 let fleet_setup ~procs ~jobs ~journal ~metrics ~trace ~progress =
   (* --jobs also drives intra-run tile parallelism (Exec.Pool): the
      partitioned off-heap edge-MEG step fans out inside a single
      trial, with results identical at every jobs count. *)
   Exec.Pool.set_workers jobs;
-  if procs > 0 then begin
+  if journal <> None && procs = 0 then Error "--journal requires --procs"
+  else if procs > 0 then begin
     let cmd =
       Array.of_list
         ([ Sys.executable_name; "worker"; "--jobs"; string_of_int jobs ]
@@ -155,9 +159,9 @@ let fleet_setup ~procs ~jobs ~journal ~metrics ~trace ~progress =
     in
     Exec.set_worker_command (Some cmd);
     Exec.set_journal journal;
-    Exec.procs procs
+    Ok (Exec.procs procs)
   end
-  else Exec.of_int jobs
+  else Ok (Exec.of_int jobs)
 
 let id_arg =
   (* Derived from the registry so the range can never go stale again. *)
@@ -191,7 +195,7 @@ let run_cmd =
   let run id seed scale_opt full jobs procs journal metrics trace progress =
     let rng = Prng.Rng.of_seed seed in
     let scale = resolve_scale scale_opt full in
-    let sched = fleet_setup ~procs ~jobs ~journal ~metrics ~trace ~progress in
+    let* sched = fleet_setup ~procs ~jobs ~journal ~metrics ~trace ~progress in
     obs_setup ~metrics ~trace ~progress;
     let result =
       if String.lowercase_ascii id = "all" then begin
@@ -201,9 +205,8 @@ let run_cmd =
       else
         match resolve id with
         | Ok e ->
-            (* Planned experiments (Registry.plan) shard their trial
-               bags across the fleet under a procs scheduler; the rest
-               still degrade (loudly) to the domain pool inside Exec. *)
+            (* A one-job plan: in-process its own plans use the --jobs
+               pool; under --procs it runs on one worker. *)
             let ok = Simulate.Registry.run_one ~sched ~rng ~scale e in
             if ok then Ok () else Error (Printf.sprintf "%s: some checks failed" e.id)
         | Error m -> Error m
@@ -225,7 +228,7 @@ let verify_cmd =
   let run seed scale_opt full jobs procs journal metrics trace progress =
     let rng = Prng.Rng.of_seed seed in
     let scale = resolve_scale scale_opt full in
-    let sched = fleet_setup ~procs ~jobs ~journal ~metrics ~trace ~progress in
+    let* sched = fleet_setup ~procs ~jobs ~journal ~metrics ~trace ~progress in
     obs_setup ~metrics ~trace ~progress;
     (* Shares Registry.run_each with `run all`: same substream per
        experiment, so these scorecards match `run all --seed N` exactly. *)
@@ -295,8 +298,8 @@ let worker_cmd =
   (* The fleet worker entry point: spawned by a parent dyngraph running
      with --procs, never by hand. Speaks the length-prefixed protocol of
      Exec.Worker.serve on stdin/stdout; the parent passes its --jobs
-     (this worker's domain count, for trial plans and tile kernels
-     alike) and --metrics / --trace-mem to mirror its own observability
+     (this worker's domain count, for an experiment's own plans and
+     tile kernels alike) and --metrics / --trace-mem to mirror its own observability
      switches so the deltas shipped back are complete. *)
   let metrics_flag =
     Arg.(value & flag & info [ "metrics" ] ~doc:"Collect work counters for the parent.")
@@ -325,7 +328,7 @@ let worker_cmd =
   let term = Term.(const run $ jobs_arg $ metrics_flag $ trace_flag $ progress_pipe_flag) in
   Cmd.v
     (Cmd.info "worker"
-       ~doc:"Serve experiment shards over stdin/stdout (spawned by --procs)")
+       ~doc:"Serve experiments over stdin/stdout (spawned by --procs)")
     term
 
 let port_conv =
@@ -363,17 +366,18 @@ let serve_cmd =
   in
   let serve_procs_arg =
     let doc =
-      "Shard each request's trial plan across $(docv) worker processes \
-       (experiments with serialisable trial plans; others fall back to the \
-       in-process pool)."
+      "Run requests on a fleet of up to $(docv) worker processes instead of \
+       in-process. A request is one job, so it runs on one worker, \
+       crash-isolated from the daemon; the worker uses the daemon's \
+       $(b,--jobs) domains and forwards its progress frames."
     in
     Arg.(value & opt (int_at_least 0) 0 & info [ "procs" ] ~docv:"W" ~doc)
   in
   let run socket tcp jobs executors procs cache =
     (* The daemon always runs with a real clock and metrics: progress
-       throttling, latency measurement and the per-request
-       exec.procs_degraded surfacing all need them, and neither
-       perturbs rendered experiment bytes. *)
+       throttling and latency measurement need the clock, the stats
+       line at shutdown needs the counters, and neither perturbs
+       rendered experiment bytes. *)
     Obs.Clock.set Unix.gettimeofday;
     Obs.Metrics.enable ();
     if procs > 0 then

@@ -21,14 +21,15 @@ let procs w =
   if w < 1 then invalid_arg "Exec.procs: workers must be >= 1";
   Procs (min w max_workers)
 
-(* Warn-once bookkeeping for environment variables we refuse to guess
-   about: an unparsable value is ignored, but silently ignoring it cost
-   real debugging time, so say so (once per variable) on stderr. *)
-let warned_env : (string, unit) Hashtbl.t = Hashtbl.create 4
+(* Warn-once bookkeeping for environment values we refuse to guess
+   about: an unparsable or out-of-range value is ignored, but silently
+   ignoring it cost real debugging time, so say so (once per variable
+   and value) on stderr. *)
+let warned_env : (string * string, unit) Hashtbl.t = Hashtbl.create 4
 
 let warn_env var value expected =
-  if not (Hashtbl.mem warned_env var) then begin
-    Hashtbl.add warned_env var ();
+  if not (Hashtbl.mem warned_env (var, value)) then begin
+    Hashtbl.add warned_env (var, value) ();
     Printf.eprintf "dyngraph: ignoring %s=%S (expected %s)\n%!" var value expected
   end
 
@@ -38,8 +39,7 @@ let default () =
   | Some s -> (
       match int_of_string_opt (String.trim s) with
       | Some w when w >= 1 -> of_int w
-      | Some _ -> Sequential
-      | None ->
+      | Some _ | None ->
           warn_env "DYNGRAPH_JOBS" s "a positive integer";
           Sequential)
 
@@ -49,8 +49,7 @@ let default_procs () =
   | Some s -> (
       match int_of_string_opt (String.trim s) with
       | Some w when w >= 0 -> w
-      | Some _ -> 0
-      | None ->
+      | Some _ | None ->
           warn_env "DYNGRAPH_PROCS" s "a non-negative integer";
           0)
 
@@ -418,8 +417,6 @@ let set_worker_timeout t =
 
 let in_worker_flag = ref false
 
-let in_worker () = !in_worker_flag
-
 (* --- plans --- *)
 
 type ('a, 'b) plan = {
@@ -442,9 +439,9 @@ let plan_spec ~jobs ~job ~spec ~reduce =
    sequential rather than re-entering the crew. *)
 let inside_pool = Domain.DLS.new_key (fun () -> false)
 
-(* Set on the calling domain for the duration of any [run]: together
-   with [inside_pool] it identifies root-level plans, the ones progress
-   reporting is scoped to. *)
+(* Set on the calling domain for the duration of a [run] that splits
+   work: together with [inside_pool] it identifies root-level plans,
+   the ones progress reporting and the journal are scoped to. *)
 let inside_run = Domain.DLS.new_key (fun () -> false)
 
 (* --- observability --- *)
@@ -458,28 +455,6 @@ let c_completed = Obs.Metrics.counter "exec.jobs_completed"
 let c_failed = Obs.Metrics.counter "exec.jobs_failed"
 
 let c_shard_reruns = Obs.Metrics.counter "exec.shard_reruns"
-
-let c_procs_degraded = Obs.Metrics.counter "exec.procs_degraded"
-
-(* [Procs _] was requested but the plan is about to run on the
-   in-process pool instead. Warn once per process (stderr, so batch
-   output stays byte-identical) and count every occurrence, so service
-   responses can surface the degradation per request. *)
-let procs_degraded_warned = ref false
-
-let last_degradation : string option ref = ref None
-
-let last_procs_degradation () = !last_degradation
-
-let note_procs_degraded reason =
-  Obs.Metrics.incr c_procs_degraded;
-  last_degradation := Some reason;
-  if not !procs_degraded_warned then begin
-    procs_degraded_warned := true;
-    Printf.eprintf
-      "dyngraph: warning: --procs requested but this plan runs on the in-process pool (%s)\n%!"
-      reason
-  end
 
 (* Per-slot heartbeat gauges of fleet workers, stamped by the parent on
    each response and interned lazily. *)
@@ -852,11 +827,8 @@ type worker_proc = {
 
 let max_attempts = 3
 
-let run_procs w ~(specs : _ Spec.t array) ~plan_ord ~path ~progress ~journal_path =
+let run_procs w ~cmd ~(specs : _ Spec.t array) ~plan_ord ~path ~progress ~journal_path =
   let n = Array.length specs in
-  let cmd =
-    match !worker_command_ref with Some c -> c | None -> raise (Fleet_failure "no worker command")
-  in
   let results = Array.make n None in
   let completed = ref 0 in
   (* Replay one successful response payload: merge its counter deltas
@@ -1069,48 +1041,44 @@ let run_procs w ~(specs : _ Spec.t array) ~plan_ord ~path ~progress ~journal_pat
       live := []);
   Array.map (function Some v -> v | None -> raise (Fleet_failure "shard lost")) results
 
+(* Outside a worker, a [Procs _] plan always goes to the fleet. The
+   decision reads only process-wide state, never the domain-local root
+   flag: serve executors are threads on one domain, so one request's
+   nested plans would make a concurrent request's plan look nested. *)
+let fleet_spec s p =
+  match s with
+  | Procs _ when not !in_worker_flag -> (
+      match (p.spec, !worker_command_ref) with
+      | None, _ -> invalid_arg "Exec.run: a procs plan needs a job spec (Exec.plan_spec)"
+      | _, None -> invalid_arg "Exec.run: a procs plan needs Exec.set_worker_command"
+      | Some spec, Some cmd -> Some (spec, cmd))
+  | _ -> None
+
 let run s p =
   Obs.Metrics.incr c_plans;
-  let root =
-    (not (Domain.DLS.get inside_run)) && not (Domain.DLS.get inside_pool)
-  in
+  let fleet = fleet_spec s p in
+  (* Progress (and the journal) belong to the outermost plan that splits
+     work. A one-job in-process plan — a single experiment — leaves
+     them to the plans its job runs. *)
+  let splits = p.jobs > 1 || fleet <> None in
+  let saved_inside = Domain.DLS.get inside_run in
+  let root = splits && (not saved_inside) && not (Domain.DLS.get inside_pool) in
   let progress = root && Obs.Progress.enabled () in
   if progress then Obs.Progress.begin_plan ~jobs:p.jobs;
   let ambient = Obs.Ambient.capture () in
   let plan_ord = Obs.Ambient.next_plan () in
-  let saved_inside = Domain.DLS.get inside_run in
-  Domain.DLS.set inside_run true;
+  if splits then Domain.DLS.set inside_run true;
   let results =
     Fun.protect
       ~finally:(fun () ->
         Domain.DLS.set inside_run saved_inside;
         if progress then Obs.Progress.end_plan ())
       (fun () ->
-        let fleet =
-          match (s, p.spec) with
-          | Procs _, Some spec
-            when (not !in_worker_flag) && !worker_command_ref <> None && p.jobs > 1 ->
-              Some spec
-          | _ -> None
-        in
-        (* Satellite of the fleet contract: [Procs _] requested at the
-           root of a parent process but not honoured — say so once and
-           count it, instead of silently running in-process. Workers
-           degrade by design (the parent already sharded), and nested
-           plans degrade as part of whatever their root chose. *)
-        (if fleet = None && root && not !in_worker_flag then
-           match (s, p.spec) with
-           | Procs _, None -> note_procs_degraded "the plan has no serialisable job spec"
-           | Procs _, Some _ when !worker_command_ref = None ->
-               note_procs_degraded "no worker command is configured"
-           | Procs _, Some _ when p.jobs <= 1 ->
-               note_procs_degraded "the plan has a single job"
-           | _ -> ());
         match fleet with
-        | Some spec ->
+        | Some (spec, cmd) ->
             let path = (Obs.Ambient.frame ()).Obs.Ambient.path in
             let journal_path = if root then !journal_ref else None in
-            run_procs (workers s) ~specs:(Array.init p.jobs spec) ~plan_ord ~path ~progress
+            run_procs (workers s) ~cmd ~specs:(Array.init p.jobs spec) ~plan_ord ~path ~progress
               ~journal_path
         | None -> (
             let q = { p with job = instrument ~ambient ~plan_ord ~progress p.job } in

@@ -52,14 +52,16 @@ val pool : int -> scheduler
     [pool 1] is {!sequential}. Raises [Invalid_argument] when [w < 1]. *)
 
 val procs : int -> scheduler
-(** [procs w] runs the jobs of a {!plan_spec} plan on a fleet of [w]
-    forked worker processes (clamped like {!pool}). Unlike {!pool},
+(** [procs w] runs the jobs of a {!plan_spec} plan on a fleet of up to
+    [w] forked worker processes (clamped like {!pool}), one job per
+    worker at a time; a one-job plan uses one worker. Unlike {!pool},
     [procs 1] is {e not} {!sequential}: a single worker process is still
-    crash-isolated from the parent. Plans without a spec (or nested
-    plans inside a fleet run) degrade to the {!pool} path with the same
-    worker count. Requires {!set_worker_command} to have been called;
-    see {!Worker.serve} for the worker side. Raises [Invalid_argument]
-    when [w < 1]. *)
+    crash-isolated from the parent. {!run} raises [Invalid_argument] on
+    a [procs] plan without a spec or before {!set_worker_command}; it
+    never falls back to the in-process pool. Only inside a worker
+    process ({!Worker.serve}) does a [procs] plan run like [pool w]:
+    workers never fork grandchildren. Raises [Invalid_argument] when
+    [w < 1]. *)
 
 val of_int : int -> scheduler
 (** [of_int w] is {!sequential} when [w <= 1], else [pool w]. The shape
@@ -67,13 +69,14 @@ val of_int : int -> scheduler
 
 val default : unit -> scheduler
 (** [of_int] applied to the [DYNGRAPH_JOBS] environment variable;
-    {!sequential} when unset or unparsable. An unparsable value is
-    reported once on stderr rather than silently ignored. *)
+    {!sequential} when unset, below 1 or unparsable. A value below 1 or
+    unparsable is reported once on stderr rather than silently
+    ignored. *)
 
 val default_procs : unit -> int
 (** The [DYNGRAPH_PROCS] environment variable as a fleet size; [0]
-    (fleet disabled) when unset, negative or unparsable. An unparsable
-    value is reported once on stderr. *)
+    (fleet disabled) when unset, negative or unparsable. A negative or
+    unparsable value is reported once on stderr. *)
 
 val workers : scheduler -> int
 (** Worker count: 1 for {!sequential}, the (clamped) pool or fleet size
@@ -182,8 +185,8 @@ end
 val set_worker_command : string array option -> unit
 (** The argv (program first) to spawn for each fleet worker — typically
     the current executable with a subcommand that calls {!Worker.serve}.
-    [None] (the initial state) disables the fleet path: {!procs} plans
-    degrade to {!pool}. *)
+    [None] is the initial state, in which {!run} rejects {!procs}
+    plans. *)
 
 val set_journal : string option -> unit
 (** Checkpoint journal path for root-level {!procs} plans ([None]
@@ -224,23 +227,14 @@ module Deadline : sig
       negative once expired). *)
 end
 
-val last_procs_degradation : unit -> string option
-(** The reason the most recent root-level [Procs _] plan in this process
-    degraded to the in-process pool, if any ever has. Each occurrence
-    also increments the [exec.procs_degraded] counter and the first one
-    warns on stderr. *)
-
-val in_worker : unit -> bool
-(** Whether this process is a fleet worker ({!Worker.serve} was
-    entered). Inside a worker, {!procs} plans degrade to {!pool} —
-    workers never fork grandchildren. *)
-
 (** The worker side of the fleet protocol. *)
 module Worker : sig
   val serve :
     ?forward_progress:bool -> dispatch:(id:string -> payload:string -> string) -> unit -> unit
   (** Serve framed job requests from stdin, writing framed responses to
-      stdout, until EOF or an explicit shutdown frame.
+      stdout, until EOF or an explicit shutdown frame. Marks this
+      process as a worker: from here on {!procs} plans run like
+      {!pool} plans instead of spawning a fleet.
 
       Workers never render progress to the shared stderr (concurrent
       shards would tear each other's lines): {!Obs.Progress} is disabled
@@ -302,10 +296,18 @@ val run : scheduler -> ('a, 'b) plan -> 'b
     value can be threaded through every layer of a computation without
     oversubscribing the machine.
 
-    The [procs] fleet path (spec'd plan, worker command set, more than
-    one job, not already inside a worker) shards jobs over worker
-    processes in index order. A worker that crashes or exceeds the shard
-    timeout loses only its own shard, which is re-run on a fresh worker
+    Progress ({!Obs.Progress}) and the {!set_journal} journal belong to
+    the outermost plan that splits work: one with more than one job, or
+    a fleet plan. A one-job in-process plan leaves them to the plans
+    its job runs.
+
+    Outside a worker process, a [procs] plan always runs on the fleet,
+    and raises [Invalid_argument] when it has no spec or no
+    {!set_worker_command} is configured. The fleet hands jobs to worker
+    processes in index order, one at a time per worker; a worker's
+    forwarded progress frames reach the parent's progress line. A
+    worker that crashes or exceeds the shard timeout loses only its own
+    shard, which is re-run on a fresh worker
     (up to 3 attempts, counted by [exec.shard_reruns]); completed shards
     are kept, and checkpointed to the {!set_journal} journal when one is
     configured, so a killed parent resumes instead of recomputing. A

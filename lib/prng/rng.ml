@@ -27,7 +27,7 @@ let of_seed s = { state = mix64 (Int64.of_int s); gamma = golden_gamma }
 
 let copy t = { state = t.state; gamma = t.gamma }
 
-(* The whole generator is two words, which is what makes trial plans
+(* The whole generator is two words, which is what makes fleet jobs
    serialisable: a worker process rebuilds an experiment's generator
    from these bits and derives the exact same substreams. Not a draw
    and not a stream derivation, so neither function meters anything. *)

@@ -13,13 +13,10 @@
      {"frame":"progress","req":R,"id":I,"completed":C,"total":T,
       "sub":{"label":L,"completed":c,"total":t}?}   zero or more, then
      {"frame":"result","req":R,"id":I,"ok":B,"cached":B,"seconds":S,
-      "degraded":D,"output":O}                      exactly one; or
+      "output":O}                                   exactly one; or
      {"frame":"listing","req":R,"experiments":[{"id":I,"title":T},..]}
      {"frame":"pong","req":R}
-     {"frame":"error","req":R,"message":M}
-   [degraded] counts root plans of the request that asked for process
-   sharding but ran on the in-process pool (the exec.procs_degraded
-   metric scoped to the request). *)
+     {"frame":"error","req":R,"message":M} *)
 
 type request =
   | Run of {
@@ -45,7 +42,6 @@ type msg =
       ok : bool;
       cached : bool;
       seconds : float;
-      degraded : int;
       output : string;
     }
   | Listing of { req : int; experiments : (string * string) list }
@@ -112,7 +108,7 @@ let encode_msg m =
                   Jsonx.Obj
                     [ ("label", Jsonx.Str label); ("completed", num c); ("total", num t) ] );
               ])
-    | Result { req; id; ok; cached; seconds; degraded; output } ->
+    | Result { req; id; ok; cached; seconds; output } ->
         [
           ("frame", Jsonx.Str "result");
           ("req", num req);
@@ -120,7 +116,6 @@ let encode_msg m =
           ("ok", Jsonx.Bool ok);
           ("cached", Jsonx.Bool cached);
           ("seconds", Jsonx.Num seconds);
-          ("degraded", num degraded);
           ("output", Jsonx.Str output);
         ]
     | Listing { req; experiments } ->
@@ -231,9 +226,8 @@ let decode_msg line =
       let* ok = field_bool j "ok" in
       let* cached = field_bool j "cached" in
       let* seconds = field_num j "seconds" in
-      let* degraded = field_int j "degraded" in
       let* output = field_str j "output" in
-      Ok (Result { req; id; ok; cached; seconds; degraded; output })
+      Ok (Result { req; id; ok; cached; seconds; output })
   | "listing" ->
       let* exps =
         match Jsonx.member "experiments" j with

@@ -35,9 +35,6 @@ type msg =
       ok : bool;  (** all assessments passed *)
       cached : bool;  (** served from the warm result cache *)
       seconds : float;  (** execution time (monotonic); 0. when cached *)
-      degraded : int;
-          (** root plans that requested process sharding but ran on the
-              in-process pool (request-scoped [exec.procs_degraded]) *)
       output : string;
           (** rendered experiment output — byte-identical to the batch
               CLI [run <id> --seed S] stdout for the same parameters *)

@@ -5,11 +5,11 @@
    enqueued per connection and drained by [executors] executor threads
    that pick connections round-robin, so one greedy client cannot
    starve the rest. Parallelism also comes from *inside* each request —
-   the trial plans run on the in-process Domain pool (or, with [procs],
-   shard across a fleet of worker processes now that single experiments
-   have serialisable trial plans), and the persistent Exec.Pool tile
-   workers (plus per-domain DLS scratch and the Rng.Geo alias tables
-   interned by the kernels) stay warm across requests. That warm state,
+   the experiment's own plans run on the in-process Domain pool (or,
+   with [procs], the whole request runs on one worker process of a
+   fleet), and the persistent Exec.Pool tile workers (plus per-domain
+   DLS scratch and the Rng.Geo alias tables interned by the kernels)
+   stay warm across requests. That warm state,
    plus a bounded result cache keyed by the full request parameters, is
    the daemon's reason to exist over re-execing the batch CLI.
 
@@ -204,7 +204,7 @@ let execute t conn (job : job) =
   | Some (output, ok) ->
       Obs.Metrics.incr c_cache_hits;
       send_msg conn
-        (Result { req = job.req; id; ok; cached = true; seconds = 0.; degraded = 0; output })
+        (Result { req = job.req; id; ok; cached = true; seconds = 0.; output })
   | None ->
       let progress = t.config.executors <= 1 in
       if progress then begin
@@ -232,14 +232,10 @@ let execute t conn (job : job) =
          Simulate.Registry.single_outcome ~clock:Obs.Clock.monotonic ~render:job.render
            ~sched:t.sched ~seed:job.seed ~scale:job.scale job.exp
        with
-      | output, ok, seconds, metrics ->
+      | output, ok, seconds, _ ->
           finish ();
-          let degraded =
-            match List.assoc_opt "exec.procs_degraded" metrics with Some k -> k | None -> 0
-          in
           Cache.store t.cache key ~output ~ok;
-          send_msg conn
-            (Result { req = job.req; id; ok; cached = false; seconds; degraded; output })
+          send_msg conn (Result { req = job.req; id; ok; cached = false; seconds; output })
       | exception e ->
           finish ();
           Obs.Metrics.incr c_errors;
@@ -385,8 +381,8 @@ let create config =
   let t =
     {
       config;
-      (* With [procs] the request's trial plan shards across a worker
-         fleet (the hosting executable must have called
+      (* With [procs] each request is a one-job fleet plan that runs on
+         one worker process (the hosting executable must have called
          Exec.set_worker_command); otherwise the in-process pool. *)
       sched =
         (if config.procs > 0 then Exec.procs config.procs else Exec.of_int config.jobs);

@@ -5,11 +5,13 @@
     per connection answers [list]/[ping] inline and enqueues [run]
     requests per connection; [executors] executor threads drain the
     queues round-robin across connections — fair scheduling — while
-    parallelism also lives {e inside} each request (the trial plans run
-    on the in-process Domain pool sized by [jobs], or shard across a
-    [procs]-sized worker fleet, and the persistent {!Exec.Pool} tile
-    workers, per-domain scratch and interned alias tables stay warm
-    across requests). A bounded least-recently-used result cache keyed
+    parallelism also lives {e inside} each request (the experiment's
+    own plans run on the in-process Domain pool sized by [jobs], and the
+    persistent {!Exec.Pool} tile workers, per-domain scratch and
+    interned alias tables stay warm across requests). With [procs > 0]
+    each request is instead a one-job {!Exec.procs} plan: it runs on one
+    worker process, crash-isolated from the daemon, whose progress
+    frames are forwarded. A bounded least-recently-used result cache keyed
     by [(id, seed, scale, render)] answers repeats instantly with
     [cached = true].
 
@@ -19,9 +21,7 @@
 
     Concurrent executors share the process-global observability state:
     per-request progress frames are only emitted when [executors = 1]
-    (the renderer slot is single-user), and metric *attribution* (the
-    [degraded] field) can blur between concurrently-executing requests
-    — totals stay correct, outputs stay deterministic.
+    (the renderer slot is single-user). Outputs stay deterministic.
 
     The hosting executable should install a real wall clock and enable
     metrics before {!create}; [serve.requests], [serve.cache_hits] and
@@ -33,7 +33,9 @@ type config = {
   tcp_port : int option;  (** bound on loopback when set *)
   jobs : int;  (** in-process Domain pool size per request (>= 1) *)
   executors : int;  (** concurrent executor threads (>= 1) *)
-  procs : int;  (** worker-fleet size per request; 0 = in-process *)
+  procs : int;
+      (** worker-fleet size; 0 = in-process. A request is one job, so
+          it uses one worker. *)
   cache_capacity : int;  (** warm result-cache entries (>= 0); 0 disables *)
 }
 

@@ -8,124 +8,87 @@ let claim =
    Omega(sqrt(n)/v)); at fixed n it scales as 1/v; Manhattan trajectories \
    behave alike."
 
-(* The experiment as a trial plan (see Trial_plan): bags carry the
-   seeded trial batches, [render] rebuilds the tables from the per-bag
-   times. Bag construction preserves the rng-split order of the
-   pre-plan closures — [size_sweep @ speed_sweep] evaluated its right
-   operand first, so the speed bags draw their generators before the
-   size bags. *)
-let plan ~rng ~scale =
-  let trials = Runner.trials scale in
-  let r = 1.5 in
-  (* E6b speed sweep: waypoint and Manhattan bags per speed. *)
-  let n_speed = Runner.pick scale 96 256 in
-  let l_speed = sqrt (float_of_int n_speed) in
-  let vs = Runner.pick scale [ 0.5; 1.0; 2.0 ] [ 0.25; 0.5; 1.0; 2.0; 4.0 ] in
-  let speed_bags = ref [] in
-  List.iter
-    (fun v ->
-      let wp () =
-        Mobility.Waypoint.dynamic ~n:n_speed ~l:l_speed ~r ~v_min:v ~v_max:(1.25 *. v) ()
-      in
-      let mh () =
-        Mobility.Manhattan.dynamic ~n:n_speed ~l:l_speed ~r ~v_min:v ~v_max:(1.25 *. v) ()
-      in
-      let bag_wp, stats_wp =
-        Runner.flood_bag
-          ~label:(Printf.sprintf "speed v=%g waypoint" v)
-          ~rng:(Prng.Rng.split rng) ~trials wp
-      in
-      let bag_mh, stats_mh =
-        Runner.flood_bag
-          ~label:(Printf.sprintf "speed v=%g manhattan" v)
-          ~rng:(Prng.Rng.split rng) ~trials mh
-      in
-      speed_bags := (v, bag_wp, stats_wp, bag_mh, stats_mh) :: !speed_bags)
-    vs;
-  let speed_bags = List.rev !speed_bags in
-  (* E6a size sweep at v = 1. *)
+let size_sweep ~sched ~rng ~scale =
   let ns = Runner.pick scale [ 64; 128 ] [ 64; 128; 256; 512 ] in
-  let v = 1.0 in
-  let size_bags = ref [] in
+  let trials = Runner.trials scale in
+  let r = 1.5 and v = 1.0 in
+  let table =
+    Stats.Table.create ~title:"E6a size sweep (L = sqrt n, r = 1.5, v = 1)"
+      ~columns:
+        [ "n"; "L"; "flood mean"; "flood sd"; "bound"; "meas/bound"; "lower"; "meas/lower" ]
+  in
+  let points = ref [] in
   List.iter
     (fun n ->
       let l = sqrt (float_of_int n) in
       let dyn () = Mobility.Waypoint.dynamic ~n ~l ~r ~v_min:v ~v_max:(1.25 *. v) () in
-      let bag, stats_of =
-        Runner.flood_bag
-          ~label:(Printf.sprintf "size n=%d" n)
-          ~rng:(Prng.Rng.split rng) ~trials dyn
-      in
-      size_bags := (n, l, bag, stats_of) :: !size_bags)
+      let stats = Runner.flood ~sched ~rng:(Prng.Rng.split rng) ~trials dyn in
+      let bound = Theory.Bounds.waypoint ~l ~v_max:(1.25 *. v) ~r ~n in
+      let lower = Theory.Bounds.lower_bound_propagation ~l ~r ~v:(1.25 *. v) in
+      points := (float_of_int n, stats.mean) :: !points;
+      Stats.Table.add_row table
+        [
+          Int n;
+          Runner.cell l;
+          Runner.cell stats.mean;
+          Runner.cell stats.stddev;
+          Runner.cell bound;
+          Runner.ratio_cell stats.mean bound;
+          Runner.cell lower;
+          Runner.ratio_cell stats.mean lower;
+        ])
     ns;
-  let size_bags = List.rev !size_bags in
-  let bags =
-    Array.of_list
-      (List.concat_map (fun (_, bwp, _, bmh, _) -> [ bwp; bmh ]) speed_bags
-      @ List.map (fun (_, _, b, _) -> b) size_bags)
+  let fit = Stats.Regression.loglog !points in
+  let verdict =
+    Stats.Table.create ~title:"E6a scaling check"
+      ~columns:[ "quantity"; "value"; "expectation" ]
   in
-  let size_offset = 2 * List.length speed_bags in
-  let render results =
-    let table =
-      Stats.Table.create ~title:"E6a size sweep (L = sqrt n, r = 1.5, v = 1)"
-        ~columns:
-          [ "n"; "L"; "flood mean"; "flood sd"; "bound"; "meas/bound"; "lower"; "meas/lower" ]
-    in
-    let points = ref [] in
-    List.iteri
-      (fun i (n, l, _, stats_of) ->
-        let stats = stats_of results.(size_offset + i) in
-        let bound = Theory.Bounds.waypoint ~l ~v_max:(1.25 *. v) ~r ~n in
-        let lower = Theory.Bounds.lower_bound_propagation ~l ~r ~v:(1.25 *. v) in
-        points := (float_of_int n, stats.Runner.mean) :: !points;
-        Stats.Table.add_row table
-          [
-            Int n;
-            Runner.cell l;
-            Runner.cell stats.Runner.mean;
-            Runner.cell stats.Runner.stddev;
-            Runner.cell bound;
-            Runner.ratio_cell stats.Runner.mean bound;
-            Runner.cell lower;
-            Runner.ratio_cell stats.Runner.mean lower;
-          ])
-      size_bags;
-    let fit = Stats.Regression.loglog !points in
-    let verdict =
-      Stats.Table.create ~title:"E6a scaling check"
-        ~columns:[ "quantity"; "value"; "expectation" ]
-    in
+  Stats.Table.add_row verdict
+    [
+      Text "loglog slope of flood vs n";
+      Fixed (fit.slope, 3);
+      Text "~0.5 (sqrt n, plus polylog drift)";
+    ];
+  Stats.Table.add_row verdict [ Text "R^2"; Fixed (fit.r2, 3); Text "-" ];
+  if fit.dropped > 0 then
     Stats.Table.add_row verdict
-      [
-        Text "loglog slope of flood vs n";
-        Fixed (fit.slope, 3);
-        Text "~0.5 (sqrt n, plus polylog drift)";
-      ];
-    Stats.Table.add_row verdict [ Text "R^2"; Fixed (fit.r2, 3); Text "-" ];
-    if fit.dropped > 0 then
-      Stats.Table.add_row verdict
-        [ Text "dropped points"; Int fit.dropped; Text "non-positive, excluded from fit" ];
-    let speed =
-      Stats.Table.create
-        ~title:(Printf.sprintf "E6b speed sweep (n = %d, L = %.1f)" n_speed l_speed)
-        ~columns:[ "v"; "flood mean"; "flood * v"; "Manhattan mean"; "Manhattan * v" ]
-    in
-    List.iteri
-      (fun i (v, _, stats_wp, _, stats_mh) ->
-        let swp = stats_wp results.(2 * i) in
-        let smh = stats_mh results.((2 * i) + 1) in
-        Stats.Table.add_row speed
-          [
-            Runner.cell v;
-            Runner.cell swp.Runner.mean;
-            Runner.cell (swp.Runner.mean *. v);
-            Runner.cell smh.Runner.mean;
-            Runner.cell (smh.Runner.mean *. v);
-          ])
-      speed_bags;
-    [ table; verdict; speed ]
+      [ Text "dropped points"; Int fit.dropped; Text "non-positive, excluded from fit" ];
+  [ table; verdict ]
+
+let speed_sweep ~sched ~rng ~scale =
+  let n = Runner.pick scale 96 256 in
+  let l = sqrt (float_of_int n) in
+  let r = 1.5 in
+  let vs = Runner.pick scale [ 0.5; 1.0; 2.0 ] [ 0.25; 0.5; 1.0; 2.0; 4.0 ] in
+  let trials = Runner.trials scale in
+  let table =
+    Stats.Table.create
+      ~title:(Printf.sprintf "E6b speed sweep (n = %d, L = %.1f)" n l)
+      ~columns:[ "v"; "flood mean"; "flood * v"; "Manhattan mean"; "Manhattan * v" ]
   in
-  { Trial_plan.bags; render }
+  List.iter
+    (fun v ->
+      let wp () = Mobility.Waypoint.dynamic ~n ~l ~r ~v_min:v ~v_max:(1.25 *. v) () in
+      let mh () = Mobility.Manhattan.dynamic ~n ~l ~r ~v_min:v ~v_max:(1.25 *. v) () in
+      let swp = Runner.flood ~sched ~rng:(Prng.Rng.split rng) ~trials wp in
+      let smh = Runner.flood ~sched ~rng:(Prng.Rng.split rng) ~trials mh in
+      Stats.Table.add_row table
+        [
+          Runner.cell v;
+          Runner.cell swp.mean;
+          Runner.cell (swp.mean *. v);
+          Runner.cell smh.mean;
+          Runner.cell (smh.mean *. v);
+        ])
+    vs;
+  [ table ]
+
+(* The speed sweep splits its generators off [rng] first: the seeded
+   tables were recorded in that order. *)
+let run ~sched ~rng ~scale =
+  let speed = speed_sweep ~sched ~rng ~scale in
+  let size = size_sweep ~sched ~rng ~scale in
+  size @ speed
 
 let assess = function
   | [ size; verdict; speed ] ->

@@ -9,11 +9,7 @@
 val id : string
 val title : string
 val claim : string
-
-val plan : rng:Prng.Rng.t -> scale:Runner.scale -> Trial_plan.t
-(** The experiment's trial bags as data (speed-sweep bags first,
-    matching the historical rng-split order), so a single E6 run can
-    shard across a fleet — see {!Trial_plan}. *)
+val run : sched:Exec.scheduler -> rng:Prng.Rng.t -> scale:Runner.scale -> Stats.Table.t list
 
 val assess : Stats.Table.t list -> Assess.check list
-(** Shape checks over the tables produced by the plan's render. *)
+(** Shape checks over the tables produced by [run]. *)

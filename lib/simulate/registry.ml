@@ -3,7 +3,6 @@ type experiment = {
   title : string;
   claim : string;
   run : sched:Exec.scheduler -> rng:Prng.Rng.t -> scale:Runner.scale -> Stats.Table.t list;
-  plan : (rng:Prng.Rng.t -> scale:Runner.scale -> Trial_plan.t) option;
   assess : Stats.Table.t list -> Assess.check list;
 }
 
@@ -16,16 +15,8 @@ module type EXPERIMENT = sig
   val assess : Stats.Table.t list -> Assess.check list
 end
 
-module type PLANNED = sig
-  val id : string
-  val title : string
-  val claim : string
-  val plan : rng:Prng.Rng.t -> scale:Runner.scale -> Trial_plan.t
-  val assess : Stats.Table.t list -> Assess.check list
-end
-
 let wrap (module E : EXPERIMENT) =
-  { id = E.id; title = E.title; claim = E.claim; run = E.run; plan = None; assess = E.assess }
+  { id = E.id; title = E.title; claim = E.claim; run = E.run; assess = E.assess }
 
 type render = Full | Scorecard
 
@@ -33,102 +24,51 @@ type render = Full | Scorecard
 
 module B = Exec.Spec.Buf
 
-type payload =
-  | Experiment of { id : string; bits : int64 * int64; scale : Runner.scale; render : render }
-  | Trial of { id : string; bits : int64 * int64; scale : Runner.scale; shard : int }
+type payload = { id : string; bits : int64 * int64; scale : Runner.scale; render : render }
 
-(* One codec for both granularities of fleet job. Both kinds carry what
-   a worker needs to rebuild the parent's computation: the experiment
-   id, the generator's state bits (an experiment's generator, or a
-   planned experiment's captured *before* plan construction, so the
-   worker's rebuilt generator performs the same splits) and the scale.
-   A whole experiment 'X' adds its render mode; a trial shard 'T' adds
-   its index into the deterministic [Trial_plan.shards] list. *)
-let encode_payload p =
-  let tag, id, (state, gamma), scale, last =
-    match p with
-    | Experiment { id; bits; scale; render } ->
-        ('X', id, bits, scale, match render with Full -> 0 | Scorecard -> 1)
-    | Trial { id; bits; scale; shard } -> ('T', id, bits, scale, shard)
-  in
+(* The fleet job: everything a worker needs to rebuild the parent's
+   computation. It carries the generator's state bits rather than a
+   seed, so any generator can cross the process boundary. The leading
+   'X' tag keeps the bytes of journals written by earlier builds. *)
+let encode_payload { id; bits = state, gamma; scale; render } =
   let b = Buffer.create 64 in
-  Buffer.add_char b tag;
+  Buffer.add_char b 'X';
   B.add_string b id;
   B.add_int64 b state;
   B.add_int64 b gamma;
   B.add_int b (Runner.scale_to_int scale);
-  B.add_int b last;
+  B.add_int b (match render with Full -> 0 | Scorecard -> 1);
   Buffer.contents b
 
 let decode_payload s =
   let r = B.reader s in
   let tag = B.char r in
-  if tag <> 'X' && tag <> 'T' then raise (B.Corrupt (Printf.sprintf "payload: bad tag %C" tag));
+  if tag <> 'X' then raise (B.Corrupt (Printf.sprintf "payload: bad tag %C" tag));
   let id = B.string r in
   let state = B.int64 r in
   let gamma = B.int64 r in
-  let bits = (state, gamma) in
   let scale =
     let n = B.int r in
     try Runner.scale_of_int n
     with Invalid_argument _ -> raise (B.Corrupt (Printf.sprintf "payload: bad scale %d" n))
   in
-  let p =
-    if tag = 'T' then Trial { id; bits; scale; shard = B.int r }
-    else
-      match B.int r with
-      | 0 -> Experiment { id; bits; scale; render = Full }
-      | 1 -> Experiment { id; bits; scale; render = Scorecard }
-      | n -> raise (B.Corrupt (Printf.sprintf "payload: bad render %d" n))
+  let render =
+    match B.int r with
+    | 0 -> Full
+    | 1 -> Scorecard
+    | n -> raise (B.Corrupt (Printf.sprintf "payload: bad render %d" n))
   in
   if not (B.at_end r) then raise (B.Corrupt "payload: trailing bytes");
-  p
-
-let trial_spec ~id ~bits ~scale shard =
-  {
-    Exec.Spec.id = Printf.sprintf "%s.t%d" id shard;
-    payload = encode_payload (Trial { id; bits; scale; shard });
-    decode = Trial_plan.decode_result;
-  }
-
-(* Run [f] with the metric counters suppressed, restoring the previous
-   state. Worker-side plan *reconstruction* runs under this: the parent
-   already charged the construction-time work (rng splits, sizing
-   builds) when it built the plan once, so charging it again in every
-   worker would make --procs metrics diverge from --jobs. *)
-let without_metrics f =
-  let was = Obs.Metrics.enabled () in
-  Obs.Metrics.disable ();
-  Fun.protect ~finally:(fun () -> if was then Obs.Metrics.enable ()) f
-
-(* The run derived for a planned experiment: capture the generator's
-   bits, build the plan (advancing the generator exactly as the
-   closure-based run would), and execute it as one spec'd Exec plan
-   over the shards — which is what lets a *single* experiment shard
-   across a --procs fleet instead of degrading to the domain pool. *)
-let planned_run ~id ~make_plan ~sched ~rng ~scale =
-  let bits = Prng.Rng.state_bits rng in
-  let p = make_plan ~rng ~scale in
-  Trial_plan.execute ~spec:(trial_spec ~id ~bits ~scale) ~sched p
-
-let wrap_planned (module P : PLANNED) =
-  {
-    id = P.id;
-    title = P.title;
-    claim = P.claim;
-    run = (fun ~sched ~rng ~scale -> planned_run ~id:P.id ~make_plan:P.plan ~sched ~rng ~scale);
-    plan = Some P.plan;
-    assess = P.assess;
-  }
+  { id; bits = (state, gamma); scale; render }
 
 let all =
   [
-    wrap_planned (module E01_edge_meg_scaling);
+    wrap (module E01_edge_meg_scaling);
     wrap (module E02_edge_meg_crossover);
     wrap (module E03_stationarity_conditions);
     wrap (module E04_node_meg);
     wrap (module E05_waypoint_density);
-    wrap_planned (module E06_waypoint_flooding);
+    wrap (module E06_waypoint_flooding);
     wrap (module E07_waypoint_mixing);
     wrap (module E08_random_paths);
     wrap (module E09_augmented_grid);
@@ -145,7 +85,7 @@ let all =
 
 let find id =
   let target = String.lowercase_ascii id in
-  List.find_opt (fun e -> String.lowercase_ascii e.id = target) all
+  List.find_opt (fun (e : experiment) -> String.lowercase_ascii e.id = target) all
 
 (* The one experiment-seeding scheme, shared by [run_each] (hence
    run_all / verify / Export.export_all): experiment [i] always draws
@@ -192,30 +132,21 @@ let c_experiments = Obs.Metrics.counter "sim.experiments"
    counting, exp.start / exp.end bracketing, and the attribution scope
    all happen wherever the experiment actually runs, so counters and
    trace events are identical at any [--jobs] or [--procs] setting. *)
-let rendered_outcome ?clock ~render ~sched ~rng ~scale e =
+let rendered_outcome ?clock ~render ~sched ~rng ~scale (e : experiment) =
   let now () = match clock with Some f -> f () | None -> 0. in
   Obs.Metrics.incr c_experiments;
   if Obs.Trace.enabled () then Obs.Trace.emit "exp.start" [ ("id", Str e.id) ];
   let started = now () in
-  (* The scope sink rides the job's domain: nested trial plans run
-     sequentially inside a pool job (see Exec), so every counter
-     increment of this experiment — and only this experiment — lands
-     in its [metrics]. *)
+  (* The scope sink rides the job's domain and the pool domains its
+     nested plans run on (see Exec), so every counter increment of
+     this experiment — and only this experiment — lands in its
+     [metrics]. *)
   let (output, ok), metrics =
     Obs.Metrics.with_scope (fun () -> render_one ~render ~sched ~rng ~scale e)
   in
   if Obs.Trace.enabled () then
     Obs.Trace.emit "exp.end" [ ("id", Str e.id); ("ok", Int (if ok then 1 else 0)) ];
   (output, ok, now () -. started, metrics)
-
-(* The one seeding scheme for *single-experiment* entry points: the CLI
-   [run <id> --seed S] seeds the generator as [Prng.Rng.of_seed seed]
-   directly (no registry substream), and a serve [run] request must do
-   exactly the same, or service responses would not be byte-identical
-   to the batch CLI. Keeping both on this helper makes that contract a
-   single point of truth. *)
-let single_outcome ?clock ?(render = Full) ?(sched = Exec.sequential) ~seed ~scale e =
-  rendered_outcome ?clock ~render ~sched ~rng:(Prng.Rng.of_seed seed) ~scale e
 
 (* An outcome's wire form: rendered output, verdict, duration (worker
    wall clock — the only nondeterministic field, and one that never
@@ -228,81 +159,79 @@ let decode_outcome experiment raw =
   let metrics = B.pairs r in
   { experiment; output; ok; seconds; metrics }
 
-(* The worker side of every fleet job. A whole experiment runs through
+(* The worker side of every fleet job: the experiment runs through
    [rendered_outcome] on this process's [--jobs] domains, so the bytes
-   it returns are the bytes the parent would have rendered in-process.
-   A trial shard rebuilds its experiment's plan and runs just that
-   shard: the trial work (substream derivations, flooding counters)
-   runs with metrics live — those deltas are this shard's contribution,
-   absorbed by the parent — while reconstruction is suppressed (see
-   [without_metrics]). *)
+   it returns are the bytes the parent would have rendered in-process. *)
 let dispatch ~id:spec_id ~payload =
-  let lookup id =
+  let { id; bits; scale; render } = decode_payload payload in
+  if spec_id <> id then
+    failwith (Printf.sprintf "Registry.dispatch: spec id %S names experiment %S" spec_id id);
+  let e =
     match find id with
     | Some e -> e
     | None -> failwith (Printf.sprintf "Registry.dispatch: unknown experiment %S" id)
   in
-  match decode_payload payload with
-  | Experiment { id; bits; scale; render } ->
-      if spec_id <> id then
-        failwith (Printf.sprintf "Registry.dispatch: spec id %S names experiment %S" spec_id id);
-      let output, ok, seconds, metrics =
-        rendered_outcome ~clock:Obs.Clock.now ~render
-          ~sched:(Exec.of_int (Exec.Pool.workers ()))
-          ~rng:(Prng.Rng.of_state_bits bits) ~scale (lookup id)
-      in
-      let b = Buffer.create (String.length output + 64) in
-      B.add_string b output;
-      B.add_int b (if ok then 1 else 0);
-      B.add_float b seconds;
-      B.add_pairs b metrics;
-      Buffer.contents b
-  | Trial { id; bits; scale; shard } -> (
-      let expected = Printf.sprintf "%s.t%d" id shard in
-      if spec_id <> expected then
-        failwith (Printf.sprintf "Registry.dispatch: spec id %S names shard %S" spec_id expected);
-      match (lookup id).plan with
-      | None -> failwith (Printf.sprintf "Registry.dispatch: %S has no trial plan" id)
-      | Some make_plan ->
-          let p =
-            without_metrics (fun () -> make_plan ~rng:(Prng.Rng.of_state_bits bits) ~scale)
-          in
-          let shards = Trial_plan.shards p in
-          if shard < 0 || shard >= Array.length shards then
-            failwith
-              (Printf.sprintf "Registry.dispatch: shard %d out of range (%d shards)" shard
-                 (Array.length shards));
-          Trial_plan.encode_result (Trial_plan.run_shard p shards.(shard)))
+  let output, ok, seconds, metrics =
+    rendered_outcome ~clock:Obs.Clock.now ~render
+      ~sched:(Exec.of_int (Exec.Pool.workers ()))
+      ~rng:(Prng.Rng.of_state_bits bits) ~scale e
+  in
+  let b = Buffer.create (String.length output + 64) in
+  B.add_string b output;
+  B.add_int b (if ok then 1 else 0);
+  B.add_float b seconds;
+  B.add_pairs b metrics;
+  Buffer.contents b
 
-let run_each ?(render = Full) ?(sched = Exec.sequential) ?clock ~rng ~scale () =
-  let exps = Array.of_list all in
-  (* Exactly one side splits each experiment's substream: the job when
-     it runs in-process, or [spec] in the parent when the fleet runs it
-     (the worker only restores the state bits), so the rng.splits total
-     is identical at every --jobs and --procs setting. *)
+(* The one unit of work, for every entry point: a plan with one job per
+   experiment. In-process the job renders its experiment; on a fleet its
+   spec ships the same computation as a payload. Exactly one side calls
+   [rng_of i]: the job when it runs in-process, or [spec] in the parent
+   when the fleet runs it (the worker only restores the state bits), so
+   the rng.splits total is identical at every --jobs and --procs
+   setting. *)
+let run_experiments ?clock ~render ~sched ~scale ~rng_of (exps : experiment array) =
   let job i =
     let e = exps.(i) in
     let output, ok, seconds, metrics =
-      rendered_outcome ?clock ~render ~sched ~rng:(experiment_rng rng i) ~scale e
+      rendered_outcome ?clock ~render ~sched ~rng:(rng_of i) ~scale e
     in
     { experiment = e; output; ok; seconds; metrics }
   in
   let spec i =
     let e = exps.(i) in
-    let bits = Prng.Rng.state_bits (experiment_rng rng i) in
+    let bits = Prng.Rng.state_bits (rng_of i) in
     {
       Exec.Spec.id = e.id;
-      payload = encode_payload (Experiment { id = e.id; bits; scale; render });
+      payload = encode_payload { id = e.id; bits; scale; render };
       decode = decode_outcome e;
     }
   in
-  Exec.run sched (Exec.plan_spec ~jobs:(Array.length exps) ~job ~spec ~reduce:Array.to_list)
+  Exec.run sched (Exec.plan_spec ~jobs:(Array.length exps) ~job ~spec ~reduce:Fun.id)
+
+let run_each ?(render = Full) ?(sched = Exec.sequential) ?clock ~rng ~scale () =
+  Array.to_list
+    (run_experiments ?clock ~render ~sched ~scale ~rng_of:(experiment_rng rng)
+       (Array.of_list all))
+
+(* The one seeding scheme for *single-experiment* entry points: the CLI
+   [run <id> --seed S] seeds the generator as [Prng.Rng.of_seed seed]
+   directly (no registry substream), and a serve [run] request must do
+   exactly the same, or service responses would not be byte-identical
+   to the batch CLI. Keeping both on this helper makes that contract a
+   single point of truth. *)
+let single_outcome ?clock ?(render = Full) ?(sched = Exec.sequential) ~seed ~scale e =
+  let o =
+    (run_experiments ?clock ~render ~sched ~scale ~rng_of:(fun _ -> Prng.Rng.of_seed seed)
+       [| e |]).(0)
+  in
+  (o.output, o.ok, o.seconds, o.metrics)
 
 let run_one ?(out = stdout) ?(sched = Exec.sequential) ~rng ~scale e =
-  let output, ok = render_one ~render:Full ~sched ~rng ~scale e in
-  output_string out output;
+  let o = (run_experiments ~render:Full ~sched ~scale ~rng_of:(fun _ -> rng) [| e |]).(0) in
+  output_string out o.output;
   flush out;
-  ok
+  o.ok
 
 let summary_table verdicts =
   let summary =

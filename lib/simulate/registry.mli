@@ -2,11 +2,12 @@
     DESIGN.md, addressable by id, runnable from the CLI and from the
     benchmark harness, each with machine-checkable assessments.
 
-    All entry points take an {!Exec.scheduler}. [run_all], [verify] and
-    {!Export.export_all} distribute whole experiments over the pool
-    (each with per-experiment output buffered and emitted in registry
-    order), while a single experiment parallelises its own trial plans —
-    either way the rendered bytes are identical for every worker count,
+    The whole experiment is the one unit of work. Every entry point —
+    {!run_each} (hence [run_all], [verify] and the benchmark), {!run_one}
+    and {!single_outcome} — runs one {!Exec.plan_spec} plan with one job
+    per experiment, on any {!Exec.scheduler}: in-process under
+    {!Exec.sequential} or {!Exec.pool}, one worker process per job under
+    {!Exec.procs}. The rendered bytes are identical for every scheduler,
     because every trial's randomness is a substream indexed by its
     position, never by schedule (see {!Exec}). *)
 
@@ -16,11 +17,6 @@ type experiment = {
   claim : string;
   run :
     sched:Exec.scheduler -> rng:Prng.Rng.t -> scale:Runner.scale -> Stats.Table.t list;
-  plan : (rng:Prng.Rng.t -> scale:Runner.scale -> Trial_plan.t) option;
-      (** the experiment's trial bags as data, when it has been
-          converted ({!wrap_planned}); [run] is then derived from the
-          plan and a single experiment can shard across an
-          {!Exec.procs} fleet instead of degrading to the domain pool *)
   assess : Stats.Table.t list -> Assess.check list;
       (** shape checks over the tables produced by [run] *)
 }
@@ -37,49 +33,34 @@ type render =
 
 (** {2 Fleet payloads}
 
-    Every {!Exec.procs} job the registry hands out carries one of two
-    payloads, both rebuilt from the generator the parent was given —
-    never from a seed — so any generator can cross the process
-    boundary. Both carry the experiment id, the generator's
-    {!Prng.Rng.state_bits} and the scale:
+    Every {!Exec.procs} job the registry hands out carries one payload:
+    the experiment id, the state bits ({!Prng.Rng.state_bits}) of the
+    generator the parent would have run it with — never a seed, so any
+    generator can cross the process boundary — the scale and the render
+    mode. Its spec id is the experiment id. The worker side is
+    {!dispatch}. Codec exposed for the round-trip tests. *)
 
-    - a whole experiment (tag ['X'], spec id ["<id>"]) adds its render
-      mode; {!run_each} derives one per experiment from its [rng];
-    - a trial shard (tag ['T'], spec id ["<id>.t<shard>"]) adds its
-      index into {!Trial_plan.shards}; a planned experiment captures
-      the bits before it builds its plan.
-
-    The worker side is {!dispatch}. Codec exposed for the round-trip
-    tests. *)
-
-type payload =
-  | Experiment of { id : string; bits : int64 * int64; scale : Runner.scale; render : render }
-  | Trial of { id : string; bits : int64 * int64; scale : Runner.scale; shard : int }
+type payload = { id : string; bits : int64 * int64; scale : Runner.scale; render : render }
 
 val encode_payload : payload -> string
+(** Tag ['X'], then the fields in order. *)
 
 val decode_payload : string -> payload
 (** Inverse of {!encode_payload}; raises [Exec.Spec.Buf.Corrupt] on
     truncated input, trailing bytes, an unknown tag, scale or render. *)
 
 val dispatch : id:string -> payload:string -> string
-(** Execute one fleet job (worker side) and encode its result; the
+(** Execute one fleet job (worker side) and encode its outcome; the
     [dispatch] of {!Exec.Worker.serve}. [id] must be the spec id the
-    parent generated for the payload.
+    parent generated for the payload. The experiment renders on
+    [Exec.of_int (Exec.Pool.workers ())] — the worker's own [--jobs] —
+    with the same counting, trace bracketing and attribution scope as
+    an in-process job, so it returns exactly the bytes, counters and
+    trace events the parent would have produced. The decoded [seconds]
+    are measured on the worker's {!Obs.Clock}.
 
-    - A whole experiment runs {!rendered_outcome} on
-      [Exec.of_int (Exec.Pool.workers ())] — the worker's own [--jobs] —
-      so it returns exactly the bytes the parent would have rendered
-      in-process. The decoded [seconds] are measured on the worker's
-      {!Obs.Clock}.
-    - A trial shard rebuilds the experiment's plan (construction-time
-      metrics suppressed: the parent already charged them once), runs
-      the shard, and encodes its result with
-      {!Trial_plan.encode_result}.
-
-    Raises [Failure] on a spec id that does not match the payload, an
-    unknown experiment, an unplanned experiment named by a shard, or a
-    shard out of range. *)
+    Raises [Failure] on a spec id that does not match the payload or an
+    unknown experiment. *)
 
 val experiment_rng : Prng.Rng.t -> int -> Prng.Rng.t
 (** [experiment_rng rng i] is the generator for the [i]-th registry
@@ -109,23 +90,6 @@ type outcome = {
           disabled *)
 }
 
-val rendered_outcome :
-  ?clock:(unit -> float) ->
-  render:render ->
-  sched:Exec.scheduler ->
-  rng:Prng.Rng.t ->
-  scale:Runner.scale ->
-  experiment ->
-  string * bool * float * (string * int) list
-(** The complete per-experiment job body shared by {!run_each} and by
-    fleet workers ({!dispatch}): counts [sim.experiments], brackets the run
-    with [exp.start] / [exp.end] trace events, renders under a
-    {!Obs.Metrics.with_scope} attribution scope, and measures duration
-    with [clock] (reported as [0.] without one). Returns
-    [(output, ok, seconds, metrics)]. Running it worker-side is what
-    keeps counters and trace output identical across process
-    boundaries. *)
-
 val single_outcome :
   ?clock:(unit -> float) ->
   ?render:render ->
@@ -134,12 +98,16 @@ val single_outcome :
   scale:Runner.scale ->
   experiment ->
   string * bool * float * (string * int) list
-(** {!rendered_outcome} with the single-experiment seeding scheme:
-    the generator is [Prng.Rng.of_seed seed] directly, exactly as the
-    CLI [run <id> --seed S] seeds it. The serve daemon executes [run]
-    requests through this helper, which is what makes a service
-    response byte-identical to the equivalent batch CLI invocation.
-    [render] defaults to [Full], [sched] to [Exec.sequential]. *)
+(** Run one experiment as a one-job plan with the single-experiment
+    seeding scheme: the generator is [Prng.Rng.of_seed seed] directly,
+    exactly as the CLI [run <id> --seed S] seeds it. The serve daemon
+    executes [run] requests through this helper, which is what makes a
+    service response byte-identical to the equivalent batch CLI
+    invocation. Returns the {!outcome} fields
+    [(output, ok, seconds, metrics)]; [seconds] is measured with
+    [clock] ([0.] without one, or on the worker's clock under
+    {!Exec.procs}). [render] defaults to [Full], [sched] to
+    [Exec.sequential]. *)
 
 val run_each :
   ?render:render ->
@@ -154,14 +122,13 @@ val run_each :
     order with their rendered output and wall-clock duration in
     seconds. Durations are measured with [clock] (e.g.
     [Unix.gettimeofday]); without one they are reported as [0.] —
-    the library takes no clock dependency of its own. When tracing is
-    enabled, each experiment is bracketed by [exp.start] / [exp.end]
-    events carrying its id.
+    the library takes no clock dependency of its own. Each experiment
+    counts [sim.experiments] and, when tracing is enabled, is bracketed
+    by [exp.start] / [exp.end] events carrying its id.
 
     Under an {!Exec.procs} scheduler each experiment is one fleet job
-    whose ['X'] payload (see {!payload}) is derived from [rng], so the
-    fleet renders the same bytes as every other scheduler for any
-    generator. *)
+    whose {!payload} is derived from [rng], so the fleet renders the
+    same bytes as every other scheduler for any generator. *)
 
 val run_one :
   ?out:out_channel ->
@@ -170,8 +137,11 @@ val run_one :
   scale:Runner.scale ->
   experiment ->
   bool
-(** Run one experiment, print claim, tables and scorecard to [out]
-    (default stdout); returns whether all checks passed. *)
+(** Run one experiment as a one-job plan seeded with [rng], print
+    claim, tables and scorecard to [out] (default stdout); returns
+    whether all checks passed. Under a pool scheduler the experiment's
+    own plans use the pool; under {!Exec.procs} it runs on one worker
+    process. *)
 
 val run_all :
   ?out:out_channel ->

@@ -7,8 +7,7 @@ let trials = function Quick | Large -> 5 | Full -> 20
    layers on top (see bench/main.ml), not to bigger paper sweeps. *)
 let pick scale quick full = match scale with Quick | Large -> quick | Full -> full
 
-(* Wire codec for a scale, used by the trial-plan payloads (Registry)
-   and kept in sync with Fleet's copy by the round-trip tests. *)
+(* Wire codec for a scale, used by the fleet payload (Registry). *)
 let scale_to_int = function Quick -> 0 | Full -> 1 | Large -> 2
 
 let scale_of_int = function
@@ -32,30 +31,6 @@ let flood ?(sched = Exec.sequential) ~rng ~trials ?cap ?protocol ?source build =
     max;
     capped = max >= float_of_int cap_value;
   }
-
-(* [flood] as a trial-plan bag: the same cap derivation, the same
-   per-trial substream indexing (Trial_plan.run_shard mirrors
-   Flooding.mean_time's [substream rng i]), and a stats renderer that
-   reduces the trial times exactly as [flood] does — so converting an
-   experiment from [flood] to bags changes no rendered byte. *)
-let flood_bag ~label ~rng ~trials ?cap ?protocol ?(source = 0) build =
-  let n = Core.Dynamic.n (build ()) in
-  let cap_value = match cap with Some c -> c | None -> 10_000 + (200 * n) in
-  let run_trial trng =
-    float_of_int
-      (Core.Flooding.trial_time ~cap:cap_value ?protocol ~rng:trng ~source (build ()))
-  in
-  let stats_of times =
-    let summary = Stats.Summary.of_array times in
-    let max = Stats.Summary.max summary in
-    {
-      mean = Stats.Summary.mean summary;
-      stddev = (if trials > 1 then Stats.Summary.stddev summary else 0.);
-      max;
-      capped = max >= float_of_int cap_value;
-    }
-  in
-  ({ Trial_plan.label; trials; rng; run_trial }, stats_of)
 
 let cell f = Stats.Table.Float f
 

@@ -41,26 +41,11 @@ val flood :
     for the determinism contract. *)
 
 val scale_to_int : scale -> int
-(** Wire codec for a scale (0/1/2), used by trial-shard payloads. *)
+(** Wire codec for a scale (0/1/2), used by the registry's
+    fleet payload. *)
 
 val scale_of_int : int -> scale
 (** Inverse of {!scale_to_int}; raises [Invalid_argument] otherwise. *)
-
-val flood_bag :
-  label:string ->
-  rng:Prng.Rng.t ->
-  trials:int ->
-  ?cap:int ->
-  ?protocol:Core.Flooding.protocol ->
-  ?source:int ->
-  (unit -> Core.Dynamic.t) ->
-  Trial_plan.bag * (float array -> flood_stats)
-(** {!flood} decomposed for trial plans: the bag runs one flooding
-    trial per index (same cap derivation and substream indexing as
-    {!flood}), and the returned renderer reduces the bag's trial times
-    to the same {!flood_stats} — converting an experiment from [flood]
-    to bags changes no rendered byte. [source] defaults to node 0, as
-    in {!Core.Flooding.mean_time}. *)
 
 val cell : float -> Stats.Table.cell
 (** Shorthand for a 4-significant-digit float cell. *)

@@ -10,10 +10,13 @@
 #   2. verify with --metrics and --trace on a fleet matches the
 #      in-process run byte-for-byte on stdout, and the traces are
 #      identical modulo the "wall" field;
-#   3. killing one worker mid-run loses nothing: its shard is re-run
-#      on a fresh worker and the output still matches;
+#   3. killing one worker mid-run loses nothing: its experiment is
+#      re-run on a fresh worker and the output still matches;
 #   4. a run interrupted by SIGKILL of the parent resumes from its
-#      checkpoint journal and reproduces the uninterrupted output.
+#      checkpoint journal and reproduces the uninterrupted output;
+#   5. the large flood tier is byte-identical at --jobs 1 and 4;
+#   6. a single experiment's stdout and --metrics are byte-identical at
+#      --jobs 1, --procs 1/4 and --procs 2 --jobs 2.
 #
 # Usage: scripts/fleet_smoke.sh
 set -eu
@@ -68,7 +71,7 @@ echo "ok: verify metrics + trace identical (modulo wall) across the process boun
 
 # The worker assigned E5 exits hard (exit 70) before computing; the
 # marker file proves the crash actually fired and the scheduler must
-# re-run only that shard.
+# re-run only that experiment.
 marker="$tmp/crash.marker"
 DYNGRAPH_FLEET_CRASH="E5:$marker" \
   "$cli" run all --seed 42 --procs 3 >"$tmp/crashed.txt" 2>/dev/null
@@ -78,13 +81,14 @@ if ! cmp -s "$tmp/base_42.txt" "$tmp/crashed.txt"; then
   diff "$tmp/base_42.txt" "$tmp/crashed.txt" >&2 || true
   exit 1
 fi
-echo "ok: killed worker's shard re-ran, output unchanged"
+echo "ok: killed worker's experiment re-ran, output unchanged"
 
 # --- 4. checkpoint / resume ------------------------------------------
 
 # Start a fleet run with a journal, SIGKILL the parent once at least
-# one shard is checkpointed, then re-run the same command: it must
-# replay finished shards from the journal and produce the base output.
+# one experiment is checkpointed, then re-run the same command: it must
+# replay finished experiments from the journal and produce the base
+# output.
 journal="$tmp/run.journal"
 "$cli" run all --seed 42 --procs 2 --journal "$journal" \
   >"$tmp/interrupted.txt" 2>/dev/null &
@@ -149,29 +153,25 @@ grep -q '"large.flood_e2e"' "$tmp/large_j1.json" \
   || { echo "FAIL: large.flood_e2e row missing from bench JSON" >&2; exit 1; }
 echo "ok: large flood claim JSON byte-identical at --jobs 1 vs 4 (modulo wall facts)"
 
-# --- 6. single-experiment trial sharding ------------------------------
+# --- 6. single experiments on the fleet ------------------------------
 
-# A planned experiment (DESIGN.md section 13) shards its own trial bag
-# over the fleet: `run E6 --procs 4` must match `--procs 1` byte for
-# byte on stdout AND on --metrics work totals, and the degradation
-# counter must stay silent — the single-experiment path no longer
-# falls back to the domain pool.
-for id in E6 E1; do
-  "$cli" run "$id" --seed 42 --procs 1 --metrics >"$tmp/one_p1.txt" 2>/dev/null
-  "$cli" run "$id" --seed 42 --procs 4 --metrics >"$tmp/one_p4.txt" 2>/dev/null
-  if ! cmp -s "$tmp/one_p1.txt" "$tmp/one_p4.txt"; then
-    echo "FAIL: run $id stdout+metrics differ between --procs 1 and --procs 4" >&2
-    diff "$tmp/one_p1.txt" "$tmp/one_p4.txt" >&2 || true
-    exit 1
-  fi
-  if grep "exec\.procs_degraded" "$tmp/one_p4.txt" | grep -qv " 0$"; then
-    echo "FAIL: run $id --procs 4 degraded instead of sharding trials" >&2
-    grep "exec\.procs_degraded" "$tmp/one_p4.txt" >&2
-    exit 1
-  fi
-  grep -q "exec\.plans" "$tmp/one_p4.txt" \
+# A single experiment is a one-job plan (DESIGN.md section 13): in-process
+# under --jobs, on one worker under --procs. Its stdout and --metrics
+# work totals must be byte-identical at every topology.
+for id in E1 E2 E6; do
+  "$cli" run "$id" --seed 42 --jobs 1 --metrics >"$tmp/one_base.txt" 2>/dev/null
+  for variant in "--procs 1" "--procs 4" "--procs 2 --jobs 2"; do
+    # shellcheck disable=SC2086
+    "$cli" run "$id" --seed 42 $variant --metrics >"$tmp/one_got.txt" 2>/dev/null
+    if ! cmp -s "$tmp/one_base.txt" "$tmp/one_got.txt"; then
+      echo "FAIL: run $id stdout+metrics differ between --jobs 1 and $variant" >&2
+      diff "$tmp/one_base.txt" "$tmp/one_got.txt" >&2 || true
+      exit 1
+    fi
+  done
+  grep -q "exec\.plans" "$tmp/one_base.txt" \
     || { echo "FAIL: no exec metrics in run $id --metrics output" >&2; exit 1; }
-  echo "ok: run $id trial-shards across --procs 4, byte-identical to --procs 1, no degradation"
+  echo "ok: run $id stdout+metrics byte-identical at --jobs 1, --procs 1/4 and --procs 2 --jobs 2"
 done
 
 echo "fleet smoke passed"

@@ -240,28 +240,46 @@ let test_deadline_ignores_wall_clock =
       t := 110.;
       check_true "monotonic progress alone expires it" (Exec.Deadline.expired d))
 
-(* --- --procs degradation is loud --- *)
+(* --- procs plans never fall back to the pool --- *)
 
-(* A [procs] request that cannot shard (here: the plan carries no
-   serialisable spec) must fall back to the in-process pool, still
-   return the right answer, and say so: counter + recorded reason. *)
-let test_procs_degradation_counted () =
-  Exec.set_worker_command None;
-  Obs.Metrics.enable ();
-  Obs.Metrics.reset ();
+let raises_invalid f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+(* Outside a worker a [procs] plan goes to the fleet or nowhere: without
+   a spec, or before a worker command is set, [run] refuses it instead
+   of quietly running it in-process. *)
+let test_procs_rejects_unrunnable_plans () =
+  Exec.set_worker_command (Some [| "/nonexistent/dyngraph-worker"; "worker" |]);
+  Fun.protect
+    ~finally:(fun () -> Exec.set_worker_command None)
+    (fun () ->
+      check_true "a procs plan without a spec raises"
+        (raises_invalid (fun () -> Exec.run (Exec.procs 2) (square_plan 20))));
+  let spec i = { Exec.Spec.id = string_of_int i; payload = ""; decode = int_of_string } in
+  check_true "a procs plan before set_worker_command raises"
+    (raises_invalid (fun () ->
+         Exec.run (Exec.procs 2) (Exec.plan_spec ~jobs:3 ~job:Fun.id ~spec ~reduce:Fun.id)))
+
+(* --- progress belongs to the outermost plan that splits work --- *)
+
+(* A single in-process experiment is a one-job plan, which leaves
+   progress to the experiment's own plans: their updates count more
+   than one job. *)
+let test_single_experiment_progress () =
+  let totals = ref [] in
+  Obs.Progress.set_renderer (Some (fun u -> totals := u.Obs.Progress.total :: !totals));
+  Obs.Progress.enable ();
   Fun.protect
     ~finally:(fun () ->
-      Obs.Metrics.disable ();
-      Obs.Metrics.reset ())
+      Obs.Progress.disable ();
+      Obs.Progress.set_renderer None)
     (fun () ->
-      let expect = List.init 20 (fun i -> i * i) in
-      Alcotest.(check (list int)) "degraded run still correct" expect
-        (Exec.run (Exec.procs 2) (square_plan 20));
-      Alcotest.(check int) "exec.procs_degraded counted" 1
-        (Obs.Metrics.value (Obs.Metrics.counter "exec.procs_degraded"));
-      match Exec.last_procs_degradation () with
-      | Some reason -> check_true "reason mentions the spec" (String.length reason > 0)
-      | None -> Alcotest.fail "no degradation reason recorded")
+      let e6 = Option.get (Simulate.Registry.find "E6") in
+      ignore (Simulate.Registry.single_outcome ~seed:42 ~scale:Simulate.Runner.Quick e6));
+  check_true "an update counts the experiment's own jobs" (List.exists (fun t -> t > 1) !totals)
 
 let suites =
   [
@@ -302,9 +320,14 @@ let suites =
         Alcotest.test_case "arms and expires on the fake clock" `Quick test_deadline_expiry;
         Alcotest.test_case "ignores wall-clock jumps" `Quick test_deadline_ignores_wall_clock;
       ] );
-    ( "exec.degradation",
+    ( "exec.procs",
       [
-        Alcotest.test_case "--procs fallback is counted and explained" `Quick
-          test_procs_degradation_counted;
+        Alcotest.test_case "no spec or no worker command raises" `Quick
+          test_procs_rejects_unrunnable_plans;
+      ] );
+    ( "exec.progress",
+      [
+        Alcotest.test_case "single experiment reports its own plans" `Quick
+          test_single_experiment_progress;
       ] );
   ]

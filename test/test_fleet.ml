@@ -67,6 +67,69 @@ let test_codec_truncation () =
        false
      with B.Corrupt _ -> true)
 
+(* --- the registry's fleet payload --- *)
+
+module R = Simulate.Registry
+
+let rejects f =
+  try
+    ignore (f ());
+    false
+  with B.Corrupt _ -> true
+
+let test_payload_roundtrip () =
+  let cases =
+    [
+      { R.id = "E11"; bits = (Int64.max_int, 1L); scale = Simulate.Runner.Large; render = R.Full };
+      { R.id = "E3"; bits = (0L, 3L); scale = Simulate.Runner.Quick; render = R.Scorecard };
+      { R.id = "E1"; bits = (-1L, Int64.min_int); scale = Simulate.Runner.Full; render = R.Full };
+    ]
+  in
+  List.iter
+    (fun p -> check_true "decode inverts encode" (R.decode_payload (R.encode_payload p) = p))
+    cases
+
+(* [s] with the 8-byte integer field at byte [off] replaced by [v]. *)
+let with_int_at s off v =
+  let b = Buffer.create 8 in
+  B.add_int b v;
+  String.sub s 0 off ^ Buffer.contents b ^ String.sub s (off + 8) (String.length s - off - 8)
+
+let test_payload_corrupt () =
+  let payload =
+    R.encode_payload
+      { R.id = "E6"; bits = (42L, 7L); scale = Simulate.Runner.Quick; render = R.Full }
+  in
+  let decode s () = R.decode_payload s in
+  for len = 0 to String.length payload - 1 do
+    check_true
+      (Printf.sprintf "%d-byte prefix rejected" len)
+      (rejects (decode (String.sub payload 0 len)))
+  done;
+  check_true "trailing byte rejected" (rejects (decode (payload ^ "\x00")));
+  check_true "unknown tag rejected"
+    (rejects (decode ("Z" ^ String.sub payload 1 (String.length payload - 1))));
+  (* Tag, then the id "E6" (8-byte length + 2 bytes), then the two
+     8-byte halves of the generator state: the scale follows, and the
+     render after it. *)
+  let scale_at = 1 + 8 + 2 + 16 in
+  check_true "unknown scale rejected" (rejects (decode (with_int_at payload scale_at 7)));
+  check_true "unknown render rejected" (rejects (decode (with_int_at payload (scale_at + 8) 9)))
+
+let test_dispatch_rejects () =
+  let bits = Prng.Rng.state_bits (rng_of_seed 1) in
+  let fails id payload =
+    try
+      ignore (R.dispatch ~id ~payload);
+      false
+    with Failure _ -> true
+  in
+  let experiment id =
+    R.encode_payload { R.id; bits; scale = Simulate.Runner.Quick; render = R.Full }
+  in
+  check_true "unknown experiment rejected" (fails "E99" (experiment "E99"));
+  check_true "mismatched spec id rejected" (fails "E2" (experiment "E1"))
+
 (* --- checkpoint journal --- *)
 
 let entry_triples entries =
@@ -259,13 +322,7 @@ let test_fleet_worker_exception () =
       Exec.Spec.id = "E99";
       payload =
         Simulate.Registry.encode_payload
-          (Experiment
-             {
-               id = "E99";
-               bits = Prng.Rng.state_bits (rng_of_seed 1);
-               scale = quick;
-               render = Full;
-             });
+          { id = "E99"; bits = Prng.Rng.state_bits (rng_of_seed 1); scale = quick; render = Full };
       decode = Fun.id;
     }
   in
@@ -276,15 +333,86 @@ let test_fleet_worker_exception () =
        false
      with Exec.Fleet_failure _ -> true)
 
+(* --- single experiments: a one-job plan on one worker --- *)
+
+let single_bytes ~sched ~seed id =
+  let output, _, _, _ =
+    R.single_outcome ~sched ~seed ~scale:quick (Option.get (R.find id))
+  in
+  output
+
+let test_single_experiment_identity id =
+  with_fleet @@ fun () ->
+  List.iter
+    (fun seed ->
+      let seq = single_bytes ~sched:Exec.sequential ~seed id in
+      check_true "rendered something" (String.length seq > 200);
+      Alcotest.(check string)
+        (Printf.sprintf "%s seed %d: procs 1 = sequential" id seed)
+        seq
+        (single_bytes ~sched:(Exec.procs 1) ~seed id);
+      Alcotest.(check string)
+        (Printf.sprintf "%s seed %d: procs 4 = sequential" id seed)
+        seq
+        (single_bytes ~sched:(Exec.procs 4) ~seed id))
+    [ 42; 7 ]
+
+(* A single experiment is crash-isolated like any fleet job: the worker
+   running E2 dies once and a fresh worker re-runs it. *)
+let test_single_experiment_crash () =
+  with_fleet @@ fun () ->
+  let seq = single_bytes ~sched:Exec.sequential ~seed:42 "E2" in
+  let marker = Filename.temp_file "dyngraph_crash" ".marker" in
+  Sys.remove marker;
+  Fun.protect ~finally:(fun () -> try Sys.remove marker with Sys_error _ -> ())
+  @@ fun () ->
+  Unix.putenv "DYNGRAPH_FLEET_CRASH" ("E2:" ^ marker);
+  Alcotest.(check string) "output identical despite worker crash" seq
+    (single_bytes ~sched:(Exec.procs 1) ~seed:42 "E2");
+  check_true "the injected crash fired" (Sys.file_exists marker)
+
 (* --- env parsing (the warn-once satellite) --- *)
+
+(* Run [f] with file descriptor 2 pointed at a temporary file; return
+   its result and everything it wrote to stderr. *)
+let with_captured_stderr f =
+  let path = Filename.temp_file "dyngraph_stderr" ".txt" in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  (v, text)
+
+let lines_mentioning var text =
+  let n = String.length var in
+  let mentions l =
+    let rec at i = i + n <= String.length l && (String.sub l i n = var || at (i + 1)) in
+    at 0
+  in
+  List.length (List.filter mentions (String.split_on_char '\n' text))
 
 let test_env_parsing () =
   let saved_jobs = Sys.getenv_opt "DYNGRAPH_JOBS" in
   let saved_procs = Sys.getenv_opt "DYNGRAPH_PROCS" in
+  (* Restoring an unset variable to its unset meaning, since it cannot
+     be unset again: 1 job, no fleet. *)
   Fun.protect
     ~finally:(fun () ->
-      Unix.putenv "DYNGRAPH_JOBS" (Option.value ~default:"" saved_jobs);
-      Unix.putenv "DYNGRAPH_PROCS" (Option.value ~default:"" saved_procs))
+      Unix.putenv "DYNGRAPH_JOBS" (Option.value ~default:"1" saved_jobs);
+      Unix.putenv "DYNGRAPH_PROCS" (Option.value ~default:"0" saved_procs))
   @@ fun () ->
   Unix.putenv "DYNGRAPH_JOBS" "notanumber";
   Alcotest.(check int) "unparsable DYNGRAPH_JOBS ignored" 1 (Exec.workers (Exec.default ()));
@@ -293,7 +421,25 @@ let test_env_parsing () =
   Unix.putenv "DYNGRAPH_PROCS" "z9";
   Alcotest.(check int) "unparsable DYNGRAPH_PROCS is 0" 0 (Exec.default_procs ());
   Unix.putenv "DYNGRAPH_PROCS" "4";
-  Alcotest.(check int) "parsable DYNGRAPH_PROCS honoured" 4 (Exec.default_procs ())
+  Alcotest.(check int) "parsable DYNGRAPH_PROCS honoured" 4 (Exec.default_procs ());
+  (* Out-of-range values fall back like unparsable ones, and say so
+     exactly once however often they are read. *)
+  Unix.putenv "DYNGRAPH_JOBS" "0";
+  let workers, err =
+    with_captured_stderr (fun () ->
+        ignore (Exec.default ());
+        Exec.workers (Exec.default ()))
+  in
+  Alcotest.(check int) "DYNGRAPH_JOBS=0 is sequential" 1 workers;
+  Alcotest.(check int) "DYNGRAPH_JOBS=0 warns once" 1 (lines_mentioning "DYNGRAPH_JOBS" err);
+  Unix.putenv "DYNGRAPH_PROCS" "-3";
+  let procs, err =
+    with_captured_stderr (fun () ->
+        ignore (Exec.default_procs ());
+        Exec.default_procs ())
+  in
+  Alcotest.(check int) "DYNGRAPH_PROCS=-3 is 0" 0 procs;
+  Alcotest.(check int) "DYNGRAPH_PROCS=-3 warns once" 1 (lines_mentioning "DYNGRAPH_PROCS" err)
 
 let suites =
   [
@@ -301,6 +447,13 @@ let suites =
       [
         Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
         Alcotest.test_case "truncation" `Quick test_codec_truncation;
+        Alcotest.test_case "payload round-trip" `Quick test_payload_roundtrip;
+        Alcotest.test_case "payload corruption rejected" `Quick test_payload_corrupt;
+      ] );
+    ( "fleet.dispatch",
+      [
+        Alcotest.test_case "bad spec id / unknown experiment rejected" `Quick
+          test_dispatch_rejects;
       ] );
     ( "fleet.journal",
       [
@@ -320,6 +473,14 @@ let suites =
         Alcotest.test_case "worker exception fails plan" `Slow test_fleet_worker_exception;
         Alcotest.test_case "unseeded generator, procs 2 = sequential" `Slow
           test_fleet_any_generator;
+        Alcotest.test_case "E1 byte identity, procs 1/4, seeds 42/7" `Slow (fun () ->
+            test_single_experiment_identity "E1");
+        Alcotest.test_case "E6 byte identity, procs 1/4, seeds 42/7" `Slow (fun () ->
+            test_single_experiment_identity "E6");
+        Alcotest.test_case "E2 byte identity, procs 1/4, seeds 42/7" `Slow (fun () ->
+            test_single_experiment_identity "E2");
+        Alcotest.test_case "single experiment crash isolation" `Slow
+          test_single_experiment_crash;
       ] );
     ( "fleet.env",
       [ Alcotest.test_case "DYNGRAPH_JOBS / DYNGRAPH_PROCS parsing" `Quick test_env_parsing ] );

@@ -29,6 +29,5 @@ let () =
          Test_adversarial.suites;
          Test_integration.suites;
          Test_simulate.suites;
-         Test_trial_plan.suites;
          Test_serve.suites;
        ])

@@ -145,11 +145,10 @@ let test_protocol_msg_roundtrip () =
           ok = true;
           cached = false;
           seconds = 0.125;
-          degraded = 0;
           output = "== table ==\n  a  b\n  1  2\nquote \" backslash \\ done\n";
         };
       Serve.Protocol.Result
-        { req = 9; id = "E3"; ok = false; cached = true; seconds = 0.; degraded = 2; output = "" };
+        { req = 9; id = "E3"; ok = false; cached = true; seconds = 0.; output = "" };
       Serve.Protocol.Listing
         { req = 0; experiments = [ ("E1", "flooding vs bound"); ("E2", "crossover, \"quoted\"") ] };
       Serve.Protocol.Pong { req = 5 };
@@ -178,7 +177,7 @@ let test_protocol_msg_rejects () =
   let line =
     Serve.Protocol.encode_msg
       (Serve.Protocol.Result
-         { req = 1; id = "E1"; ok = true; cached = false; seconds = 1.; degraded = 0; output = "x\ny" })
+         { req = 1; id = "E1"; ok = true; cached = false; seconds = 1.; output = "x\ny" })
   in
   for len = 1 to String.length line - 1 do
     bad (String.sub line 0 len)
@@ -186,14 +185,14 @@ let test_protocol_msg_rejects () =
 
 (* --- end to end: a real server on a Unix socket --- *)
 
-let with_server f =
+let with_server ?(procs = 0) f =
   let socket_path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "dyngraph-test-%d.sock" (Unix.getpid ()))
   in
   let server =
     Serve.Server.create
-      { Serve.Server.socket_path; tcp_port = None; jobs = 1; executors = 1; procs = 0; cache_capacity = 8 }
+      { Serve.Server.socket_path; tcp_port = None; jobs = 1; executors = 1; procs; cache_capacity = 8 }
   in
   Fun.protect
     ~finally:(fun () -> Serve.Server.stop server)
@@ -233,17 +232,17 @@ let send_line fd line =
 
 type result_frame = { r_ok : bool; r_cached : bool; r_output : string }
 
-(* Read frames until this request's result, counting progress frames
-   along the way. *)
+(* Read frames until this request's result, collecting the [sub] field
+   of each progress frame along the way. *)
 let await_result ic ~req =
-  let progress = ref 0 in
+  let progress = ref [] in
   let rec go () =
     match Serve.Protocol.decode_msg (input_line ic) with
     | Ok (Serve.Protocol.Progress p) when p.req = req ->
-        incr progress;
+        progress := p.sub :: !progress;
         go ()
     | Ok (Serve.Protocol.Result r) when r.req = req ->
-        ({ r_ok = r.ok; r_cached = r.cached; r_output = r.output }, !progress)
+        ({ r_ok = r.ok; r_cached = r.cached; r_output = r.output }, List.rev !progress)
     | Ok (Serve.Protocol.Error e) -> Alcotest.failf "server error: %s" e.message
     | Ok _ -> go ()
     | Error e -> Alcotest.failf "bad frame from server: %s" e
@@ -324,6 +323,40 @@ let test_server_concurrent_clients () =
       check_true "repeats hit the warm cache" (s.Serve.Load.cached >= 1);
       check_true "progress frames streamed" (s.Serve.Load.progress_frames >= 1))
 
+(* A [procs] daemon runs each request as a one-job fleet plan on a
+   worker process: the output must equal the in-process batch path, and
+   the worker's own progress must reach the client as forwarded
+   (sub-labelled) progress frames. *)
+let test_server_fleet () =
+  Exec.set_worker_command
+    (Some [| "../bin/dyngraph_cli.exe"; "worker"; "--jobs"; "1"; "--progress-pipe" |]);
+  Fun.protect ~finally:(fun () -> Exec.set_worker_command None) @@ fun () ->
+  with_server ~procs:1 (fun path ->
+      let fd = connect path in
+      let ic = Unix.in_channel_of_descr fd in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          List.iteri
+            (fun req (id, seed) ->
+              send_line fd
+                (Serve.Protocol.encode_request ~req
+                   (Serve.Protocol.Run
+                      { id; seed; scale = Simulate.Runner.Quick; render = Simulate.Registry.Full }));
+              let r, progress = await_result ic ~req in
+              let expected, expected_ok, _, _ =
+                Simulate.Registry.single_outcome ~sched:Exec.sequential ~seed
+                  ~scale:Simulate.Runner.Quick
+                  (Option.get (Simulate.Registry.find id))
+              in
+              let what = Printf.sprintf "%s seed %d" id seed in
+              check_true (what ^ " not cached") (not r.r_cached);
+              Alcotest.(check string) (what ^ " output = sequential") expected r.r_output;
+              check_true (what ^ " verdict = sequential") (r.r_ok = expected_ok);
+              check_true (what ^ " forwarded a worker progress frame")
+                (List.exists Option.is_some progress))
+            [ ("E2", 42); ("E2", 7); ("E6", 42); ("E6", 7) ]))
+
 (* --- least-recently-used result cache --- *)
 
 module Cache = Serve.Server.Cache
@@ -393,6 +426,7 @@ let suites =
       [
         Alcotest.test_case "end to end on a unix socket" `Slow test_server_end_to_end;
         Alcotest.test_case "concurrent clients via load" `Slow test_server_concurrent_clients;
+        Alcotest.test_case "procs 1 daemon = sequential, with progress" `Slow test_server_fleet;
         Alcotest.test_case "create rejects out-of-range config" `Quick
           test_server_rejects_config;
       ] );
