@@ -29,4 +29,6 @@ val export_all :
     returned path list is always in registry order). Per-experiment
     substreams come from {!Registry.experiment_rng}, matching
     {!Registry.run_all}'s seeding, so exported numbers equal the
-    printed ones for the same seed and any worker count. *)
+    printed ones for the same seed and any worker count. Its jobs write
+    files and carry no job spec, so an {!Exec.procs} scheduler raises
+    [Invalid_argument] (see {!Exec.run}). *)
