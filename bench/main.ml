@@ -242,10 +242,8 @@ let large_tier () =
 (* --- service tier: the serve daemon under concurrent load --- *)
 
 (* One row of the JSON "service" array (schema 7): the serve daemon's
-   throughput and latency quantiles at one executor-count ×
-   client-concurrency level. *)
+   throughput and latency quantiles at one client-concurrency level. *)
 type service_row = {
-  svc_executors : int;
   svc_clients : int;
   svc_per_client : int;
   svc_completed : int;
@@ -262,7 +260,8 @@ type service_row = {
    vary_seed defeats the result cache (the claim is execution
    throughput, not cache hits) and the per-level seed bases are
    disjoint so no level warms another's alias tables into a cache
-   hit. *)
+   hit. The bases are the ones the 1-executor levels of schema 7
+   baselines used, so their rows stay comparable. *)
 let service_tier () =
   Printf.printf "\n==== Service tier (serve daemon, concurrent NDJSON clients) ====\n\n";
   let ids = [ "E1"; "E11"; "E13" ] in
@@ -273,14 +272,14 @@ let service_tier () =
   in
   Obs.Clock.set Unix.gettimeofday;
   Obs.Metrics.enable ();
-  let level ~executors ~clients =
+  let level clients =
     let server =
       Serve.Server.create
         {
           Serve.Server.socket_path;
           tcp_port = None;
           jobs = Exec.workers (sched ());
-          executors;
+          executors = 1;
           procs = 0;
           cache_capacity = 64;
         }
@@ -295,17 +294,16 @@ let service_tier () =
     in
     let s =
       Serve.Load.run ~connect ~clients ~per_client ~ids
-        ~seed:(42 + (executors * 1_000_000) + (clients * 100_000))
+        ~seed:(42 + 1_000_000 + (clients * 100_000))
         ~scale:Simulate.Runner.Quick ~render:Simulate.Registry.Full ~vary_seed:true ()
     in
     Serve.Server.stop server;
-    Printf.printf "executors=%d clients=%d: %d/%d ok, %.1f req/s, p50 %.1f ms, p99 %s%s\n"
-      executors clients s.Serve.Load.completed (clients * per_client) s.Serve.Load.rps
+    Printf.printf "clients=%d: %d/%d ok, %.1f req/s, p50 %.1f ms, p99 %s%s\n" clients
+      s.Serve.Load.completed (clients * per_client) s.Serve.Load.rps
       s.Serve.Load.p50_ms (Serve.Load.p99_to_string s)
       (if s.Serve.Load.errors > 0 then Printf.sprintf "  (%d ERRORS)" s.Serve.Load.errors
        else "");
     {
-      svc_executors = executors;
       svc_clients = clients;
       svc_per_client = per_client;
       svc_completed = s.Serve.Load.completed;
@@ -315,11 +313,7 @@ let service_tier () =
       svc_p99_ms = s.Serve.Load.p99_ms;
     }
   in
-  let rows =
-    List.concat_map
-      (fun executors -> List.map (fun clients -> level ~executors ~clients) [ 1; 2; 4 ])
-      [ 1; 2; 4 ]
-  in
+  let rows = List.map level [ 1; 2; 4 ] in
   Obs.Metrics.disable ();
   rows
 
@@ -594,16 +588,16 @@ let write_json path ~claims ~micro ~service =
         (if i = List.length micro - 1 then "" else ","))
     micro;
   (* Schema 7: the service tier's throughput/latency claims, one row
-     per executor-count × client-concurrency level. Empty (not absent)
+     per client-concurrency level. Empty (not absent)
      when the run skipped --serve, so readers can tell "not measured"
      from "older schema". *)
   Printf.fprintf oc "  ],\n  \"service\": [\n";
   List.iteri
     (fun i r ->
       Printf.fprintf oc
-        "    {\"executors\": %d, \"clients\": %d, \"per_client\": %d, \"completed\": %d, \
-         \"errors\": %d, \"rps\": %s, \"p50_ms\": %s, \"p99_ms\": %s}%s\n"
-        r.svc_executors r.svc_clients r.svc_per_client r.svc_completed r.svc_errors
+        "    {\"clients\": %d, \"per_client\": %d, \"completed\": %d, \"errors\": %d, \
+         \"rps\": %s, \"p50_ms\": %s, \"p99_ms\": %s}%s\n"
+        r.svc_clients r.svc_per_client r.svc_completed r.svc_errors
         (json_float r.svc_rps) (json_float r.svc_p50_ms) (json_float r.svc_p99_ms)
         (if i = List.length service - 1 then "" else ","))
     service;

@@ -4,11 +4,12 @@
      dune exec bin/bench_diff.exe -- OLD.json NEW.json \
        [--threshold PCT] [--gate NAME]...
 
-   Reads two BENCH_*.json files (schema dyngraph-bench/1 through /6;
-   /5 adds a "topology" object — worker domains and processes of the
-   claim phase — shown in the header lines; /6 adds a "service" array
-   of serve-daemon throughput/latency rows, one per client-concurrency
-   level),
+   Reads two BENCH_*.json files (schema dyngraph-bench/1 through /7,
+   parsed with Serve.Jsonx; /5 adds a "topology" object — worker
+   domains and processes of the claim phase — shown in the header
+   lines; /6 adds a "service" array of serve-daemon throughput/latency
+   rows, one per client-concurrency level; /7 baselines may also carry
+   multi-executor rows, which are skipped),
    prints per-claim wall-clock seconds and per-micro ns/run side by
    side with the delta as a percentage (positive = slower), and flags
    claim pass/fail transitions. Schema /3 baselines additionally carry
@@ -36,161 +37,15 @@
    on the next comparison. Pass/fail flips of any claim remain fatal
    regardless of gating. *)
 
-(* --- minimal JSON reader (no external dependency) --- *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+module J = Serve.Jsonx
 
 exception Parse of string
 
-let parse_json (s : string) : json =
-  let pos = ref 0 in
-  let len = String.length s in
-  let fail msg = raise (Parse (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if !pos < len && s.[!pos] = c then advance ()
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    if !pos + String.length word <= len && String.sub s !pos (String.length word) = word then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= len then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          if !pos >= len then fail "unterminated escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-              if !pos + 4 >= len then fail "truncated \\u escape";
-              let hex = String.sub s (!pos + 1) 4 in
-              let code = int_of_string ("0x" ^ hex) in
-              (* ASCII only; the writer never emits anything higher. *)
-              Buffer.add_char buf (Char.chr (code land 0x7f));
-              pos := !pos + 4
-          | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < len && num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((key, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          Arr (elements [])
-        end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then fail "trailing garbage";
-  v
+let str_or default j = Option.value ~default (Option.bind j J.str_opt)
 
-let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
+let num_or default j = Option.value ~default (Option.bind j J.num_opt)
 
-let str_or default j = match j with Some (Str s) -> s | _ -> default
-
-let num_or default j = match j with Some (Num f) -> f | _ -> default
-
-let bool_or default j = match j with Some (Bool b) -> b | _ -> default
+let bool_or default j = Option.value ~default (Option.bind j J.bool_opt)
 
 (* --- baseline extraction --- *)
 
@@ -198,12 +53,11 @@ type claim = { id : string; passed : bool; seconds : float; metrics : (string * 
 
 type micro = { name : string; ns_per_run : float; r_square : float }
 
-(* One serve-daemon load level. Keyed by [(executors, clients)]: levels
-   are compared across baselines at equal executor count and
-   concurrency. Baselines older than schema /7 carry no executor
-   field; those rows load as executors = 1 (what they measured). *)
+(* One serve-daemon load level, keyed by client count. The daemon has
+   one executor; schema /7 baselines also carry rows measured at 2 and
+   4 executors, which are skipped on load. Rows without an executor
+   field (schema /6) measured one executor. *)
 type service = {
-  sv_executors : int;
   sv_clients : int;
   sv_completed : int;
   sv_errors : int;
@@ -231,73 +85,79 @@ let load path =
   let size = in_channel_length ic in
   let contents = really_input_string ic size in
   close_in ic;
-  let j = parse_json contents in
+  let j =
+    match J.parse contents with
+    | Ok j -> j
+    | Error msg -> raise (Parse (Printf.sprintf "%s: %s" path msg))
+  in
   let claims =
-    match member "claims" j with
-    | Some (Arr l) ->
+    match J.member "claims" j with
+    | Some (J.Arr l) ->
         List.map
           (fun c ->
             let metrics =
-              match member "metrics" c with
-              | Some (Obj fields) ->
+              match J.member "metrics" c with
+              | Some (J.Obj fields) ->
                   List.filter_map
-                    (fun (k, v) -> match v with Num f -> Some (k, f) | _ -> None)
+                    (fun (k, v) -> match v with J.Num f -> Some (k, f) | _ -> None)
                     fields
               | _ -> []
             in
             {
-              id = str_or "?" (member "id" c);
-              passed = bool_or false (member "passed" c);
-              seconds = num_or nan (member "seconds" c);
+              id = str_or "?" (J.member "id" c);
+              passed = bool_or false (J.member "passed" c);
+              seconds = num_or nan (J.member "seconds" c);
               metrics;
             })
           l
     | _ -> []
   in
   let micros =
-    match member "micro" j with
-    | Some (Arr l) ->
+    match J.member "micro" j with
+    | Some (J.Arr l) ->
         List.map
           (fun m ->
             {
-              name = str_or "?" (member "name" m);
-              ns_per_run = num_or nan (member "ns_per_run" m);
-              r_square = num_or nan (member "r_square" m);
+              name = str_or "?" (J.member "name" m);
+              ns_per_run = num_or nan (J.member "ns_per_run" m);
+              r_square = num_or nan (J.member "r_square" m);
             })
           l
     | _ -> []
   in
   let services =
-    match member "service" j with
-    | Some (Arr l) ->
-        List.map
+    match J.member "service" j with
+    | Some (J.Arr l) ->
+        List.filter_map
           (fun r ->
-            {
-              sv_executors = int_of_float (num_or 1. (member "executors" r));
-              sv_clients = int_of_float (num_or nan (member "clients" r));
-              sv_completed = int_of_float (num_or 0. (member "completed" r));
-              sv_errors = int_of_float (num_or 0. (member "errors" r));
-              sv_rps = num_or nan (member "rps" r);
-              sv_p50_ms = num_or nan (member "p50_ms" r);
-              sv_p99_ms = num_or nan (member "p99_ms" r);
-            })
+            if num_or 1. (J.member "executors" r) <> 1. then None
+            else
+              Some
+                {
+                  sv_clients = int_of_float (num_or nan (J.member "clients" r));
+                  sv_completed = int_of_float (num_or 0. (J.member "completed" r));
+                  sv_errors = int_of_float (num_or 0. (J.member "errors" r));
+                  sv_rps = num_or nan (J.member "rps" r);
+                  sv_p50_ms = num_or nan (J.member "p50_ms" r);
+                  sv_p99_ms = num_or nan (J.member "p99_ms" r);
+                })
           l
     | _ -> []
   in
   let topology =
-    match member "topology" j with
+    match J.member "topology" j with
     | Some t ->
         Printf.sprintf "jobs %d procs %d"
-          (int_of_float (num_or nan (member "jobs" t)))
-          (int_of_float (num_or nan (member "procs" t)))
+          (int_of_float (num_or nan (J.member "jobs" t)))
+          (int_of_float (num_or nan (J.member "procs" t)))
     | None -> "-"
   in
   {
     path;
-    schema = str_or "?" (member "schema" j);
-    date = str_or "?" (member "date" j);
-    git_rev = str_or "-" (member "git_rev" j);
-    host = str_or "-" (member "hostname" j);
+    schema = str_or "?" (J.member "schema" j);
+    date = str_or "?" (J.member "date" j);
+    git_rev = str_or "-" (J.member "git_rev" j);
+    host = str_or "-" (J.member "hostname" j);
     topology;
     claims;
     micros;
@@ -363,7 +223,7 @@ let () =
             prerr_endline ("bench_diff: " ^ msg);
             exit 2
         | Parse msg ->
-            prerr_endline ("bench_diff: JSON parse error: " ^ msg);
+            prerr_endline ("bench_diff: JSON parse error in " ^ msg);
             exit 2)
     | _ ->
         prerr_endline "usage: bench_diff OLD.json NEW.json [--threshold PCT]";
@@ -492,39 +352,37 @@ let () =
   (* Service tier, report-only: daemon throughput depends on machine
      load far more than the deterministic claim tables do, so
      rps/latency deltas are for reading, never for --threshold. First
-     appearance of an (executors, clients) level (including the whole
-     table, on the first service-carrying baseline) renders as "new". *)
+     appearance of a clients level (including the whole table, on the
+     first service-carrying baseline) renders as "new". *)
   if old_b.services <> [] || new_b.services <> [] then begin
     let service_table =
       Stats.Table.create ~title:"service tier (serve daemon, report-only)"
         ~columns:
-          [ "exec"; "clients"; "old rps"; "new rps"; "delta"; "old p99 ms"; "new p99 ms";
-            "delta"; "status" ]
+          [ "clients"; "old rps"; "new rps"; "delta"; "old p99 ms"; "new p99 ms"; "delta";
+            "status" ]
     in
     let status (r : service) = if r.sv_errors > 0 then "ERRORS" else "ok" in
-    let same_level (a : service) (b : service) =
-      a.sv_executors = b.sv_executors && a.sv_clients = b.sv_clients
-    in
+    let same_level (a : service) (b : service) = a.sv_clients = b.sv_clients in
     List.iter
       (fun (os : service) ->
         match List.find_opt (fun (ns : service) -> same_level ns os) new_b.services with
         | None ->
             Stats.Table.add_row service_table
-              [ Int os.sv_executors; Int os.sv_clients; Fixed (os.sv_rps, 1); Missing;
-                Missing; Fixed (os.sv_p99_ms, 1); Missing; Missing; Text "missing" ]
+              [ Int os.sv_clients; Fixed (os.sv_rps, 1); Missing; Missing;
+                Fixed (os.sv_p99_ms, 1); Missing; Missing; Text "missing" ]
         | Some ns ->
             Stats.Table.add_row service_table
-              [ Int os.sv_executors; Int os.sv_clients; Fixed (os.sv_rps, 1);
-                Fixed (ns.sv_rps, 1); delta_cell (delta_pct os.sv_rps ns.sv_rps);
-                Fixed (os.sv_p99_ms, 1); Fixed (ns.sv_p99_ms, 1);
+              [ Int os.sv_clients; Fixed (os.sv_rps, 1); Fixed (ns.sv_rps, 1);
+                delta_cell (delta_pct os.sv_rps ns.sv_rps); Fixed (os.sv_p99_ms, 1);
+                Fixed (ns.sv_p99_ms, 1);
                 delta_cell (delta_pct os.sv_p99_ms ns.sv_p99_ms); Text (status ns) ])
       old_b.services;
     List.iter
       (fun (ns : service) ->
         if not (List.exists (fun (os : service) -> same_level os ns) old_b.services) then
           Stats.Table.add_row service_table
-            [ Int ns.sv_executors; Int ns.sv_clients; Missing; Fixed (ns.sv_rps, 1);
-              Missing; Missing; Fixed (ns.sv_p99_ms, 1); Missing; Text ("new " ^ status ns) ])
+            [ Int ns.sv_clients; Missing; Fixed (ns.sv_rps, 1); Missing; Missing;
+              Fixed (ns.sv_p99_ms, 1); Missing; Text ("new " ^ status ns) ])
       new_b.services;
     print_newline ();
     print_string (Stats.Table.render service_table)

@@ -355,25 +355,17 @@ let serve_cmd =
     in
     Arg.(value & opt (int_at_least 0) 64 & info [ "cache" ] ~docv:"N" ~doc)
   in
-  let executors_arg =
-    let doc =
-      "Concurrent executor threads draining the request queues. With one \
-       executor, per-request progress frames are streamed; with more, \
-       requests from different connections execute concurrently and \
-       progress frames are suppressed."
-    in
-    Arg.(value & opt (int_at_least 1) 1 & info [ "executors" ] ~docv:"E" ~doc)
-  in
   let serve_procs_arg =
     let doc =
-      "Run requests on a fleet of up to $(docv) worker processes instead of \
-       in-process. A request is one job, so it runs on one worker, \
-       crash-isolated from the daemon; the worker uses the daemon's \
-       $(b,--jobs) domains and forwards its progress frames."
+      "With 1, run each request on a worker process instead of in-process \
+       (0, the default), crash-isolated from the daemon; the worker uses the \
+       daemon's $(b,--jobs) domains and forwards its progress frames. A \
+       request is one job, so a larger fleet would never use a second \
+       worker."
     in
-    Arg.(value & opt (int_at_least 0) 0 & info [ "procs" ] ~docv:"W" ~doc)
+    Arg.(value & opt (enum [ ("0", 0); ("1", 1) ]) 0 & info [ "procs" ] ~docv:"W" ~doc)
   in
-  let run socket tcp jobs executors procs cache =
+  let run socket tcp jobs procs cache =
     (* The daemon always runs with a real clock and metrics: progress
        throttling and latency measurement need the clock, the stats
        line at shutdown needs the counters, and neither perturbs
@@ -395,7 +387,7 @@ let serve_cmd =
         Serve.Server.socket_path = socket;
         tcp_port = tcp;
         jobs;
-        executors;
+        executors = 1;
         procs;
         cache_capacity = cache;
       }
@@ -404,27 +396,22 @@ let serve_cmd =
     let stop _ = Serve.Server.request_stop t in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-    Printf.eprintf
-      "dyngraph serve: listening on %s%s (jobs %d, executors %d%s, cache %d)\n%!" socket
+    Printf.eprintf "dyngraph serve: listening on %s%s (jobs %d%s, cache %d)\n%!" socket
       (match tcp with Some p -> Printf.sprintf " and 127.0.0.1:%d" p | None -> "")
-      jobs executors
+      jobs
       (if procs > 0 then Printf.sprintf ", procs %d" procs else "")
       cache;
     Serve.Server.wait t
   in
-  let term =
-    Term.(
-      const run $ socket_arg $ tcp_arg $ jobs_arg $ executors_arg $ serve_procs_arg
-      $ cache_arg)
-  in
+  let term = Term.(const run $ socket_arg $ tcp_arg $ jobs_arg $ serve_procs_arg $ cache_arg) in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run a long-lived simulation daemon: concurrent NDJSON experiment \
-          requests over a Unix (and optional TCP) socket, fair per-connection \
-          scheduling, streamed progress frames, warm pool and result cache. \
-          Results are byte-identical to the batch $(b,run) command. SIGTERM \
-          shuts down cleanly.")
+         "Run a long-lived simulation daemon: NDJSON experiment requests from \
+          concurrent clients over a Unix (and optional TCP) socket, executed \
+          one at a time with fair per-connection scheduling, streamed progress \
+          frames, warm pool and result cache. Results are byte-identical to \
+          the batch $(b,run) command. SIGTERM shuts down cleanly.")
     term
 
 let load_cmd =

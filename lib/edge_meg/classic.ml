@@ -282,7 +282,9 @@ type strip = {
   b_u : Graph.Storage.I32.t;
   b_v : Graph.Storage.I32.t;
   mutable n_births : int;
-  deaths : Graph.Edge_buffer.I32.t;
+  d_u : Graph.Storage.I32.t;  (* deaths of the current step *)
+  d_v : Graph.Storage.I32.t;
+  mutable n_deaths : int;
   mutable rng : Prng.Rng.t;  (* substream [strip index] of the reset seed *)
 }
 
@@ -331,7 +333,9 @@ let make_partitioned ~init ~n ~p ~q ~parts () =
       b_u = St.I32.create 64;
       b_v = St.I32.create 64;
       n_births = 0;
-      deaths = Graph.Edge_buffer.I32.create ~capacity:64 ();
+      d_u = St.I32.create 64;
+      d_v = St.I32.create 64;
+      n_deaths = 0;
       rng = Prng.Rng.of_seed 0;
     }
   in
@@ -380,7 +384,7 @@ let make_partitioned ~init ~n ~p ~q ~parts () =
   let strip_reset st =
     Big.clear st.present;
     st.n_births <- 0;
-    Graph.Edge_buffer.I32.clear st.deaths;
+    st.n_deaths <- 0;
     match init with
     | Empty -> ()
     | Full -> assert false
@@ -406,7 +410,7 @@ let make_partitioned ~init ~n ~p ~q ~parts () =
   in
   let strip_step st =
     st.n_births <- 0;
-    Graph.Edge_buffer.I32.clear st.deaths;
+    st.n_deaths <- 0;
     (match geo_p with
     | Some geo ->
         let r = st.rng in
@@ -428,9 +432,12 @@ let make_partitioned ~init ~n ~p ~q ~parts () =
         scan_strip st st.rng p (fun idx u v ->
             if not (Big.mem st.present idx) then push_birth st idx u v));
     let on_death _ i =
-      Graph.Edge_buffer.I32.push st.deaths
-        (St.I32.unsafe_get st.eu i)
-        (St.I32.unsafe_get st.ev i);
+      let k = st.n_deaths in
+      St.I32.ensure st.d_u (k + 1);
+      St.I32.ensure st.d_v (k + 1);
+      St.I32.unsafe_set st.d_u k (St.I32.unsafe_get st.eu i);
+      St.I32.unsafe_set st.d_v k (St.I32.unsafe_get st.ev i);
+      st.n_deaths <- k + 1;
       let last = Big.length st.present in
       St.I32.unsafe_set st.eu i (St.I32.unsafe_get st.eu last);
       St.I32.unsafe_set st.ev i (St.I32.unsafe_get st.ev last)
@@ -497,16 +504,15 @@ let make_partitioned ~init ~n ~p ~q ~parts () =
            for k = 0 to st.n_births - 1 do
              birth (St.I32.unsafe_get st.b_u k) (St.I32.unsafe_get st.b_v k)
            done;
-           Graph.Edge_buffer.I32.iter st.deaths (fun u v -> death u v)
+           for k = 0 to st.n_deaths - 1 do
+             death (St.I32.unsafe_get st.d_u k) (St.I32.unsafe_get st.d_v k)
+           done
          done;
          true
        end
   in
   let delta_size () =
-    if !deltas_valid then
-      Array.fold_left
-        (fun acc st -> acc + st.n_births + Graph.Edge_buffer.I32.length st.deaths)
-        0 ss
+    if !deltas_valid then Array.fold_left (fun acc st -> acc + st.n_births + st.n_deaths) 0 ss
     else 0
   in
   Core.Dynamic.make ~fill_edges ~deltas ~delta_size ~expected_edges ~n ~reset ~step

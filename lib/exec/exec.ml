@@ -1043,8 +1043,8 @@ let run_procs w ~cmd ~(specs : _ Spec.t array) ~plan_ord ~path ~progress ~journa
 
 (* Outside a worker, a [Procs _] plan always goes to the fleet. The
    decision reads only process-wide state, never the domain-local root
-   flag: serve executors are threads on one domain, so one request's
-   nested plans would make a concurrent request's plan look nested. *)
+   flag, so it is the same on every thread and domain that calls [run]
+   and at every nesting depth. *)
 let fleet_spec s p =
   match s with
   | Procs _ when not !in_worker_flag -> (

@@ -144,42 +144,3 @@ let to_list b =
     acc := (b.srcs.(i), b.dsts.(i)) :: !acc
   done;
   !acc
-
-(* The same arena on int32 Bigarray storage: endpoints are node ids, so
-   they fit int32 cells, and a delta buffer carrying millions of edges
-   stays off the OCaml heap entirely. Only the operations the delta
-   paths use are mirrored; the sort/dedup machinery stays heap-only
-   (it is a construction-time tool, not a steady-state one). *)
-module I32 = struct
-  type t = {
-    srcs : Storage.I32.t;
-    dsts : Storage.I32.t;
-    mutable len : int;
-  }
-
-  let create ?(capacity = 16) () =
-    let capacity = max 1 capacity in
-    { srcs = Storage.I32.create capacity; dsts = Storage.I32.create capacity; len = 0 }
-
-  let length b = b.len
-
-  let capacity b = Storage.I32.length b.srcs
-
-  let clear b = b.len <- 0
-
-  let push b u v =
-    Storage.I32.ensure b.srcs (b.len + 1);
-    Storage.I32.ensure b.dsts (b.len + 1);
-    Storage.I32.unsafe_set b.srcs b.len u;
-    Storage.I32.unsafe_set b.dsts b.len v;
-    b.len <- b.len + 1
-
-  let src b i = Storage.I32.unsafe_get b.srcs i
-
-  let dst b i = Storage.I32.unsafe_get b.dsts i
-
-  let iter b f =
-    for i = 0 to b.len - 1 do
-      f (Storage.I32.unsafe_get b.srcs i) (Storage.I32.unsafe_get b.dsts i)
-    done
-end

@@ -52,29 +52,3 @@ val sort_dedup : t -> unit
 
 val to_list : t -> (int * int) list
 (** Materialise as a list in buffer order (test/debug convenience). *)
-
-(** The same arena on int32 Bigarray storage ({!Storage.I32}):
-    endpoints are node ids (bounded by [Storage.max_nodes]), so a
-    delta buffer carrying millions of edges lives entirely off the
-    OCaml heap. Mirrors the subset of operations the steady-state
-    delta paths use; the construction-time sort/dedup machinery is
-    deliberately not duplicated here. *)
-module I32 : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-
-  val length : t -> int
-
-  val capacity : t -> int
-
-  val clear : t -> unit
-
-  val push : t -> int -> int -> unit
-
-  val src : t -> int -> int
-
-  val dst : t -> int -> int
-
-  val iter : t -> (int -> int -> unit) -> unit
-end

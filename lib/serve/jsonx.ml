@@ -1,10 +1,10 @@
 (* A minimal JSON value type with a strict parser and a compact
-   renderer — the wire format of the serve protocol. Hand-rolled for
-   the same reason bench_diff's reader is: the protocol is tiny and the
-   repo takes no external dependencies. Strictness matters here more
-   than in bench_diff (we parse bytes from untrusted sockets): the
-   parser rejects truncated input, trailing garbage, bad escapes and
-   malformed numbers with a positioned error instead of guessing. *)
+   renderer — the wire format of the serve protocol, and the reader of
+   bench_diff's baselines. Hand-rolled because the protocol is tiny and
+   the repo takes no external dependencies. The parser reads bytes
+   from untrusted sockets, so it rejects truncated input, trailing
+   garbage, bad escapes and malformed numbers with a positioned error
+   instead of guessing. *)
 
 type t =
   | Null

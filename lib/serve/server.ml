@@ -2,16 +2,21 @@
 
    Concurrency model: one reader thread per connection parses request
    lines and answers the cheap ops (list/ping) inline; run requests are
-   enqueued per connection and drained by [executors] executor threads
-   that pick connections round-robin, so one greedy client cannot
-   starve the rest. Parallelism also comes from *inside* each request —
-   the experiment's own plans run on the in-process Domain pool (or,
-   with [procs], the whole request runs on one worker process of a
-   fleet), and the persistent Exec.Pool tile workers (plus per-domain
-   DLS scratch and the Rng.Geo alias tables interned by the kernels)
-   stay warm across requests. That warm state,
-   plus a bounded result cache keyed by the full request parameters, is
-   the daemon's reason to exist over re-execing the batch CLI.
+   enqueued per connection and drained by one executor thread that
+   picks connections round-robin, so one greedy client cannot starve
+   the rest. Requests run one at a time: Flooding's and Gossip's
+   scratch and Exec's inside-a-plan flags live in Domain.DLS, which
+   every thread of the domain shares, so a second executor thread
+   could see another request's state mid-run (two executors did
+   return results that differ from the batch CLI). A long request
+   therefore delays later ones, across connections too. Parallelism
+   comes from *inside* each request — the experiment's own plans run
+   on the in-process Domain pool (or, with [procs], the whole request
+   runs on one worker process), and the persistent Exec.Pool tile
+   workers (plus the per-domain scratch and the Rng.Geo alias tables
+   interned by the kernels) stay warm across requests. That warm state, plus a bounded
+   result cache keyed by the full request parameters, is the daemon's
+   reason to exist over re-execing the batch CLI.
 
    Byte identity: a run request executes through
    Registry.single_outcome, the same seeding scheme as the batch
@@ -19,9 +24,9 @@
    frame is byte-identical to that CLI invocation's stdout.
 
    Shutdown: request_stop (called from a SIGTERM/SIGINT handler) sets a
-   flag and pokes a self-pipe; the accept loop wakes, the executors
-   finish their current requests and fail the rest, sockets are shut
-   down so reader threads see EOF, and the Unix socket path is
+   flag and pokes a self-pipe; the accept loop wakes, the executor
+   finishes its current request and the queued ones fail, sockets are
+   shut down so reader threads see EOF, and the Unix socket path is
    unlinked. *)
 
 type config = {
@@ -131,7 +136,7 @@ type t = {
   mutable rr : int;  (* round-robin cursor over conns *)
   mutable listeners : Unix.file_descr list;
   mutable accept_thread : Thread.t option;
-  mutable executor_threads : Thread.t list;
+  mutable executor_thread : Thread.t option;
   mutable reader_threads : Thread.t list;
   cache : Cache.t;
 }
@@ -190,12 +195,9 @@ let cache_key (job : job) =
     (Protocol.scale_to_string job.scale)
     (Protocol.render_to_string job.render)
 
-(* Execute one run request and stream its frames. Per-request progress
-   frames require installing a renderer in the process-global
-   Obs.Progress state, which is only single-user when there is exactly
-   one executor thread — with more, progress is left alone (a
-   concurrent executor's frames would be attributed to the wrong
-   request). *)
+(* Execute one run request and stream its frames. The executor is the
+   only user of the process-global Obs.Progress renderer, so every
+   request streams its own progress frames. *)
 let execute t conn (job : job) =
   Obs.Metrics.incr c_requests;
   let id = job.exp.Simulate.Registry.id in
@@ -206,27 +208,22 @@ let execute t conn (job : job) =
       send_msg conn
         (Result { req = job.req; id; ok; cached = true; seconds = 0.; output })
   | None ->
-      let progress = t.config.executors <= 1 in
-      if progress then begin
-        let renderer (u : Obs.Progress.update) =
-          send_msg conn
-            (Progress
-               {
-                 req = job.req;
-                 id;
-                 completed = u.Obs.Progress.completed;
-                 total = u.Obs.Progress.total;
-                 sub = u.Obs.Progress.sub;
-               })
-        in
-        Obs.Progress.set_renderer (Some renderer);
-        Obs.Progress.enable ()
-      end;
+      let renderer (u : Obs.Progress.update) =
+        send_msg conn
+          (Progress
+             {
+               req = job.req;
+               id;
+               completed = u.Obs.Progress.completed;
+               total = u.Obs.Progress.total;
+               sub = u.Obs.Progress.sub;
+             })
+      in
+      Obs.Progress.set_renderer (Some renderer);
+      Obs.Progress.enable ();
       let finish () =
-        if progress then begin
-          Obs.Progress.disable ();
-          Obs.Progress.set_renderer None
-        end
+        Obs.Progress.disable ();
+        Obs.Progress.set_renderer None
       in
       (match
          Simulate.Registry.single_outcome ~clock:Obs.Clock.monotonic ~render:job.render
@@ -350,13 +347,15 @@ let accept_loop t () =
   done
 
 let create config =
-  let reject field v =
-    invalid_arg (Printf.sprintf "Server.create: %s must be >= %d" field v)
+  let reject field range =
+    invalid_arg (Printf.sprintf "Server.create: %s must be %s" field range)
   in
-  if config.jobs < 1 then reject "jobs" 1;
-  if config.executors < 1 then reject "executors" 1;
-  if config.cache_capacity < 0 then reject "cache_capacity" 0;
-  if config.procs < 0 then reject "procs" 0;
+  if config.jobs < 1 then reject "jobs" ">= 1";
+  if config.executors <> 1 then reject "executors" "1";
+  (* A request is a one-job plan, so a fleet never uses a second
+     worker. *)
+  if config.procs < 0 || config.procs > 1 then reject "procs" "0 or 1";
+  if config.cache_capacity < 0 then reject "cache_capacity" ">= 0";
   (* A stale socket file from a crashed daemon would make bind fail. *)
   (match Unix.lstat config.socket_path with
   | { Unix.st_kind = Unix.S_SOCK; _ } -> (try Unix.unlink config.socket_path with _ -> ())
@@ -395,14 +394,13 @@ let create config =
       rr = 0;
       listeners = !listeners;
       accept_thread = None;
-      executor_threads = [];
+      executor_thread = None;
       reader_threads = [];
       cache = Cache.create config.cache_capacity;
     }
   in
   t.accept_thread <- Some (Thread.create (accept_loop t) ());
-  t.executor_threads <-
-    List.init config.executors (fun _ -> Thread.create (executor t) ());
+  t.executor_thread <- Some (Thread.create (executor t) ());
   t
 
 let request_stop t =
@@ -420,12 +418,12 @@ let wait t =
     Thread.delay 0.2
   done;
   (match t.accept_thread with Some th -> Thread.join th | None -> ());
-  (* Wake the executors (the accept loop is gone, so conns is stable
+  (* Wake the executor (the accept loop is gone, so conns is stable
      modulo reader-thread retirement). *)
   Mutex.lock t.m;
   Condition.broadcast t.cv;
   Mutex.unlock t.m;
-  List.iter Thread.join t.executor_threads;
+  Option.iter Thread.join t.executor_thread;
   (* Fail whatever is still queued, then push EOF at the readers:
      shutdown (not close) interrupts their blocking reads. *)
   Mutex.lock t.m;

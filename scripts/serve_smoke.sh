@@ -11,8 +11,10 @@
 #      the warm result cache;
 #   3. progress frames stream to clients while requests execute;
 #   4. SIGTERM shuts the daemon down cleanly: exit 0, socket unlinked;
-#   5. a 2-executor daemon (concurrent request execution) still returns
-#      results byte-identical to the batch CLI.
+#   5. two clients sending fresh seeds at once to a --jobs 2 daemon get
+#      results byte-identical to the batch CLI: requests run one at a
+#      time, so no request shares the kernels' per-domain scratch with
+#      another.
 #
 # Usage: scripts/serve_smoke.sh
 set -eu
@@ -101,39 +103,38 @@ pid=""
 [ ! -e "$sock" ] || { echo "FAIL: socket file not unlinked on shutdown" >&2; exit 1; }
 echo "ok: SIGTERM shutdown clean (exit 0, socket unlinked)"
 
-# --- 4. multi-executor byte identity ---------------------------------
+# --- 4. fresh seeds from concurrent clients --------------------------
 
-# A daemon draining its queue with 2 executor threads runs requests
-# concurrently; every result must still match the batch CLI byte for
-# byte. --vary-seed defeats the result cache so both executors really
-# execute, and the fresh seeds need fresh batch references.
+# Two clients at once, 10 requests each over E1 and E11 with
+# --vary-seed: every request misses the cache and executes, and every
+# result must match the batch CLI byte for byte at its own seed.
 sock2="$tmp/dyngraph2.sock"
-"$cli" serve --socket "$sock2" --executors 2 --jobs 1 2>"$tmp/serve2.err" &
+"$cli" serve --socket "$sock2" --jobs 2 2>"$tmp/serve2.err" &
 pid=$!
 tries=0
 until [ -S "$sock2" ]; do
-  kill -0 "$pid" 2>/dev/null || { echo "FAIL: 2-executor daemon died on startup" >&2; cat "$tmp/serve2.err" >&2; exit 1; }
+  kill -0 "$pid" 2>/dev/null || { echo "FAIL: second daemon died on startup" >&2; cat "$tmp/serve2.err" >&2; exit 1; }
   tries=$((tries + 1))
-  [ "$tries" -lt 100 ] || { echo "FAIL: 2-executor daemon never bound $sock2" >&2; exit 1; }
+  [ "$tries" -lt 100 ] || { echo "FAIL: second daemon never bound $sock2" >&2; exit 1; }
   sleep 0.1
 done
 
-"$cli" load --socket "$sock2" --clients 2 --requests 2 --ids E2,E3 \
-  --seed 100 --vary-seed --dump "$tmp/dump2" >"$tmp/load2.out" 2>/dev/null \
-  || { echo "FAIL: load against 2-executor daemon reported errors" >&2; cat "$tmp/load2.out" >&2; exit 1; }
+"$cli" load --socket "$sock2" --clients 2 --requests 10 --ids E1,E11 \
+  --seed 200 --vary-seed --dump "$tmp/dump2" >"$tmp/load2.out" 2>/dev/null \
+  || { echo "FAIL: fresh-seed load reported errors" >&2; cat "$tmp/load2.out" >&2; exit 1; }
 cat "$tmp/load2.out"
 
 found=0
 for f in "$tmp"/dump2/*.out; do
-  [ -e "$f" ] || { echo "FAIL: no dump files from the 2-executor daemon" >&2; exit 1; }
+  [ -e "$f" ] || { echo "FAIL: no dump files from the fresh-seed load" >&2; exit 1; }
   base="${f##*/}"
   id="${base##*_}"
   id="${id%.out}"
-  # --vary-seed gives request k of client c seed 100 + global index;
-  # recover it from the dump name (c<client>_r<k>_<id>.out, 2 per client).
+  # --vary-seed gives request k of client c seed 200 + c * 10 + k;
+  # recover it from the dump name (c<client>_r<k>_<id>.out).
   c="${base#c}"; c="${c%%_*}"
   k="${base#*_r}"; k="${k%%_*}"
-  seed=$((100 + c * 2 + k))
+  seed=$((200 + c * 10 + k))
   "$cli" run "$id" --seed "$seed" >"$tmp/ref2.txt" 2>/dev/null
   if ! cmp -s "$tmp/ref2.txt" "$f"; then
     echo "FAIL: $f differs from batch 'run $id --seed $seed' stdout" >&2
@@ -142,20 +143,20 @@ for f in "$tmp"/dump2/*.out; do
   fi
   found=$((found + 1))
 done
-[ "$found" -eq 4 ] || { echo "FAIL: expected 4 results from the 2-executor daemon, got $found" >&2; exit 1; }
-echo "ok: 2-executor daemon results byte-identical to the batch CLI"
+[ "$found" -eq 20 ] || { echo "FAIL: expected 20 fresh-seed results, got $found" >&2; exit 1; }
+echo "ok: 20 fresh-seed results from 2 concurrent clients byte-identical to the batch CLI"
 
 kill -TERM "$pid"
 tries=0
 while kill -0 "$pid" 2>/dev/null; do
   tries=$((tries + 1))
-  [ "$tries" -lt 100 ] || { echo "FAIL: 2-executor daemon still running after SIGTERM" >&2; exit 1; }
+  [ "$tries" -lt 100 ] || { echo "FAIL: second daemon still running after SIGTERM" >&2; exit 1; }
   sleep 0.1
 done
 status=0
 wait "$pid" || status=$?
 pid=""
-[ "$status" -eq 0 ] || { echo "FAIL: 2-executor daemon exited $status" >&2; cat "$tmp/serve2.err" >&2; exit 1; }
-echo "ok: 2-executor daemon shutdown clean"
+[ "$status" -eq 0 ] || { echo "FAIL: second daemon exited $status" >&2; cat "$tmp/serve2.err" >&2; exit 1; }
+echo "ok: second daemon shutdown clean"
 
 echo "serve smoke passed"

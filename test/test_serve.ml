@@ -212,7 +212,9 @@ let test_server_rejects_config () =
     [
       ("jobs 0", { base with jobs = 0 });
       ("executors 0", { base with executors = 0 });
+      ("executors 2", { base with executors = 2 });
       ("procs -1", { base with procs = -1 });
+      ("procs 2", { base with procs = 2 });
       ("cache -1", { base with cache_capacity = -1 });
     ];
   check_true "no socket bound" (not (Sys.file_exists "unbound.sock"))
@@ -323,6 +325,78 @@ let test_server_concurrent_clients () =
       check_true "repeats hit the warm cache" (s.Serve.Load.cached >= 1);
       check_true "progress frames streamed" (s.Serve.Load.progress_frames >= 1))
 
+(* Two connections at once, each pipelining fresh-seed runs: every
+   result must equal the batch path for its seed. The daemon runs one
+   request at a time; a second executor thread would share the
+   flooding kernels' per-domain scratch with the request it interrupts,
+   and such a daemon returned results that differ from the batch
+   CLI. *)
+let test_server_concurrent_identity () =
+  let per_conn = 5 in
+  let streams = [ ("E11", 7_000); ("E1", 8_000) ] in
+  with_server (fun path ->
+      let conns =
+        List.map
+          (fun (id, base) ->
+            let fd = connect path in
+            let got = ref [] in
+            let read () =
+              let ic = Unix.in_channel_of_descr fd in
+              try
+                while List.length !got < per_conn do
+                  match Serve.Protocol.decode_msg (input_line ic) with
+                  | Ok (Serve.Protocol.Result r) -> got := (r.req, Ok (r.output, r.ok)) :: !got
+                  | Ok (Serve.Protocol.Error e) -> got := (e.req, Error e.message) :: !got
+                  | Ok _ -> ()
+                  | Error e -> got := (-1, Error ("bad frame: " ^ e)) :: !got
+                done
+              with End_of_file -> ()
+            in
+            (id, base, fd, got, Thread.create read ()))
+          streams
+      in
+      List.iter
+        (fun (id, base, fd, _, _) ->
+          for k = 0 to per_conn - 1 do
+            send_line fd
+              (Serve.Protocol.encode_request ~req:k
+                 (Serve.Protocol.Run
+                    {
+                      id;
+                      seed = base + k;
+                      scale = Simulate.Runner.Quick;
+                      render = Simulate.Registry.Full;
+                    }))
+          done)
+        conns;
+      (* Wait for every result before computing the batch references:
+         a reference computed on this thread while the executor still
+         runs the other connection's requests would share its scratch
+         too. *)
+      List.iter
+        (fun (_, _, fd, _, th) ->
+          Thread.join th;
+          try Unix.close fd with Unix.Unix_error _ -> ())
+        conns;
+      List.iter
+        (fun (id, base, _, got, _) ->
+          Alcotest.(check int) (id ^ " results") per_conn (List.length !got);
+          List.iter
+            (fun (req, r) ->
+              let seed = base + req in
+              let what = Printf.sprintf "%s seed %d" id seed in
+              match r with
+              | Error msg -> Alcotest.failf "%s: %s" what msg
+              | Ok (output, ok) ->
+                  let expected, expected_ok, _, _ =
+                    Simulate.Registry.single_outcome ~seed ~scale:Simulate.Runner.Quick
+                      (Option.get (Simulate.Registry.find id))
+                  in
+                  Alcotest.(check string) (what ^ " output = batch path") expected output;
+                  check_true (what ^ " verdict = batch path") (ok = expected_ok))
+            !got)
+        conns)
+
 (* A [procs] daemon runs each request as a one-job fleet plan on a
    worker process: the output must equal the in-process batch path, and
    the worker's own progress must reach the client as forwarded
@@ -429,5 +503,7 @@ let suites =
         Alcotest.test_case "procs 1 daemon = sequential, with progress" `Slow test_server_fleet;
         Alcotest.test_case "create rejects out-of-range config" `Quick
           test_server_rejects_config;
+        Alcotest.test_case "concurrent fresh seeds = batch path" `Slow
+          test_server_concurrent_identity;
       ] );
   ]
