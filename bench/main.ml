@@ -9,10 +9,13 @@
    BENCH_SCALE is the environment fallback for all three.
 
    The large tier runs an end-to-end flood on an off-heap edge-MEG at
-   n = 2^20 nodes (BENCH_LARGE_N overrides — CI smokes it at 2^18) and
-   records GC gauges (major words allocated, top-heap words,
-   compactions) through Obs.Metrics into the JSON baseline: the
+   n = 2^20 nodes (BENCH_LARGE_N overrides, down to 2^17 — CI smokes it
+   at 2^18) and records GC gauges (major words allocated, top-heap
+   words, compactions) through Obs.Metrics into the JSON baseline: the
    off-heap storage claim is precisely that these stay n-independent.
+   It runs before the claim phase, so its top-heap gauge (the process's
+   peak so far) is the flood's own; its row still comes last in the
+   JSON claims array.
 
    Part 2 is a Bechamel micro-benchmark suite for the hot primitives
    (one Test.make per primitive, grouped in one run): model stepping,
@@ -69,15 +72,19 @@ let scale_name = function
   | Simulate.Runner.Large -> "large"
 
 (* The large tier's end-to-end size. Only the e2e claim scales with
-   this; the frontier_scan_large micro stays at its fixed n. *)
+   this; the frontier_scan_large micro stays at its fixed n. Below
+   Graph.Storage.offheap_nodes, Edge_meg.Classic.make picks its heap
+   engine, whose O(n^2) position array is not the off-heap run the row
+   names, so smaller sizes are rejected. *)
 let large_n () =
+  let min = Graph.Storage.offheap_nodes in
   match Sys.getenv_opt "BENCH_LARGE_N" with
   | None | Some "" -> 1 lsl 20
   | Some s -> (
       match int_of_string_opt s with
-      | Some n when n > 1 -> n
+      | Some n when n >= min -> n
       | _ ->
-          Printf.eprintf "bench: BENCH_LARGE_N must be an integer > 1, got %S\n" s;
+          Printf.eprintf "bench: BENCH_LARGE_N must be an integer >= %d, got %S\n" min s;
           exit 2)
 
 (* --FLAG N on the command line as an integer >= [min]; anything else
@@ -624,6 +631,7 @@ let () =
   (* Validate --procs before any work starts, not at first use. *)
   ignore (procs ());
   let sc = scale () in
+  let large = if sc = Simulate.Runner.Large then large_tier () else [] in
   (* --only-large skips the registry claim phase: the smoke scripts
      compare the large-tier row across --jobs counts and should not
      pay for the full table twice. *)
@@ -631,7 +639,7 @@ let () =
     if Array.exists (( = ) "--only-large") Sys.argv then []
     else List.map row_of_outcome (claim_tables ())
   in
-  let rows = if sc = Simulate.Runner.Large then rows @ large_tier () else rows in
+  let rows = rows @ large in
   let micro =
     if Array.exists (( = ) "--no-micro") Sys.argv then [] else run_micro sc
   in

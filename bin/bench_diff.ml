@@ -29,13 +29,11 @@
    everything else stays report-only — the shape for CI, where a few
    stable hot-path micros gate and the noisier full table is for
    reading. Micro names match with or without their "dyngraph/" group
-   prefix. A gated name absent from the comparison (dropped benchmark,
-   renamed claim) is itself a failure: a gate that silently stops
-   gating is worse than a red build. A gated name present only in the
-   NEW file is fine — it is reported as a "new" row with no delta, so
-   the gate on a first-appearance benchmark passes and starts biting
-   on the next comparison. Pass/fail flips of any claim remain fatal
-   regardless of gating. *)
+   prefix. A gated name that is not in both files (dropped benchmark,
+   renamed claim, or one that first appears in NEW) is itself a
+   failure: a gate with nothing to compare against does not gate, and
+   that is worse than a red build. Pass/fail flips of any claim remain
+   fatal regardless of gating. *)
 
 module J = Serve.Jsonx
 
@@ -260,13 +258,9 @@ let () =
     old_b.claims;
   List.iter
     (fun (nc : claim) ->
-      if not (List.exists (fun (oc : claim) -> oc.id = nc.id) old_b.claims) then begin
-        (* Mark the gate as seen: a first-appearance claim has no old
-           value to regress against, so its gate passes vacuously. *)
-        ignore (gated nc.id);
+      if not (List.exists (fun (oc : claim) -> oc.id = nc.id) old_b.claims) then
         Stats.Table.add_row claims_table
-          [ Text nc.id; Missing; Fixed (nc.seconds, 3); Missing; Text "new" ]
-      end)
+          [ Text nc.id; Missing; Fixed (nc.seconds, 3); Missing; Text "new" ])
     new_b.claims;
   print_string (Stats.Table.render claims_table);
   if old_b.micros <> [] || new_b.micros <> [] then begin
@@ -302,14 +296,10 @@ let () =
       old_b.micros;
     List.iter
       (fun (nm : micro) ->
-        if not (List.exists (fun (om : micro) -> om.name = nm.name) old_b.micros) then begin
-          (* Same vacuous pass as for new claims: gating a micro that
-             first appears in NEW must not fail as "gate not found". *)
-          ignore (gated nm.name);
+        if not (List.exists (fun (om : micro) -> om.name = nm.name) old_b.micros) then
           Stats.Table.add_row micro_table
             [ Text nm.name; Missing; Fixed (nm.ns_per_run, 1); Text "new";
-              fit_cell None (Some nm) ]
-        end)
+              fit_cell None (Some nm) ])
       new_b.micros;
     print_newline ();
     print_string (Stats.Table.render micro_table)

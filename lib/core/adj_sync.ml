@@ -8,17 +8,8 @@ type t = {
   death : int -> int -> unit;
 }
 
-let create ?storage g =
-  let n = Dynamic.n g in
-  (* Auto routing: big graphs go to the arena layout so the adjacency
-     is GC-invisible; small ones keep the heap rows (and the exact code
-     paths every golden was pinned on). *)
-  let storage =
-    match storage with
-    | Some s -> s
-    | None -> if n >= Graph.Storage.offheap_nodes then `Offheap else `Heap
-  in
-  let adj = Graph.Mutable_adj.create ~n ~storage () in
+let create g =
+  let adj = Graph.Mutable_adj.create ~n:(Dynamic.n g) in
   let ops = ref 0 in
   let birth u v =
     incr ops;

@@ -19,17 +19,13 @@
 
 type t
 
-val create : ?storage:[ `Heap | `Offheap ] -> Dynamic.t -> t
+val create : Dynamic.t -> t
 (** A fresh, unsynced view of the process (no snapshot is read until
-    the first {!ensure}). Call after [Dynamic.reset]; to reuse a view
-    across resets of the same process (keeping its grown row storage
-    warm), call {!invalidate} at the start of each run instead of
-    allocating a new one.
-
-    [storage] picks the {!Graph.Mutable_adj} layout; by default graphs
-    with at least [Graph.Storage.offheap_nodes] nodes get the off-heap
-    arena and smaller ones the heap rows, so small runs keep the exact
-    historical code paths. *)
+    the first {!ensure}), over an off-heap {!Graph.Mutable_adj} arena
+    at every n. Call after [Dynamic.reset]; to reuse a view across
+    resets of the same process (keeping its grown row storage warm),
+    call {!invalidate} at the start of each run instead of allocating
+    a new one. *)
 
 val invalidate : t -> unit
 (** Mark the view stale so the next {!ensure} rebuilds. Required when

@@ -39,9 +39,8 @@ let c_cap_hits = Obs.Metrics.counter "flood.cap_hits"
    Bigarray vectors — so its major-heap footprint is a handful of
    control records, independent of [n]. Domain-local state never
    crosses workers, so parallel determinism is untouched; the adjacency
-   view is re-keyed by physical model identity (and storage layout) and
-   invalidated per run, so only its grown row storage survives, never
-   stale topology.
+   view is re-keyed by physical model identity and invalidated per run,
+   so only its grown row storage survives, never stale topology.
 
    Three scan strategies, chosen once per run from the protocol and the
    model's capabilities:
@@ -62,7 +61,7 @@ let c_cap_hits = Obs.Metrics.counter "flood.cap_hits"
      side of the informed/uninformed cut. The informed side scans the
      senders' rows in arrival order, drawing a Push coin per uninformed
      neighbour: arrival-then-row order is the coin sequence the goldens
-     pin, on either storage layout. Every informed node sends, except
+     pin. Every informed node sends, except
      under Parsimonious: arrival times are nondecreasing along [order],
      so the window's expired nodes form a prefix and one monotone
      pointer maintains the active suffix. Plain flooding draws no
@@ -94,7 +93,6 @@ type scratch = {
   traj : St.I32.t;             (* grows via the explicit ensure contract *)
   mutable edges : Graph.Edge_buffer.t;
   mutable sync_for : Dynamic.t option;  (* physical key for [sync] *)
-  mutable sync_off : bool;              (* layout the cached sync was built with *)
   mutable sync : Adj_sync.t option;
 }
 
@@ -112,15 +110,19 @@ let scratch_key =
         traj = St.I32.create 256;
         edges = Graph.Edge_buffer.create ~capacity:16 ();
         sync_for = None;
-        sync_off = false;
         sync = None;
       })
+
+(* The delta path reads the adjacency view with the Bigarray primitive
+   itself: under -opaque a Storage accessor from this module would be a
+   function call per row entry (see Graph.Storage). *)
+let[@inline] get (a : St.I32.raw) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
 
 (* The full execution, leaving its results in the domain-local scratch:
    [run] materialises trajectory and arrivals from it, while [time]
    reads only the completion step — so a trial loop at n = 10⁶ never
    allocates the two O(n) result arrays it would throw away. *)
-let run_raw ?cap ?(protocol = Flood) ?storage ~rng ~source g =
+let run_raw ?cap ?(protocol = Flood) ~rng ~source g =
   let n = Dynamic.n g in
   if source < 0 || source >= n then invalid_arg "Flooding.run: source out of range";
   if n > St.max_nodes then invalid_arg "Flooding.run: n exceeds the int32 id range";
@@ -264,19 +266,12 @@ let run_raw ?cap ?(protocol = Flood) ?storage ~rng ~source g =
     done
   end
   else begin
-    let want_off =
-      match storage with
-      | Some `Offheap -> true
-      | Some `Heap -> false
-      | None -> n >= St.offheap_nodes
-    in
     let sync =
       match (sc.sync_for, sc.sync) with
-      | Some g', Some s when g' == g && sc.sync_off = want_off -> s
+      | Some g', Some s when g' == g -> s
       | _ ->
-          let s = Adj_sync.create ~storage:(if want_off then `Offheap else `Heap) g in
+          let s = Adj_sync.create g in
           sc.sync_for <- Some g;
-          sc.sync_off <- want_off;
           sc.sync <- Some s;
           s
     in
@@ -310,65 +305,36 @@ let run_raw ?cap ?(protocol = Flood) ?storage ~rng ~source g =
             incr lo
           done
       | Flood | Push _ -> ());
-      let adj = Adj_sync.adj sync in
-      let offheap = Graph.Mutable_adj.offheap adj in
+      let ({ v_deg; v_off; v_data } : Graph.Mutable_adj.view) =
+        Graph.Mutable_adj.view (Adj_sync.adj sync)
+      in
       if !track_unf && !unf_len < !n_informed then
         (* Uninformed side: a row is read up to its first informed
            neighbour, and [scanned] counts the entries actually read. *)
-        if not offheap then
-          for ui = 0 to !unf_len - 1 do
-            let v = St.I32.unsafe_get unf ui in
-            let d = Graph.Mutable_adj.degree adj v in
-            let row = Graph.Mutable_adj.row adj v in
-            let j = ref 0 in
-            let hit = ref false in
-            while (not !hit) && !j < d do
-              if St.Bitset.unsafe_get informed (Array.unsafe_get row !j) then hit := true;
-              incr j
-            done;
-            scanned := !scanned + !j;
-            if !hit then enqueue v
-          done
-        else begin
-          let ({ v_deg; v_off; v_data } : Graph.Mutable_adj.view) = Graph.Mutable_adj.view adj in
-          for ui = 0 to !unf_len - 1 do
-            let v = St.I32.unsafe_get unf ui in
-            let d = St.I32.raw_get v_deg v in
-            let off = St.I32.raw_get v_off v in
-            let j = ref 0 in
-            let hit = ref false in
-            while (not !hit) && !j < d do
-              if St.Bitset.unsafe_get informed (St.I32.raw_get v_data (off + !j)) then hit := true;
-              incr j
-            done;
-            scanned := !scanned + !j;
-            if !hit then enqueue v
-          done
-        end
-      else if not offheap then
-        for oi = !lo to !n_informed - 1 do
-          let u = St.I32.unsafe_get order oi in
-          let d = Graph.Mutable_adj.degree adj u in
-          let row = Graph.Mutable_adj.row adj u in
-          scanned := !scanned + d;
-          for j = 0 to d - 1 do
-            let v = Array.unsafe_get row j in
-            if (not (St.Bitset.unsafe_get informed v)) && transmits () then enqueue v
-          done
+        for ui = 0 to !unf_len - 1 do
+          let v = St.I32.unsafe_get unf ui in
+          let d = get v_deg v in
+          let off = get v_off v in
+          let j = ref 0 in
+          let hit = ref false in
+          while (not !hit) && !j < d do
+            if St.Bitset.unsafe_get informed (get v_data (off + !j)) then hit := true;
+            incr j
+          done;
+          scanned := !scanned + !j;
+          if !hit then enqueue v
         done
-      else begin
-        let ({ v_deg; v_off; v_data } : Graph.Mutable_adj.view) = Graph.Mutable_adj.view adj in
+      else
         for oi = !lo to !n_informed - 1 do
           let u = St.I32.unsafe_get order oi in
-          let d = St.I32.raw_get v_deg u in
-          let off = St.I32.raw_get v_off u in
+          let d = get v_deg u in
+          let off = get v_off u in
           scanned := !scanned + d;
           for j = off to off + d - 1 do
-            let v = St.I32.raw_get v_data j in
+            let v = get v_data j in
             if (not (St.Bitset.unsafe_get informed v)) && transmits () then enqueue v
           done
-        done
-      end;
+        done;
       commit ();
       Dynamic.step g;
       Adj_sync.advance sync
@@ -386,32 +352,31 @@ let run_raw ?cap ?(protocol = Flood) ?storage ~rng ~source g =
     Obs.Trace.emit "flood.end" [ ("t", Int !t); ("informed", Int !n_informed) ];
   (sc, (if !n_informed = n then Some !t else None), !traj_len)
 
-let run ?cap ?protocol ?storage ~rng ~source g =
-  let sc, time, traj_len = run_raw ?cap ?protocol ?storage ~rng ~source g in
+let run ?cap ?protocol ?storage:_ ~rng ~source g =
+  let sc, time, traj_len = run_raw ?cap ?protocol ~rng ~source g in
   {
     time;
     trajectory = Array.init traj_len (fun i -> St.I32.get sc.traj i);
     arrivals = Array.init sc.s_n (fun v -> St.I32.get sc.informed_at v);
   }
 
-let time ?cap ?protocol ?storage ~rng ~source g =
-  let _, time, _ = run_raw ?cap ?protocol ?storage ~rng ~source g in
+let time ?cap ?protocol ~rng ~source g =
+  let _, time, _ = run_raw ?cap ?protocol ~rng ~source g in
   time
 
-let trial_time ?cap ?protocol ?storage ~rng ~source g =
+let trial_time ?cap ?protocol ~rng ~source g =
   let cap_value = match cap with Some c -> c | None -> default_cap (Dynamic.n g) in
-  match time ~cap:cap_value ?protocol ?storage ~rng ~source g with
+  match time ~cap:cap_value ?protocol ~rng ~source g with
   | Some t -> t
   | None -> cap_value
 
-let mean_time ?cap ?protocol ?storage ?(sched = Exec.sequential) ~rng ~trials ?(source = 0)
-    build =
+let mean_time ?cap ?protocol ?(sched = Exec.sequential) ~rng ~trials ?(source = 0) build =
   if trials < 1 then invalid_arg "Flooding.mean_time: trials must be >= 1";
   (* Substreams are derived up front, on the calling domain: trial [i]'s
      randomness depends only on [rng]'s current state and [i], never on
      which worker runs it or in what order. *)
   let rngs = Array.init trials (Prng.Rng.substream rng) in
-  let job i = trial_time ?cap ?protocol ?storage ~rng:rngs.(i) ~source (build ()) in
+  let job i = trial_time ?cap ?protocol ~rng:rngs.(i) ~source (build ()) in
   let reduce times =
     let summary = Stats.Summary.create () in
     Array.iter (fun t -> Stats.Summary.add summary (float_of_int t)) times;
@@ -430,7 +395,7 @@ let characteristic_time result =
     result.arrivals;
   if !count = 0 then nan else float_of_int !total /. float_of_int !count
 
-let worst_source_time ?cap ?protocol ?storage ?(sched = Exec.sequential) ~rng ?sources build =
+let worst_source_time ?cap ?protocol ?(sched = Exec.sequential) ~rng ?sources build =
   let sources =
     match sources with
     | Some [] -> invalid_arg "Flooding.worst_source_time: sources must be non-empty"
@@ -440,8 +405,6 @@ let worst_source_time ?cap ?protocol ?storage ?(sched = Exec.sequential) ~rng ?s
   (* Seeded by source id, not job index, so the result is independent of
      the sources list's order as well as of the scheduler. *)
   let rngs = Array.map (Prng.Rng.substream rng) sources in
-  let job i =
-    trial_time ?cap ?protocol ?storage ~rng:rngs.(i) ~source:sources.(i) (build ())
-  in
+  let job i = trial_time ?cap ?protocol ~rng:rngs.(i) ~source:sources.(i) (build ()) in
   Exec.run sched
     (Exec.plan ~jobs:(Array.length sources) ~job ~reduce:(Array.fold_left max 0))

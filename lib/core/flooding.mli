@@ -47,16 +47,12 @@ val run :
     [Flood] on a model with a boundary hook ({!Dynamic.has_boundary},
     e.g. the grid mobility models) asks the model for each round's new
     neighbours instead of enumerating the snapshot; the results are the
-    same, and [storage] plays no part on that path.
+    same.
 
-    [storage] picks the layout of the delta path's incremental
-    adjacency (see {!Adj_sync.create}): by default off-heap from
-    [Graph.Storage.offheap_nodes] nodes up, heap rows below. The
-    informed sets, arrival times and trajectory are identical in both
-    layouts (the equivalence tests in test/test_core.ml and
-    test/test_parallel.ml force each in turn); requires
-    [n <= Graph.Storage.max_nodes] either way, as the kernel's own
-    scratch is int32-backed.
+    [storage] is ignored. The delta path's incremental adjacency has
+    one layout, the off-heap arena of {!Adj_sync}; the argument stays
+    only for existing callers. Requires [n <= Graph.Storage.max_nodes],
+    as the kernel's scratch is int32-backed.
 
     Raises [Invalid_argument] on a source outside [0 .. n - 1], a
     negative [cap], a [Push] probability outside (0, 1] or a
@@ -65,7 +61,6 @@ val run :
 val time :
   ?cap:int ->
   ?protocol:protocol ->
-  ?storage:[ `Heap | `Offheap ] ->
   rng:Prng.Rng.t ->
   source:int ->
   Dynamic.t ->
@@ -77,7 +72,6 @@ val time :
 val trial_time :
   ?cap:int ->
   ?protocol:protocol ->
-  ?storage:[ `Heap | `Offheap ] ->
   rng:Prng.Rng.t ->
   source:int ->
   Dynamic.t ->
@@ -90,7 +84,6 @@ val trial_time :
 val mean_time :
   ?cap:int ->
   ?protocol:protocol ->
-  ?storage:[ `Heap | `Offheap ] ->
   ?sched:Exec.scheduler ->
   rng:Prng.Rng.t ->
   trials:int ->
@@ -117,7 +110,6 @@ val characteristic_time : result -> float
 val worst_source_time :
   ?cap:int ->
   ?protocol:protocol ->
-  ?storage:[ `Heap | `Offheap ] ->
   ?sched:Exec.scheduler ->
   rng:Prng.Rng.t ->
   ?sources:int list ->

@@ -53,8 +53,8 @@ let run ?cap ~variant ~rng ~source g =
   let contacts = ref 0 in
   let t = ref 0 in
   (* Neighbour picks read the maintained adjacency's rows directly: a
-     pick is one bounds-free index into the row storage (either
-     layout — {!Graph.Mutable_adj.unsafe_nth} dispatches) instead of a
+     pick is one bounds-free index into the arena
+     ({!Graph.Mutable_adj.unsafe_nth}) instead of a
      List.nth walk, and delta-capable models keep the rows fresh in
      O(Δ) per round (others rebuild — still cheaper than the int-list
      adjacency the loop used to allocate every round). *)

@@ -1,122 +1,91 @@
-(* Two physical layouts behind one interface:
+(* All rows packed into one int32 Bigarray bump arena, with per-node
+   degree, offset and capacity vectors beside it. At 10^6 nodes that is
+   four flat off-heap blocks instead of 10^6 heap arrays for every GC
+   to scan. A row that outgrows its capacity relocates to the end of
+   the arena with doubled capacity (at least 8); because capacities
+   double, total arena use is bounded by ~4x the peak entry count.
+   [clear] keeps offsets and capacities, so rebuild cycles reuse the
+   storage.
 
-   - [Heap]: the original per-node [int array] rows. Zero-indirection
-     reads ([row] hands the physical array to hot scan loops); the
-     layout every small-n kernel and golden was built on.
-   - [Arena]: all rows packed into one int32 Bigarray bump arena, with
-     per-node offset/capacity/degree in int32 storage. At 10^6 nodes
-     the heap layout would be 10^6 separate arrays — a major-heap scan
-     burden on every GC — while the arena keeps the whole adjacency in
-     three flat off-heap blocks. A row that outgrows its capacity
-     relocates to the end of the arena with doubled capacity; because
-     capacities double, total arena use is bounded by ~4x the peak
-     entry count. [clear] keeps offsets and capacities, so rebuild
-     cycles reuse the storage just like the heap rows do.
+   Every cell access is a Bigarray primitive on the record's own raw
+   arrays. Under dune's default dev profile every module is compiled
+   with -opaque, so a Storage.I32 accessor called from here would be a
+   real function call per cell: a row append measured 27-29 ns through
+   the accessors against 9-10 ns on the primitives (n = 128, DESIGN.md
+   section 9). *)
 
-   Append/swap-remove semantics are identical in both layouts: neighbor
-   order for a given operation sequence never depends on the backing. *)
+type raw = Storage.I32.raw
 
-type arena = {
-  a_deg : Storage.I32.t;
-  a_off : Storage.I32.t;
-  a_cap : Storage.I32.t;
-  data : Storage.I32.t;
-  mutable used : int;
+type t = {
+  n : int;
+  deg : raw;  (* the per-node vectors never grow *)
+  off : raw;
+  cap : raw;
+  arena : Storage.I32.t;
+  mutable data : raw;  (* [Storage.I32.raw arena], re-read after each growth *)
+  mutable used : int;  (* arena cells handed out to rows *)
+  mutable entries : int;
 }
 
-type t =
-  | Heap of { n : int; deg : int array; rows : int array array; mutable entries : int }
-  | Arena of { n : int; a : arena; mutable entries : int }
+type view = { v_deg : raw; v_off : raw; v_data : raw }
 
-type view = { v_deg : Storage.I32.raw; v_off : Storage.I32.raw; v_data : Storage.I32.raw }
+let[@inline] get (a : raw) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
 
-let create ~n ?(storage = `Heap) () =
+let[@inline] set (a : raw) i v = Bigarray.Array1.unsafe_set a i (Int32.of_int v)
+
+let create ~n =
   if n < 0 then invalid_arg "Mutable_adj.create: negative n";
-  match storage with
-  | `Heap ->
-      Heap { n; deg = Array.make (max 1 n) 0; rows = Array.make (max 1 n) [||]; entries = 0 }
-  | `Offheap ->
-      if n > Storage.max_nodes then
-        invalid_arg "Mutable_adj.create: n exceeds the int32 id range";
-      Arena
-        {
-          n;
-          a =
-            {
-              a_deg = Storage.I32.create (max 1 n);
-              a_off = Storage.I32.create (max 1 n);
-              a_cap = Storage.I32.create (max 1 n);
-              data = Storage.I32.create 1024;
-              used = 0;
-            };
-          entries = 0;
-        }
+  if n > Storage.max_nodes then invalid_arg "Mutable_adj.create: n exceeds the int32 id range";
+  let vector () = Storage.I32.raw (Storage.I32.create (max 1 n)) in
+  let arena = Storage.I32.create 1024 in
+  {
+    n;
+    deg = vector ();
+    off = vector ();
+    cap = vector ();
+    arena;
+    data = Storage.I32.raw arena;
+    used = 0;
+    entries = 0;
+  }
 
-let n = function Heap h -> h.n | Arena a -> a.n
+let n t = t.n
 
-let offheap = function Heap _ -> false | Arena _ -> true
+let degree t u = Int32.to_int (Bigarray.Array1.get t.deg u)
 
-let[@inline] degree t u =
-  match t with Heap h -> h.deg.(u) | Arena { a; _ } -> Storage.I32.get a.a_deg u
+let entries t = t.entries
 
-let entries = function Heap h -> h.entries | Arena a -> a.entries
-
-let edge_count t = entries t / 2
+let edge_count t = t.entries / 2
 
 let clear t =
-  match t with
-  | Heap h ->
-      Array.fill h.deg 0 h.n 0;
-      h.entries <- 0
-  | Arena ({ a; _ } as r) ->
-      Storage.I32.fill a.a_deg 0 (Storage.I32.length a.a_deg) 0;
-      r.entries <- 0
+  Bigarray.Array1.fill t.deg 0l;
+  t.entries <- 0
 
-let heap_push deg rows u v =
-  let d = Array.unsafe_get deg u in
-  let row = Array.unsafe_get rows u in
-  let row =
-    if d = Array.length row then begin
-      let bigger = Array.make (max 8 (2 * d)) 0 in
-      Array.blit row 0 bigger 0 d;
-      Array.unsafe_set rows u bigger;
-      bigger
-    end
-    else row
-  in
-  Array.unsafe_set row d v;
-  Array.unsafe_set deg u (d + 1)
-
-let arena_push a u v =
-  let d = Storage.I32.unsafe_get a.a_deg u in
-  let cap = Storage.I32.unsafe_get a.a_cap u in
-  if d = cap then begin
-    (* Relocate to the end of the arena with doubled capacity; the old
-       slots become a permanent (bounded, see header) hole. *)
-    let ncap = max 8 (2 * cap) in
-    Storage.I32.ensure a.data (a.used + ncap);
-    let off = Storage.I32.unsafe_get a.a_off u in
-    Storage.I32.blit a.data off a.data a.used d;
-    Storage.I32.unsafe_set a.a_off u a.used;
-    Storage.I32.unsafe_set a.a_cap u ncap;
-    a.used <- a.used + ncap
+(* Append [v] to [u]'s row. A full row moves to the end of the arena;
+   its old slots become a permanent (bounded, see the header) hole. *)
+let push t u v =
+  let d = get t.deg u in
+  if d = get t.cap u then begin
+    let ncap = max 8 (2 * d) in
+    Storage.I32.ensure t.arena (t.used + ncap);
+    let data = Storage.I32.raw t.arena in
+    t.data <- data;
+    let off = get t.off u in
+    for i = 0 to d - 1 do
+      set data (t.used + i) (get data (off + i))
+    done;
+    set t.off u t.used;
+    set t.cap u ncap;
+    t.used <- t.used + ncap
   end;
-  let off = Storage.I32.unsafe_get a.a_off u in
-  Storage.I32.unsafe_set a.data (off + d) v;
-  Storage.I32.unsafe_set a.a_deg u (d + 1)
+  set t.data (get t.off u + d) v;
+  set t.deg u (d + 1)
 
 let add t u v =
-  match t with
-  | Heap h ->
-      if u < 0 || v < 0 || u >= h.n || v >= h.n || u = v then invalid_arg "Mutable_adj.add";
-      heap_push h.deg h.rows u v;
-      heap_push h.deg h.rows v u;
-      h.entries <- h.entries + 2
-  | Arena ({ a; _ } as r) ->
-      if u < 0 || v < 0 || u >= r.n || v >= r.n || u = v then invalid_arg "Mutable_adj.add";
-      arena_push a u v;
-      arena_push a v u;
-      r.entries <- r.entries + 2
+  if u < 0 || v < 0 || u >= t.n || v >= t.n || u = v then invalid_arg "Mutable_adj.add";
+  push t u v;
+  push t v u;
+  t.entries <- t.entries + 2
 
 (* Swap-remove of one copy of [v] from [u]'s row. A linear scan, not a
    position index: positions of the same (u, v) entry in the two
@@ -124,95 +93,37 @@ let add t u v =
    double-reports), so an O(1) index would need per-copy bookkeeping
    that costs more than scanning rows whose expected degree is small in
    every hot model. See DESIGN.md section 8. *)
-let heap_remove_row deg rows u v =
-  let d = Array.unsafe_get deg u in
-  let row = Array.unsafe_get rows u in
-  let i = ref 0 in
-  while !i < d && Array.unsafe_get row !i <> v do
+let remove_row t u v =
+  let data = t.data in
+  let d = get t.deg u in
+  let off = get t.off u in
+  let i = ref off in
+  while !i < off + d && get data !i <> v do
     incr i
   done;
-  if !i >= d then invalid_arg "Mutable_adj.remove: edge not present";
-  Array.unsafe_set row !i (Array.unsafe_get row (d - 1));
-  Array.unsafe_set deg u (d - 1)
-
-let arena_remove_row a u v =
-  let d = Storage.I32.unsafe_get a.a_deg u in
-  let off = Storage.I32.unsafe_get a.a_off u in
-  let i = ref 0 in
-  while !i < d && Storage.I32.unsafe_get a.data (off + !i) <> v do
-    incr i
-  done;
-  if !i >= d then invalid_arg "Mutable_adj.remove: edge not present";
-  Storage.I32.unsafe_set a.data (off + !i) (Storage.I32.unsafe_get a.data (off + d - 1));
-  Storage.I32.unsafe_set a.a_deg u (d - 1)
+  if !i >= off + d then invalid_arg "Mutable_adj.remove: edge not present";
+  set data !i (get data (off + d - 1));
+  set t.deg u (d - 1)
 
 let remove t u v =
-  match t with
-  | Heap h ->
-      if u < 0 || v < 0 || u >= h.n || v >= h.n then invalid_arg "Mutable_adj.remove";
-      heap_remove_row h.deg h.rows u v;
-      heap_remove_row h.deg h.rows v u;
-      h.entries <- h.entries - 2
-  | Arena ({ a; _ } as r) ->
-      if u < 0 || v < 0 || u >= r.n || v >= r.n then invalid_arg "Mutable_adj.remove";
-      arena_remove_row a u v;
-      arena_remove_row a v u;
-      r.entries <- r.entries - 2
+  if u < 0 || v < 0 || u >= t.n || v >= t.n then invalid_arg "Mutable_adj.remove";
+  remove_row t u v;
+  remove_row t v u;
+  t.entries <- t.entries - 2
 
-let row t u =
-  match t with
-  | Heap h -> h.rows.(u)
-  | Arena _ ->
-      invalid_arg "Mutable_adj.row: arena-backed rows have no physical int array; use view"
+let view t = { v_deg = t.deg; v_off = t.off; v_data = t.data }
 
-let view t =
-  match t with
-  | Heap _ -> invalid_arg "Mutable_adj.view: heap-backed rows; use row"
-  | Arena { a; _ } ->
-      { v_deg = Storage.I32.raw a.a_deg; v_off = Storage.I32.raw a.a_off;
-        v_data = Storage.I32.raw a.data }
-
-let[@inline] unsafe_nth t u i =
-  match t with
-  | Heap h -> Array.unsafe_get (Array.unsafe_get h.rows u) i
-  | Arena { a; _ } -> Storage.I32.unsafe_get a.data (Storage.I32.unsafe_get a.a_off u + i)
+let unsafe_nth t u i = get t.data (get t.off u + i)
 
 let neighbor t u i =
   if i < 0 || i >= degree t u then invalid_arg "Mutable_adj.neighbor: index out of range";
   unsafe_nth t u i
 
-let iter_neighbors t u f =
-  match t with
-  | Heap h ->
-      let d = h.deg.(u) in
-      let row = h.rows.(u) in
-      for i = 0 to d - 1 do
-        f (Array.unsafe_get row i)
-      done
-  | Arena { a; _ } ->
-      let d = Storage.I32.get a.a_deg u in
-      let off = Storage.I32.get a.a_off u in
-      for i = 0 to d - 1 do
-        f (Storage.I32.unsafe_get a.data (off + i))
-      done
-
 let iter_edges t f =
-  match t with
-  | Heap h ->
-      for u = 0 to h.n - 1 do
-        let d = Array.unsafe_get h.deg u in
-        let row = Array.unsafe_get h.rows u in
-        for i = 0 to d - 1 do
-          let v = Array.unsafe_get row i in
-          if u < v then f u v
-        done
-      done
-  | Arena { n; a; _ } ->
-      for u = 0 to n - 1 do
-        let d = Storage.I32.unsafe_get a.a_deg u in
-        let off = Storage.I32.unsafe_get a.a_off u in
-        for i = 0 to d - 1 do
-          let v = Storage.I32.unsafe_get a.data (off + i) in
-          if u < v then f u v
-        done
-      done
+  for u = 0 to t.n - 1 do
+    let off = get t.off u in
+    for i = off to off + get t.deg u - 1 do
+      let v = get t.data i in
+      if u < v then f u v
+    done
+  done

@@ -22,24 +22,17 @@
     neighbor order is deterministic for a deterministic operation
     sequence but otherwise unspecified.
 
-    Two physical layouts exist behind this one interface. The default
-    [`Heap] layout keeps the original per-node [int array] rows; the
-    [`Offheap] layout packs every row into a single int32 Bigarray
-    bump arena ({!Storage.I32}) with per-node offset/capacity/degree
-    vectors, so a million-node adjacency is three flat off-heap blocks
-    instead of a million heap arrays. Append/swap-remove semantics are
-    identical in both layouts: the neighbor order produced by a given
-    operation sequence never depends on the backing. *)
+    Every row lives in one int32 Bigarray bump arena ({!Storage.I32})
+    with per-node offset, capacity and degree vectors, so a
+    million-node adjacency is four flat off-heap blocks that the GC
+    never scans, instead of a million heap arrays. *)
 
 type t
 
-val create : n:int -> ?storage:[ `Heap | `Offheap ] -> unit -> t
+val create : n:int -> t
 (** Empty adjacency over nodes [0 .. n-1]. Rows grow by doubling on
-    demand; a cleared structure reuses their storage. [`Offheap]
-    requires [n <= Storage.max_nodes] (ids must fit int32 cells). *)
-
-val offheap : t -> bool
-(** Whether this adjacency uses the arena layout. *)
+    demand; a cleared structure reuses their storage. Requires
+    [n <= Storage.max_nodes] (ids must fit int32 cells). *)
 
 val n : t -> int
 (** Number of nodes. *)
@@ -66,38 +59,22 @@ val remove : t -> int -> int -> unit
     stream inconsistent with the maintained state is a bug worth
     failing loudly on. *)
 
-val row : t -> int -> int array
-(** The physical row of a node: entries [0 .. degree t u - 1] are its
-    current neighbors, later slots are garbage. Borrowed, not a copy —
-    valid until the next mutation; callers must not write it. The
-    zero-overhead read path for hot scan loops. Heap layout only:
-    raises [Invalid_argument] on an arena-backed structure (whose rows
-    have no physical [int array]) — branch on {!offheap} and use
-    {!view} there. *)
-
 type view = { v_deg : Storage.I32.raw; v_off : Storage.I32.raw; v_data : Storage.I32.raw }
-(** Borrowed raw windows into an arena-backed adjacency: node [u]'s
-    neighbors are [v_data.{v_off.{u} .. v_off.{u} + v_deg.{u} - 1}].
-    The zero-overhead read path for hot kernels over the arena layout,
-    mirroring what {!row} is for heap rows. Valid until the next
-    mutation (a row append may relocate the arena). *)
+(** Borrowed raw windows into the arena: node [u]'s neighbors are
+    [v_data.{v_off.{u} .. v_off.{u} + v_deg.{u} - 1}]. The read path
+    for hot kernels, which should index it with
+    [Bigarray.Array1.unsafe_get] in their own module (see
+    {!Storage}). Valid until the next mutation (a row append may
+    relocate the arena); callers must not write it. *)
 
 val view : t -> view
-(** Arena layout only; raises [Invalid_argument] on heap-backed rows. *)
 
 val unsafe_nth : t -> int -> int -> int
-(** [unsafe_nth t u i] is the [i]-th row entry of [u] in either
-    layout, unchecked. For warm (not hot) loops that want layout
-    polymorphism without the branch-per-row of {!row}/{!view}
-    dispatch being visible at the call site. *)
+(** [unsafe_nth t u i] is the [i]-th row entry of [u], unchecked. *)
 
 val neighbor : t -> int -> int -> int
 (** [neighbor t u i] is the [i]-th row entry of [u],
     [0 <= i < degree t u] (checked). *)
-
-val iter_neighbors : t -> int -> (int -> unit) -> unit
-(** Visit the current neighbors of a node, in row order. [f] must not
-    mutate the structure. *)
 
 val iter_edges : t -> (int -> int -> unit) -> unit
 (** Visit every edge once per copy, as [f u v] with [u < v], in

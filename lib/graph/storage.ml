@@ -53,10 +53,6 @@ module I32 = struct
     end
 
   let[@inline] raw t = t.data
-
-  let[@inline] raw_get (a : raw) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
-
-  let[@inline] raw_set (a : raw) i v = Bigarray.Array1.unsafe_set a i (Int32.of_int v)
 end
 
 module Ix = struct

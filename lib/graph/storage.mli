@@ -14,21 +14,23 @@
     through an int32 cell. Pair indices (up to n(n-1)/2 ≈ 2³⁹ at
     n = 2²⁰) do not fit and use the native-int {!Ix} arrays instead.
 
-    Accessors are tiny and [@inline]-annotated; even without flambda
-    the compiler cancels the int32 box/unbox pair in a
-    [get]-as-argument position, so reads and writes are
-    allocation-free (verified by test/test_storage.ml). *)
+    Accessors are [@inline]-annotated and allocation-free: even without
+    flambda the compiler cancels the int32 box/unbox pair in a
+    [get]-as-argument position (verified by test/test_storage.ml). They
+    inline only within a compilation unit that sees their bodies. Under
+    dune's default dev profile every module is compiled with
+    [-opaque], so a call from another module is a real function call.
+    Hot loops should therefore hold {!I32.raw} arrays and use the
+    Bigarray primitives ([Bigarray.Array1.unsafe_get]/[unsafe_set] on
+    the concrete element type) in their own module. *)
 
 val max_nodes : int
 (** Exclusive upper bound on node ids representable in int32 cells
     (2³¹). *)
 
 val offheap_nodes : int
-(** Node-count threshold at which size-polymorphic consumers
-    ({!Core.Adj_sync}, [Core.Flooding], [Edge_meg.Classic]) switch
-    from heap arrays to this storage layer by default (2¹⁷). Small
-    runs keep the exact heap code paths — and their goldens —
-    untouched. *)
+(** Node-count threshold (2¹⁷) at which [Edge_meg.Classic.make] picks
+    its partitioned off-heap engine instead of the heap engine. *)
 
 (** Growable int32 vector on a Bigarray. *)
 module I32 : sig
@@ -66,10 +68,6 @@ module I32 : sig
   val raw : t -> raw
   (** The underlying Bigarray, for hot loops that hoist the array out
       of an accessor chain. Invalidated by {!ensure}. *)
-
-  val raw_get : raw -> int -> int
-
-  val raw_set : raw -> int -> int -> unit
 end
 
 (** Growable native-int vector on a Bigarray — 8 bytes per cell, for

@@ -422,31 +422,6 @@ let test_flood_empty_graph () =
        false
      with Invalid_argument _ -> true)
 
-(* Forcing the off-heap scratch + arena adjacency at a size that would
-   normally stay on the heap must not change any observable: both
-   layouts scan the same rows in the same order, so Flood reads the
-   same entries and Push / Parsimonious draw their coins in the same
-   pinned order. *)
-let test_flood_storage_layouts_agree () =
-  let build () = Edge_meg.Classic.make ~n:96 ~p:0.04 ~q:0.3 () in
-  List.iter
-    (fun protocol ->
-      let go storage =
-        with_counters (fun () ->
-            Core.Flooding.run ~protocol ~storage ~rng:(rng_of_seed 17) ~source:3 (build ()))
-      in
-      let h, hc = go `Heap and o, oc = go `Offheap in
-      Alcotest.(check (option int)) "time" h.Core.Flooding.time o.Core.Flooding.time;
-      Alcotest.(check (array int)) "trajectory" h.Core.Flooding.trajectory
-        o.Core.Flooding.trajectory;
-      Alcotest.(check (array int)) "arrivals" h.Core.Flooding.arrivals o.Core.Flooding.arrivals;
-      List.iter
-        (fun key ->
-          check_true (key ^ " counted") (count key hc > 0);
-          Alcotest.(check int) key (count key hc) (count key oc))
-        [ "flood.edges"; "flood.snapshots" ])
-    [ Core.Flooding.Flood; Core.Flooding.Push 0.4; Core.Flooding.Parsimonious 2 ]
-
 (* A negative cap is rejected by every entry point that runs a flood,
    rather than reported as an unfinished run or a negative mean. *)
 let test_flood_negative_cap () =
@@ -518,7 +493,6 @@ let suites =
         Alcotest.test_case "trajectory grows past 256 rounds" `Quick
           test_flood_trajectory_growth;
         Alcotest.test_case "empty graph rejected" `Quick test_flood_empty_graph;
-        Alcotest.test_case "storage layouts agree" `Quick test_flood_storage_layouts_agree;
         Alcotest.test_case "arrivals vs trajectory census" `Quick
           test_arrivals_consistent_with_trajectory;
         q_trajectory_monotone;

@@ -1,7 +1,7 @@
 (* Intra-run parallelism (DESIGN.md section 11): the tile pool and the
    kernels built on it must be byte-identical to their sequential
-   counterparts at every worker count, across the heap/off-heap layout
-   boundary and the partition boundaries. *)
+   counterparts at every worker count and across the partition
+   boundaries. *)
 
 let seeded k = Prng.Rng.of_seed k
 
@@ -17,53 +17,34 @@ let check_result name (a : Core.Flooding.result) (b : Core.Flooding.result) =
   Alcotest.(check (array int)) (name ^ ": trajectory") a.trajectory b.trajectory;
   Alcotest.(check (array int)) (name ^ ": arrivals") a.arrivals b.arrivals
 
-(* Heap-vs-offheap equality at the storage boundary (2^17 +- 1) for
-   every protocol, with the model stepping on an engaged pool: the two
-   layouts' scans reach the same sets at the same times, draw the same
-   coins, read the same number of row entries and rebuild on the same
-   rounds. *)
-let test_flood_layouts_agree_parallel () =
-  let sizes =
-    [ Graph.Storage.offheap_nodes - 1; Graph.Storage.offheap_nodes;
-      Graph.Storage.offheap_nodes + 1 ]
-  in
-  with_pool 4 (fun () ->
-      List.iter
-        (fun n ->
-          (* The model itself stays partitioned off-heap at every size:
-             a heap Classic sparse set is O(n^2) words, unpayable near
-             2^17 nodes. Only the flood kernel's adjacency layout
-             varies. *)
-          let g = Edge_meg.Classic.make ~parts:64 ~n ~p:(4. /. float_of_int n) ~q:0.5 () in
-          List.iter
-            (fun (name, protocol) ->
-              let go storage =
-                Helpers.with_counters (fun () ->
-                    Core.Flooding.run ~cap:64 ~protocol ~storage ~rng:(seeded 42) ~source:0 g)
-              in
-              let heap, hc = go `Heap and off, oc = go `Offheap in
-              let label = Printf.sprintf "n=%d %s" n name in
-              check_result label heap off;
-              List.iter
-                (fun key ->
-                  Alcotest.(check int) (label ^ ": " ^ key) (Helpers.count key hc)
-                    (Helpers.count key oc))
-                [ "flood.edges"; "flood.snapshots" ])
-            [ ("flood", Core.Flooding.Flood); ("push", Core.Flooding.Push 0.4);
-              ("parsimonious", Core.Flooding.Parsimonious 2) ])
-        sizes)
-
-(* The same off-heap run at 1, 2 and 4 workers: identical results, and
-   the 1-worker case never engages the pool at all. *)
+(* Every protocol on the partitioned off-heap edge-MEG at 2^17 nodes,
+   with the model stepping on pools of 1, 2 and 4 workers: identical
+   results, and the same row entries read and the same rebuild rounds
+   (the 1-worker case never engages the pool at all). *)
 let test_flood_worker_count_invariance () =
   let n = Graph.Storage.offheap_nodes in
   let g = Edge_meg.Classic.make ~parts:64 ~n ~p:(4. /. float_of_int n) ~q:0.5 () in
-  let run () = Core.Flooding.run ~cap:64 ~storage:`Offheap ~rng:(seeded 7) ~source:0 g in
-  let r1 = with_pool 1 run in
-  let r2 = with_pool 2 run in
-  let r4 = with_pool 4 run in
-  check_result "jobs 1 vs 2" r1 r2;
-  check_result "jobs 1 vs 4" r1 r4
+  List.iter
+    (fun (name, protocol) ->
+      let go w =
+        with_pool w (fun () ->
+            Helpers.with_counters (fun () ->
+                Core.Flooding.run ~cap:64 ~protocol ~rng:(seeded 7) ~source:0 g))
+      in
+      let r1, c1 = go 1 in
+      List.iter
+        (fun w ->
+          let r, c = go w in
+          let label = Printf.sprintf "%s: jobs 1 vs %d" name w in
+          check_result label r1 r;
+          List.iter
+            (fun key ->
+              Alcotest.(check int) (label ^ ": " ^ key) (Helpers.count key c1)
+                (Helpers.count key c))
+            [ "flood.edges"; "flood.snapshots" ])
+        [ 2; 4 ])
+    [ ("flood", Core.Flooding.Flood); ("push", Core.Flooding.Push 0.4);
+      ("parsimonious", Core.Flooding.Parsimonious 2) ]
 
 (* Fan-out gating at two tiles per worker, observed through
    [run_tiles] alone: undersized tile counts and a one-worker pool keep
@@ -191,8 +172,6 @@ let suites =
       ] );
     ( "parallel.flood",
       [
-        Alcotest.test_case "heap = offheap at boundaries (pool engaged)" `Slow
-          test_flood_layouts_agree_parallel;
         Alcotest.test_case "worker-count invariance" `Slow test_flood_worker_count_invariance;
       ] );
   ]
