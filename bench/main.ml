@@ -73,8 +73,8 @@ let scale_name = function
 
 (* The large tier's end-to-end size. Only the e2e claim scales with
    this; the frontier_scan_large micro stays at its fixed n. Below
-   Graph.Storage.offheap_nodes, Edge_meg.Classic.make picks its heap
-   engine, whose O(n^2) position array is not the off-heap run the row
+   Graph.Storage.offheap_nodes, Edge_meg.Classic.make runs one strip on
+   an O(n^2) position array, which is not the off-heap run the row
    names, so smaller sizes are rejected. *)
 let large_n () =
   let min = Graph.Storage.offheap_nodes in

@@ -12,7 +12,9 @@
 
    transcribe the printed literals into test/test_golden.ml, and say so
    in the changelog. The builders below must stay in sync with the test
-   file. *)
+   file. The last section prints the Classic stream pins of
+   test/test_edge_meg.ml, whose cases and rendering must stay in sync
+   with that file. *)
 
 let node_chain =
   Markov.Chain.of_rows
@@ -115,3 +117,40 @@ let () =
             (Stats.Summary.mean s) (Stats.Summary.stddev s) (Stats.Summary.max s))
         [ 1; 4 ])
     [ 42; 7 ]
+
+(* Mirrors test/test_edge_meg.ml's [stream_cases] and [stream_digest]. *)
+let stream_cases : (string * (unit -> Core.Dynamic.t)) list =
+  [
+    ("full", fun () -> Edge_meg.Classic.make ~init:Full ~n:20 ~p:0.1 ~q:0.3 ());
+    ("empty", fun () -> Edge_meg.Classic.make ~init:Empty ~n:20 ~p:0.1 ~q:0.3 ());
+    ("saturated q=0", fun () -> Edge_meg.Classic.make ~n:18 ~p:0.2 ~q:0. ());
+    ("q=1", fun () -> Edge_meg.Classic.make ~n:22 ~p:0.15 ~q:1. ());
+    ("p=1", fun () -> Edge_meg.Classic.make ~n:16 ~p:1. ~q:0.6 ());
+    ("parts=64", fun () -> Edge_meg.Classic.make ~parts:64 ~n:24 ~p:0.1 ~q:0.3 ());
+    ("parts=9 p=1", fun () -> Edge_meg.Classic.make ~parts:9 ~n:10 ~p:1. ~q:0.5 ());
+  ]
+
+let stream_digest build =
+  let g = build () in
+  Core.Dynamic.reset g (Prng.Rng.of_seed 11);
+  let b = Buffer.create 4096 in
+  let snapshot () =
+    Core.Dynamic.iter_edges g (Printf.bprintf b "%d-%d ");
+    Buffer.add_char b '\n'
+  in
+  snapshot ();
+  for _ = 1 to 4 do
+    Core.Dynamic.step g;
+    let ok =
+      Core.Dynamic.deltas g
+        ~birth:(Printf.bprintf b "+%d-%d ")
+        ~death:(Printf.bprintf b "-%d-%d ")
+    in
+    Printf.bprintf b "%b\n" ok;
+    snapshot ()
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let () =
+  print_endline "=== Classic stream pins, seed 11 ===";
+  List.iter (fun (name, build) -> Printf.printf "(%S, %S);\n" name (stream_digest build)) stream_cases

@@ -1,273 +1,44 @@
 type init = Stationary | Empty | Full
 
-let make_heap ~init ~n ~p ~q () =
-  let chain = Markov.Two_state.make ~p ~q in
-  let total = Graph.Pairs.total n in
-  (* Present edges live in a sparse set over the pair indices: the
-     birth scan's membership check is two array reads, the death scan
-     subsamples the dense array geometrically, and enumeration is a
-     linear walk — no hashing anywhere in the step. *)
-  let present = Graph.Sparse_set.create total in
-  let rng = ref (Prng.Rng.of_seed 0) in
-  (* Tabulated geometric samplers (one per scan probability), built
-     once per model: every skip draw of the birth, death and
-     stationary-init scans becomes two table reads instead of a
-     logarithm — the scans' dominant per-draw cost. [None] disables
-     the scan (prob = 0) or routes prob = 1 through the exact
-     exhaustive branches. *)
-  let geo prob = if prob > 0. && prob < 1. then Some (Prng.Rng.Geo.make ~p:prob) else None in
-  let geo_p = geo p in
-  let geo_q = geo q in
-  let alpha = Markov.Two_state.stationary_on chain in
-  let geo_alpha = geo alpha in
-  (* Endpoint mirror: eu.(i) / ev.(i) are the decoded endpoints of the
-     pair index at dense slot [i] of [present], maintained through
-     every add and swap-remove. Enumeration reads them back instead of
-     decoding (no sqrt per edge); only births decode, and those arrive
-     in ascending index order, so an incremental row cursor decodes
-     each in O(1). Grown on demand to the peak live-edge count. *)
-  let eu = ref (Array.make 64 0) in
-  let ev = ref (Array.make 64 0) in
-  let ensure_ends needed =
-    if needed > Array.length !eu then begin
-      let cap = max needed (2 * Array.length !eu) in
-      let bu = Array.make cap 0 and bv = Array.make cap 0 in
-      Array.blit !eu 0 bu 0 (Array.length !eu);
-      Array.blit !ev 0 bv 0 (Array.length !ev);
-      eu := bu;
-      ev := bv
-    end
-  in
-  (* Visit each pair index independently with probability [prob] via
-     geometric jumps (O(total · prob) expected draws), handing the
-     callback the decoded endpoints from the monotone cursor. Only the
-     prob = 1 paths land here (the tabulated samplers cover (0, 1) and
-     the hot scans are written out at their call sites); [geometric]
-     then returns 0 every draw, an exhaustive walk. *)
-  let scan_pairs r prob f =
-    if prob > 0. then begin
-      let idx = ref (Prng.Rng.geometric r prob) in
-      if !idx < total then begin
-        let u = ref 0 and base = ref 0 and next = ref (n - 1) in
-        while !idx < total do
-          while !idx >= !next do
-            incr u;
-            base := !next;
-            next := !next + (n - 1 - !u)
-          done;
-          f !idx !u (!u + 1 + (!idx - !base));
-          idx := !idx + 1 + Prng.Rng.geometric r prob
-        done
-      end
-    end
-  in
-  let add_present idx u v =
-    (* Both call sites (reset's stationary scan, step's birth apply)
-       only ever pass absent indices, so skip [add]'s membership
-       re-check. *)
-    let pos = Graph.Sparse_set.length present in
-    ensure_ends (pos + 1);
-    Graph.Sparse_set.add_unchecked present idx;
-    Array.unsafe_set !eu pos u;
-    Array.unsafe_set !ev pos v
-  in
-  (* Birth hits of the current step (index + endpoints), reused across
-     steps; deaths are collected into a reused edge buffer. Together
-     they are the step's delta report. *)
-  let b_idx = ref (Array.make 64 0) in
-  let b_u = ref (Array.make 64 0) in
-  let b_v = ref (Array.make 64 0) in
-  let n_births = ref 0 in
-  let push_birth idx u v =
-    let k = !n_births in
-    if k = Array.length !b_idx then begin
-      let cap = 2 * k in
-      let grow a = let b = Array.make cap 0 in Array.blit !a 0 b 0 k; a := b in
-      grow b_idx;
-      grow b_u;
-      grow b_v
-    end;
-    Array.unsafe_set !b_idx k idx;
-    Array.unsafe_set !b_u k u;
-    Array.unsafe_set !b_v k v;
-    n_births := k + 1
-  in
-  let deaths = Graph.Edge_buffer.create ~capacity:64 () in
-  let deltas_valid = ref false in
-  (* Saturated initialisation: the whole universe, mirror decoded by
-     one monotone walk (dense slot i holds pair index i after
-     fill_all). *)
-  let reset_full () =
-    ensure_ends total;
-    Graph.Sparse_set.fill_all present;
-    let u = ref 0 and base = ref 0 and next = ref (n - 1) in
-    for idx = 0 to total - 1 do
-      while idx >= !next do
-        incr u;
-        base := !next;
-        next := !next + (n - 1 - !u)
-      done;
-      Array.unsafe_set !eu idx !u;
-      Array.unsafe_set !ev idx (!u + 1 + (idx - !base))
-    done
-  in
-  let reset r =
-    rng := r;
-    Graph.Sparse_set.clear present;
-    deltas_valid := false;
-    match init with
-    | Empty -> ()
-    | Full -> reset_full ()
-    | Stationary ->
-        if alpha >= 1. then reset_full ()
-        else (
-          match geo_alpha with
-          | Some geo ->
-              (* [scan_pairs]'s loop with the insert call written
-                 directly — reset is once per trial but still
-                 ~alpha·total events of the run's budget. *)
-              let r = !rng in
-              let idx = ref (Prng.Rng.Geo.draw geo r) in
-              if !idx < total then begin
-                let u = ref 0 and base = ref 0 and next = ref (n - 1) in
-                while !idx < total do
-                  while !idx >= !next do
-                    incr u;
-                    base := !next;
-                    next := !next + (n - 1 - !u)
-                  done;
-                  let i = !idx in
-                  add_present i !u (!u + 1 + (i - !base));
-                  idx := i + 1 + Prng.Rng.Geo.draw geo r
-                done
-              end
-          | None -> scan_pairs !rng alpha (fun idx u v -> add_present idx u v))
-  in
-  (* A step applies, to every edge simultaneously, one transition of its
-     two-state chain: absent edges are born with probability p, present
-     edges die with probability q. Birth hits are collected against the
-     pre-step edge set *before* deaths are applied, so an edge that dies
-     this step cannot also be resurrected by the birth scan. *)
-  let step () =
-    n_births := 0;
-    Graph.Edge_buffer.clear deaths;
-    (* Birth scan, written out instead of going through [scan_pairs]:
-       this is the hottest loop in the model and the closure per event
-       (callback + capture reads) costs as much as the membership test
-       itself. Same cursor walk, same draw sequence. *)
-    (match geo_p with
-    | Some geo ->
-        let r = !rng in
-        let idx = ref (Prng.Rng.Geo.draw geo r) in
-        if !idx < total then begin
-          let u = ref 0 and base = ref 0 and next = ref (n - 1) in
-          while !idx < total do
-            while !idx >= !next do
-              incr u;
-              base := !next;
-              next := !next + (n - 1 - !u)
-            done;
-            let i = !idx in
-            if not (Graph.Sparse_set.mem present i) then
-              push_birth i !u (!u + 1 + (i - !base));
-            idx := i + 1 + Prng.Rng.Geo.draw geo r
-          done
-        end
-    | None ->
-        scan_pairs !rng p (fun idx u v ->
-            if not (Graph.Sparse_set.mem present idx) then push_birth idx u v));
-    (* The death scan never grows the mirror, so its arrays can be
-       hoisted out of the callback. *)
-    let us = !eu and vs = !ev in
-    let on_death _ i =
-      (* The dying edge's endpoints still sit at mirror slot [i]; the
-         survivor swapped into [i] has its payload at the old last
-         slot, [length present]. *)
-      Graph.Edge_buffer.push deaths (Array.unsafe_get us i) (Array.unsafe_get vs i);
-      let last = Graph.Sparse_set.length present in
-      Array.unsafe_set us i (Array.unsafe_get us last);
-      Array.unsafe_set vs i (Array.unsafe_get vs last)
-    in
-    (match geo_q with
-    | Some geo -> Graph.Sparse_set.remove_geo_pos present geo !rng on_death
-    | None -> Graph.Sparse_set.remove_bernoulli_pos present !rng ~p:q on_death);
-    (* Apply the buffered births in one batch: a single capacity check
-       for the whole block, then straight unsafe stores. *)
-    let nb = !n_births in
-    if nb > 0 then begin
-      let pos0 = Graph.Sparse_set.length present in
-      ensure_ends (pos0 + nb);
-      let us = !eu and vs = !ev in
-      let bi = !b_idx and bu = !b_u and bv = !b_v in
-      for k = 0 to nb - 1 do
-        let pos = pos0 + k in
-        Graph.Sparse_set.add_unchecked present (Array.unsafe_get bi k);
-        Array.unsafe_set us pos (Array.unsafe_get bu k);
-        Array.unsafe_set vs pos (Array.unsafe_get bv k)
-      done
-    end;
-    deltas_valid := true
-  in
-  let iter_edges f =
-    let len = Graph.Sparse_set.length present in
-    let us = !eu and vs = !ev in
-    for i = 0 to len - 1 do
-      f (Array.unsafe_get us i) (Array.unsafe_get vs i)
-    done
-  in
-  (* Same dense walk as [iter_edges] (the enumeration orders must
-     agree), pushing straight into the buffer. *)
-  let fill_edges buf =
-    let len = Graph.Sparse_set.length present in
-    let us = !eu and vs = !ev in
-    for i = 0 to len - 1 do
-      Graph.Edge_buffer.push buf (Array.unsafe_get us i) (Array.unsafe_get vs i)
-    done
-  in
-  let deltas ~birth ~death =
-    !deltas_valid
-    && begin
-         let us = !b_u and vs = !b_v in
-         for k = 0 to !n_births - 1 do
-           birth (Array.unsafe_get us k) (Array.unsafe_get vs k)
-         done;
-         Graph.Edge_buffer.iter deaths (fun u v -> death u v);
-         true
-       end
-  in
-  let expected_edges =
-    match init with
-    | Full -> total
-    | Empty | Stationary -> int_of_float (ceil (alpha *. float_of_int total))
-  in
-  let delta_size () =
-    if !deltas_valid then !n_births + Graph.Edge_buffer.length deaths else 0
-  in
-  Core.Dynamic.make ~fill_edges ~deltas ~delta_size ~expected_edges ~n ~reset ~step
-    ~iter_edges ()
+(* One engine at every n (DESIGN.md section 11). The pair universe is
+   cut into fixed contiguous strips, and each strip owns the complete
+   per-range state: its present set, endpoint mirror, birth/death
+   buffers, decode-cursor seed and generator. A step runs every strip's
+   birth scan, death subsample and birth apply; delta reports and
+   enumeration concatenate the strips in index order.
 
-(* Partition-parallel off-heap engine (DESIGN.md section 11). The pair
-   universe is cut into [strips_default] fixed contiguous strips — a
-   function of nothing but the strip count, never of worker count or
-   [parts] — and each strip owns the complete per-range state: its own
-   present set, endpoint mirror, birth/death buffers, decode-cursor
-   seed, and an RNG substream derived from the reset seed by {e strip
-   index}. A step runs every strip's birth scan / death subsample /
-   birth apply independently (fanned over {!Exec.Pool.run_tiles} in
-   groups of [strips / parts]); delta reports and enumeration
-   concatenate strips in index order. Results are therefore a function
-   of the reset seed alone: identical at any [parts] and any pool
-   worker count (test/test_parallel.ml pins both).
+   Below Graph.Storage.offheap_nodes, and without [?parts], one strip
+   spans the whole universe and draws from the reset generator itself.
+   From there up, or with [?parts], 64 strips each draw from substream
+   [strip index] of the reset seed and fan out over
+   Exec.Pool.run_tiles in [parts] groups. Strips are never cut by
+   worker count or [parts], so results are a function of the reset
+   seed alone (test/test_parallel.ml pins both). *)
 
-   Its draw stream deliberately differs from the heap engine's single
-   stream; [make] routes to it only at n >= offheap_nodes or on an
-   explicit [?parts], so every golden-sized run (n < 2^17) executes
-   the heap engine. The two engines agree in law, which the
-   oracle tests in test/test_edge_meg.ml check statistically. [Full]
-   initialisation — and [Stationary] when alpha >= 1 — would saturate
-   the universe and is rejected; without [?parts], [make] routes those
-   to the heap engine. *)
-let strips_default = 64
+module S = Graph.Sparse_set
+module St = Graph.Storage
+module A = Bigarray.Array1
+
+(* A strip's present set over pair indices. One strip indexes the whole
+   universe by array (O(n²) memory); 64 strips index by hash (memory
+   O(live edges)). Both evolve their dense arrays by append and
+   swap-remove, so the draw streams do not depend on the backing.
+   Matched per call: a functor over the two sets measured 4-6% slower
+   per step, and Big at one strip 1.3-2.1x slower (n = 128 to 1024). *)
+type members = Small of S.t | Big of S.Big.t
+
+let[@inline] length = function Small s -> S.length s | Big s -> S.Big.length s
+
+let[@inline] mem set i = match set with Small s -> S.mem s i | Big s -> S.Big.mem s i
+
+(* An edge as one native int, u above bit 31. Node ids lie below
+   Storage.max_nodes = 2^31, so the pair fits OCaml's 63-bit int, and a
+   mirror, birth or death slot is one Bigarray cell. *)
+let[@inline] pack u v = (u lsl 31) lor v
+
+let[@inline] pack_u e = e lsr 31
+
+let[@inline] pack_v e = e land 0x7FFF_FFFF
 
 type strip = {
   lo : int;  (* pair range [lo, hi) *)
@@ -275,38 +46,118 @@ type strip = {
   u0 : int;  (* decode cursor seeded at [lo]: row, row base, next row base *)
   base0 : int;
   next0 : int;
-  present : Graph.Sparse_set.Big.t;
-  eu : Graph.Storage.I32.t;  (* endpoint mirror of the strip's dense slots *)
-  ev : Graph.Storage.I32.t;
-  b_idx : Graph.Storage.Ix.t;  (* buffered births of the current step *)
-  b_u : Graph.Storage.I32.t;
-  b_v : Graph.Storage.I32.t;
+  present : members;
+  ends : St.Ix.t;  (* endpoint mirror of the strip's dense slots, packed *)
+  b_idx : St.Ix.t;  (* births of the current step: pair index, packed edge *)
+  b_ends : St.Ix.t;
+  d_ends : St.Ix.t;  (* deaths of the current step, packed *)
+  (* The raw arrays of the vectors above, re-read after each growth.
+     The hot loops use Bigarray primitives on them because under
+     dune's dev profile (-opaque) a Storage accessor is a real call: at
+     2^17 nodes the 64-strip step through the accessors took about a
+     third longer. The two birth vectors grow together, so one length
+     check covers both. *)
+  mutable ends_a : St.Ix.raw;
+  mutable bi_a : St.Ix.raw;
+  mutable be_a : St.Ix.raw;
+  mutable de_a : St.Ix.raw;
   mutable n_births : int;
-  d_u : Graph.Storage.I32.t;  (* deaths of the current step *)
-  d_v : Graph.Storage.I32.t;
   mutable n_deaths : int;
-  mutable rng : Prng.Rng.t;  (* substream [strip index] of the reset seed *)
+  mutable rng : Prng.Rng.t;
 }
 
-let make_partitioned ~init ~n ~p ~q ~parts () =
-  let module St = Graph.Storage in
-  let module Big = Graph.Sparse_set.Big in
-  if n > St.max_nodes then invalid_arg "Classic.make: n exceeds the int32 id range";
-  let chain = Markov.Two_state.make ~p ~q in
+let grow_mirror st cap =
+  St.Ix.ensure st.ends cap;
+  st.ends_a <- St.Ix.raw st.ends
+
+(* Reset visits only absent indices, so [add]'s membership check is
+   skipped. *)
+let add_present st i u v =
+  let pos = length st.present in
+  if pos = A.dim st.ends_a then grow_mirror st (pos + 1);
+  (match st.present with Small s -> S.add_unchecked s i | Big s -> S.Big.add_unchecked s i);
+  A.unsafe_set st.ends_a pos (pack u v)
+
+let push_birth st i u v =
+  let k = st.n_births in
+  if k = A.dim st.be_a then begin
+    St.Ix.ensure st.b_idx (k + 1);
+    St.Ix.ensure st.b_ends (k + 1);
+    st.bi_a <- St.Ix.raw st.b_idx;
+    st.be_a <- St.Ix.raw st.b_ends
+  end;
+  A.unsafe_set st.bi_a k i;
+  A.unsafe_set st.be_a k (pack u v);
+  st.n_births <- k + 1
+
+(* Each present edge dies with probability q: the set subsamples its
+   dense array top-down with geometric skips. The dying edge still sits
+   at mirror slot [i]; the survivor swapped into [i] sits at the old
+   last slot. The k-th death (from 0) leaves [len0 - 1 - k] members, so
+   that slot is counted, not asked of the set. *)
+let deaths st geo_q q =
+  let ends = st.ends_a in
+  let len0 = length st.present in
+  let on_death _ i =
+    let k = st.n_deaths in
+    if k = A.dim st.de_a then begin
+      St.Ix.ensure st.d_ends (k + 1);
+      st.de_a <- St.Ix.raw st.d_ends
+    end;
+    A.unsafe_set st.de_a k (A.unsafe_get ends i);
+    st.n_deaths <- k + 1;
+    A.unsafe_set ends i (A.unsafe_get ends (len0 - 1 - k))
+  in
+  match (st.present, geo_q) with
+  | Small s, Some geo -> S.remove_geo_pos s geo st.rng on_death
+  | Small s, None -> S.remove_bernoulli_pos s st.rng ~p:q on_death
+  | Big s, Some geo -> S.Big.remove_geo_pos s geo st.rng on_death
+  | Big s, None -> S.Big.remove_bernoulli_pos s st.rng ~p:q on_death
+
+(* The buffered births join in one block: one capacity check, then
+   straight copies. The set backing is matched once for the block. *)
+let apply_births st =
+  let nb = st.n_births in
+  if nb > 0 then begin
+    let pos0 = length st.present in
+    if pos0 + nb > A.dim st.ends_a then grow_mirror st (pos0 + nb);
+    let ends = st.ends_a and bi = st.bi_a and be = st.be_a in
+    (match st.present with
+    | Small s ->
+        for k = 0 to nb - 1 do
+          S.add_unchecked s (A.unsafe_get bi k)
+        done
+    | Big s ->
+        for k = 0 to nb - 1 do
+          S.Big.add_unchecked s (A.unsafe_get bi k)
+        done);
+    for k = 0 to nb - 1 do
+      A.unsafe_set ends (pos0 + k) (A.unsafe_get be k)
+    done
+  end
+
+(* The strip count from offheap_nodes up or with [?parts], and the
+   largest [parts]. *)
+let big_strips = 64
+
+let make ?(init = Stationary) ?parts ~n ~p ~q () =
+  (match parts with
+  | Some k when k < 1 || k > big_strips -> invalid_arg "Classic.make: parts must be in 1..64"
+  | _ -> ());
+  let alpha = Markov.Two_state.stationary_on (Markov.Two_state.make ~p ~q) in
+  let strips = if parts = None && n < St.offheap_nodes then 1 else big_strips in
+  let parts = Option.value parts ~default:strips in
+  let saturated = init = Full || (init = Stationary && alpha >= 1.) in
+  if strips > 1 && saturated then
+    invalid_arg "Classic.make: a saturated start needs fewer than 2^17 nodes and no ?parts";
+  if n > St.max_nodes then invalid_arg "Classic.make: n exceeds Graph.Storage.max_nodes";
   let total = Graph.Pairs.total n in
-  let alpha = Markov.Two_state.stationary_on chain in
-  (match init with
-  | Full -> invalid_arg "Classic.make: Full initialisation needs the heap engine (no ?parts)"
-  | Stationary when alpha >= 1. ->
-      invalid_arg "Classic.make: saturated stationary initialisation needs the heap engine (no ?parts)"
-  | Stationary | Empty -> ());
-  let expected_edges = int_of_float (ceil (alpha *. float_of_int total)) in
+  let init_prob = match init with Stationary -> alpha | Empty -> 0. | Full -> 1. in
+  (* Tabulated geometric samplers, one per scan probability: a skip
+     draw becomes two table reads instead of a logarithm. [None] at
+     prob = 0 (no scan) and prob = 1 (the exhaustive walk). *)
   let geo prob = if prob > 0. && prob < 1. then Some (Prng.Rng.Geo.make ~p:prob) else None in
-  let geo_p = geo p in
-  let geo_q = geo q in
-  let geo_alpha = geo alpha in
-  let strips = strips_default in
-  let parts = min parts strips in
+  let geo_init = geo init_prob and geo_p = geo p and geo_q = geo q in
   (* floor (s * total / strips) without overflowing s * total (the pair
      universe alone can exceed 2^60). *)
   let bound s = (total / strips * s) + (total mod strips * s / strips) in
@@ -319,180 +170,116 @@ let make_partitioned ~init ~n ~p ~q ~parts () =
         let base = lo - (v - u - 1) in
         (u, base, base + (n - 1 - u))
     in
-    let cap = max 64 (int_of_float (ceil (alpha *. float_of_int (hi - lo)))) in
+    let present =
+      if strips = 1 then Small (S.create total)
+      else
+        let expected = int_of_float (ceil (alpha *. float_of_int (hi - lo))) in
+        Big (S.Big.create ~capacity:(max 64 expected) total)
+    in
+    let ix () = St.Ix.create 64 in
+    let ends = ix () and b_idx = ix () and b_ends = ix () and d_ends = ix () in
     {
       lo;
       hi;
       u0;
       base0;
       next0;
-      present = Big.create ~capacity:cap total;
-      eu = St.I32.create 64;
-      ev = St.I32.create 64;
-      b_idx = St.Ix.create 64;
-      b_u = St.I32.create 64;
-      b_v = St.I32.create 64;
+      present;
+      ends;
+      b_idx;
+      b_ends;
+      d_ends;
+      ends_a = St.Ix.raw ends;
+      bi_a = St.Ix.raw b_idx;
+      be_a = St.Ix.raw b_ends;
+      de_a = St.Ix.raw d_ends;
       n_births = 0;
-      d_u = St.I32.create 64;
-      d_v = St.I32.create 64;
       n_deaths = 0;
       rng = Prng.Rng.of_seed 0;
     }
   in
   let ss = Array.init strips mk_strip in
-  let pbound j = j * strips / parts in
-  let add_present st idx u v =
-    let pos = Big.length st.present in
-    St.I32.ensure st.eu (pos + 1);
-    St.I32.ensure st.ev (pos + 1);
-    Big.add_unchecked st.present idx;
-    St.I32.unsafe_set st.eu pos u;
-    St.I32.unsafe_set st.ev pos v
-  in
-  let push_birth st idx u v =
-    let k = st.n_births in
-    St.Ix.ensure st.b_idx (k + 1);
-    St.I32.ensure st.b_u (k + 1);
-    St.I32.ensure st.b_v (k + 1);
-    St.Ix.unsafe_set st.b_idx k idx;
-    St.I32.unsafe_set st.b_u k u;
-    St.I32.unsafe_set st.b_v k v;
-    st.n_births <- k + 1
-  in
-  (* Strip-local variant of [scan_pairs]: visit each pair of [lo, hi)
-     independently with probability [prob], cursor seeded at [lo]. Only
-     the prob = 1 exhaustive paths land here; the hot scans below are
-     written out with the tabulated samplers. *)
-  let scan_strip st r prob f =
+  (* Visit each pair of the strip independently with probability
+     [prob] by geometric jumps; at prob = 1 every skip is 0 and draws
+     nothing. A monotone row cursor decodes each visited index in O(1).
+     Reset adds every visited pair; a step buffers the absent ones as
+     births. Written out rather than through a callback: a closure call
+     per event costs as much as the membership test. *)
+  let scan st ~births prob geo =
     if prob > 0. then begin
-      let idx = ref (st.lo + Prng.Rng.geometric r prob) in
-      if !idx < st.hi then begin
-        let u = ref st.u0 and base = ref st.base0 and next = ref st.next0 in
-        while !idx < st.hi do
-          while !idx >= !next do
-            incr u;
-            base := !next;
-            next := !next + (n - 1 - !u)
-          done;
-          f !idx !u (!u + 1 + (!idx - !base));
-          idx := !idx + 1 + Prng.Rng.geometric r prob
-        done
-      end
-    end
-  in
-  let deltas_valid = ref false in
-  let strip_reset st =
-    Big.clear st.present;
-    st.n_births <- 0;
-    st.n_deaths <- 0;
-    match init with
-    | Empty -> ()
-    | Full -> assert false
-    | Stationary -> (
-        match geo_alpha with
-        | Some geo ->
-            let r = st.rng in
-            let idx = ref (st.lo + Prng.Rng.Geo.draw geo r) in
-            if !idx < st.hi then begin
-              let u = ref st.u0 and base = ref st.base0 and next = ref st.next0 in
-              while !idx < st.hi do
-                while !idx >= !next do
-                  incr u;
-                  base := !next;
-                  next := !next + (n - 1 - !u)
-                done;
-                let i = !idx in
-                add_present st i !u (!u + 1 + (i - !base));
-                idx := i + 1 + Prng.Rng.Geo.draw geo r
-              done
-            end
-        | None -> scan_strip st st.rng alpha (fun idx u v -> add_present st idx u v))
-  in
-  let strip_step st =
-    st.n_births <- 0;
-    st.n_deaths <- 0;
-    (match geo_p with
-    | Some geo ->
-        let r = st.rng in
-        let idx = ref (st.lo + Prng.Rng.Geo.draw geo r) in
-        if !idx < st.hi then begin
-          let u = ref st.u0 and base = ref st.base0 and next = ref st.next0 in
-          while !idx < st.hi do
-            while !idx >= !next do
-              incr u;
-              base := !next;
-              next := !next + (n - 1 - !u)
-            done;
-            let i = !idx in
-            if not (Big.mem st.present i) then push_birth st i !u (!u + 1 + (i - !base));
-            idx := i + 1 + Prng.Rng.Geo.draw geo r
-          done
-        end
-    | None ->
-        scan_strip st st.rng p (fun idx u v ->
-            if not (Big.mem st.present idx) then push_birth st idx u v));
-    let on_death _ i =
-      let k = st.n_deaths in
-      St.I32.ensure st.d_u (k + 1);
-      St.I32.ensure st.d_v (k + 1);
-      St.I32.unsafe_set st.d_u k (St.I32.unsafe_get st.eu i);
-      St.I32.unsafe_set st.d_v k (St.I32.unsafe_get st.ev i);
-      st.n_deaths <- k + 1;
-      let last = Big.length st.present in
-      St.I32.unsafe_set st.eu i (St.I32.unsafe_get st.eu last);
-      St.I32.unsafe_set st.ev i (St.I32.unsafe_get st.ev last)
-    in
-    (match geo_q with
-    | Some geo -> Big.remove_geo_pos st.present geo st.rng on_death
-    | None -> Big.remove_bernoulli_pos st.present st.rng ~p:q on_death);
-    let nb = st.n_births in
-    if nb > 0 then begin
-      let pos0 = Big.length st.present in
-      St.I32.ensure st.eu (pos0 + nb);
-      St.I32.ensure st.ev (pos0 + nb);
-      for k = 0 to nb - 1 do
-        let pos = pos0 + k in
-        Big.add_unchecked st.present (St.Ix.unsafe_get st.b_idx k);
-        St.I32.unsafe_set st.eu pos (St.I32.unsafe_get st.b_u k);
-        St.I32.unsafe_set st.ev pos (St.I32.unsafe_get st.b_v k)
+      let r = st.rng and hi = st.hi and present = st.present in
+      let idx = ref (st.lo + (match geo with Some g -> Prng.Rng.Geo.draw g r | None -> 0)) in
+      let u = ref st.u0 and base = ref st.base0 and next = ref st.next0 in
+      while !idx < hi do
+        while !idx >= !next do
+          incr u;
+          base := !next;
+          next := !next + (n - 1 - !u)
+        done;
+        let i = !idx in
+        let v = !u + 1 + (i - !base) in
+        if not births then add_present st i !u v
+        else if not (mem present i) then push_birth st i !u v;
+        idx := i + 1 + (match geo with Some g -> Prng.Rng.Geo.draw g r | None -> 0)
       done
     end
   in
+  let strip_reset st =
+    (match st.present with Small s -> S.clear s | Big s -> S.Big.clear s);
+    st.n_births <- 0;
+    st.n_deaths <- 0;
+    scan st ~births:false init_prob geo_init
+  in
+  (* Birth hits are collected against the pre-step edge set before
+     deaths apply, so an edge that dies this step cannot also be born. *)
+  let strip_step st =
+    st.n_births <- 0;
+    st.n_deaths <- 0;
+    scan st ~births:true p geo_p;
+    deaths st geo_q q;
+    apply_births st
+  in
+  (* One strip runs on the caller, not through run_tiles, so the
+     exec.tile_plans and exec.tiles counters count only the 64-strip
+     fan-out. *)
+  let each f =
+    if strips = 1 then f ss.(0)
+    else
+      Exec.Pool.run_tiles parts (fun j ->
+          for s = j * strips / parts to ((j + 1) * strips / parts) - 1 do
+            f ss.(s)
+          done)
+  in
+  let deltas_valid = ref false in
   let reset r =
     deltas_valid := false;
-    (* Substreams are indexed by strip, not by domain or part: derived
-       sequentially here, before any fan-out, so the strip streams are
-       a pure function of the reset seed. *)
-    for s = 0 to strips - 1 do
-      ss.(s).rng <- Prng.Rng.substream r s
-    done;
-    Exec.Pool.run_tiles parts (fun j ->
-        for s = pbound j to pbound (j + 1) - 1 do
-          strip_reset ss.(s)
-        done)
+    (* Substreams are indexed by strip and derived before any fan-out. *)
+    if strips = 1 then ss.(0).rng <- r
+    else Array.iteri (fun s st -> st.rng <- Prng.Rng.substream r s) ss;
+    each strip_reset
   in
   let step () =
-    Exec.Pool.run_tiles parts (fun j ->
-        for s = pbound j to pbound (j + 1) - 1 do
-          strip_step ss.(s)
-        done);
+    each strip_step;
     deltas_valid := true
   in
   let iter_edges f =
     for s = 0 to strips - 1 do
       let st = ss.(s) in
-      let len = Big.length st.present in
-      for i = 0 to len - 1 do
-        f (St.I32.unsafe_get st.eu i) (St.I32.unsafe_get st.ev i)
+      let ends = st.ends_a in
+      for i = 0 to length st.present - 1 do
+        let e = A.unsafe_get ends i in
+        f (pack_u e) (pack_v e)
       done
     done
   in
+  (* Same walk as [iter_edges]: the enumeration orders must agree. *)
   let fill_edges buf =
     for s = 0 to strips - 1 do
       let st = ss.(s) in
-      let len = Big.length st.present in
-      for i = 0 to len - 1 do
-        Graph.Edge_buffer.push buf (St.I32.unsafe_get st.eu i) (St.I32.unsafe_get st.ev i)
+      let ends = st.ends_a in
+      for i = 0 to length st.present - 1 do
+        let e = A.unsafe_get ends i in
+        Graph.Edge_buffer.push buf (pack_u e) (pack_v e)
       done
     done
   in
@@ -501,11 +288,14 @@ let make_partitioned ~init ~n ~p ~q ~parts () =
     && begin
          for s = 0 to strips - 1 do
            let st = ss.(s) in
+           let be = st.be_a and de = st.de_a in
            for k = 0 to st.n_births - 1 do
-             birth (St.I32.unsafe_get st.b_u k) (St.I32.unsafe_get st.b_v k)
+             let e = A.unsafe_get be k in
+             birth (pack_u e) (pack_v e)
            done;
            for k = 0 to st.n_deaths - 1 do
-             death (St.I32.unsafe_get st.d_u k) (St.I32.unsafe_get st.d_v k)
+             let e = A.unsafe_get de k in
+             death (pack_u e) (pack_v e)
            done
          done;
          true
@@ -515,24 +305,11 @@ let make_partitioned ~init ~n ~p ~q ~parts () =
     if !deltas_valid then Array.fold_left (fun acc st -> acc + st.n_births + st.n_deaths) 0 ss
     else 0
   in
+  let expected_edges =
+    if init = Full then total else int_of_float (ceil (alpha *. float_of_int total))
+  in
   Core.Dynamic.make ~fill_edges ~deltas ~delta_size ~expected_edges ~n ~reset ~step
     ~iter_edges ()
-
-let make ?(init = Stationary) ?parts ~n ~p ~q () =
-  match parts with
-  | Some k ->
-      if k < 1 then invalid_arg "Classic.make: parts must be >= 1";
-      make_partitioned ~init ~n ~p ~q ~parts:k ()
-  | None ->
-      (* Big graphs go off-heap (partitioned) unless the run needs a
-         saturated start, which only the universe-sized heap layout can
-         hold. *)
-      if
-        n >= Graph.Storage.offheap_nodes
-        && init <> Full
-        && Markov.Two_state.stationary_on (Markov.Two_state.make ~p ~q) < 1.
-      then make_partitioned ~init ~n ~p ~q ~parts:strips_default ()
-      else make_heap ~init ~n ~p ~q ()
 
 let params ~p ~q = Markov.Two_state.make ~p ~q
 

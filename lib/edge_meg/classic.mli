@@ -4,7 +4,7 @@
     dies with probability [q].
 
     The implementation is sparse: the current edge set lives in a
-    {!Graph.Sparse_set} over pair indices, births are sampled with
+    sparse set over pair indices, births are sampled with
     geometric jumps over the n(n-1)/2 pair indices (membership check
     per hit is O(1)) and deaths with geometric skips over the dense
     present array, so a step costs O(n² p + m q) expected draws instead
@@ -27,25 +27,29 @@ val make :
 (** Requires [p, q] in [\[0, 1\]], [p + q > 0]. Default init
     [Stationary].
 
-    Two engines back the model. The heap engine keeps a
-    {!Graph.Sparse_set} indexed by the full pair universe — O(n²)
-    memory, the only engine that holds [Full] (and saturated
-    stationary) initialisation. The partitioned engine (DESIGN.md
-    section 11) keeps every size-scaling structure in the
-    {!Graph.Storage} layer with memory O(peak edge count) — the only
-    way to reach n ≈ 10⁶ — and cuts the pair universe into 64 fixed
-    strips, each owning its state and an RNG substream indexed by strip
-    (never by domain), stepped in parallel on {!Exec.Pool}. Its results
-    depend only on the seed, not on [parts] or the worker count; its
-    draw stream deliberately differs from the heap engine's, and the two
-    agree in law.
+    One engine backs the model (DESIGN.md section 11). It cuts the pair
+    universe into fixed strips, each owning its present set, endpoint
+    mirror and generator; enumeration and delta reports concatenate
+    the strips in index order. The strip count follows [n]:
 
-    Without [?parts], [make] picks the partitioned engine from
-    [Graph.Storage.offheap_nodes] nodes up whenever the initialisation
-    allows it, the heap engine otherwise. [?parts] forces the
-    partitioned engine at any [n], grouping strips into that many step
-    tasks (clamped to 1..64); it rejects [Full] and saturated
-    stationary starts. *)
+    - Below [Graph.Storage.offheap_nodes] (2¹⁷) nodes, and without
+      [?parts], one strip spans the universe and draws from the reset
+      generator itself. Its set is a {!Graph.Sparse_set} indexed by
+      pair, two arrays of n(n-1)/2 cells: about 537 MB at n = 2¹³,
+      growing as n². Callers between 2¹³ and 2¹⁷ nodes should pass
+      [?parts].
+    - From 2¹⁷ nodes up, or with [?parts], 64 strips each draw from
+      substream [strip index] of the reset seed and keep every
+      size-scaling structure in the {!Graph.Storage} layer, with memory
+      O(peak edge count): the only way to reach n ≈ 10⁶. They step in
+      parallel on {!Exec.Pool}, grouped into [parts] tasks (64 without
+      [?parts]). Results depend only on the seed, not on [parts] or the
+      worker count. The two strip counts draw different streams and
+      agree in law.
+
+    Raises [Invalid_argument] when [parts] lies outside 1..64, and for
+    a [Full] or saturated stationary (q = 0) start at 64 strips, which
+    would put the whole universe into the strips' hash sets. *)
 
 val params : p:float -> q:float -> Markov.Two_state.t
 (** The per-edge chain, for closed-form α and mixing time. *)

@@ -94,6 +94,8 @@ module Ix = struct
       Bigarray.Array1.blit t.data (Bigarray.Array1.sub bigger 0 cur);
       t.data <- bigger
     end
+
+  let[@inline] raw t = t.data
 end
 
 module Bitset = struct

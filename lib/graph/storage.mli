@@ -29,8 +29,10 @@ val max_nodes : int
     (2³¹). *)
 
 val offheap_nodes : int
-(** Node-count threshold (2¹⁷) at which [Edge_meg.Classic.make] picks
-    its partitioned off-heap engine instead of the heap engine. *)
+(** Node-count threshold (2¹⁷) from which [Edge_meg.Classic.make] cuts
+    the pair universe into 64 strips on hash-indexed sets, with memory
+    O(live edges), instead of one strip on an array-indexed set of
+    O(n²) memory. *)
 
 (** Growable int32 vector on a Bigarray. *)
 module I32 : sig
@@ -92,6 +94,9 @@ module Ix : sig
   val fill : t -> int -> int -> int -> unit
 
   val ensure : t -> int -> unit
+
+  val raw : t -> raw
+  (** As {!I32.raw}: invalidated by {!ensure}. *)
 end
 
 (** Packed bitset: one bit per element in a Bytes block. The GC never

@@ -84,16 +84,24 @@ let q_classic_edges_valid =
       && List.length (List.sort_uniq compare edges) = List.length edges)
 
 let test_classic_validation () =
-  check_true "p out of range"
-    (try
-       ignore (Edge_meg.Classic.make ~n:4 ~p:1.5 ~q:0.1 ());
-       false
-     with Invalid_argument _ -> true)
+  let raises f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
+  check_true "p out of range" (raises (fun () -> Edge_meg.Classic.make ~n:4 ~p:1.5 ~q:0.1 ()));
+  (* [parts] is rejected outside 1..64, never clamped. *)
+  check_true "parts 0" (raises (fun () -> Edge_meg.Classic.make ~parts:0 ~n:32 ~p:0.1 ~q:0.1 ()));
+  check_true "parts 65" (raises (fun () -> Edge_meg.Classic.make ~parts:65 ~n:32 ~p:0.1 ~q:0.1 ()));
+  check_true "parts 64 accepted"
+    (not (raises (fun () -> Edge_meg.Classic.make ~parts:64 ~n:32 ~p:0.1 ~q:0.1 ())))
 
 (* Regression: Full init and Stationary init with alpha >= 1 (q = 0)
    used to loop Hashtbl.replace over all Pairs.total n entries; both now
-   route through the sparse set's bulk fill. The observable contract at
-   small n: the first snapshot is the complete graph. *)
+   append the whole universe in one index-order walk that draws
+   nothing. The observable contract at small n: the first snapshot is
+   the complete graph. *)
 let test_classic_saturated_inits_bulk_fill () =
   let n = 20 in
   let total = Graph.Pairs.total n in
@@ -109,14 +117,71 @@ let test_classic_saturated_inits_bulk_fill () =
   Core.Dynamic.step saturated;
   Alcotest.(check int) "still complete after a step" total (Core.Dynamic.edge_count saturated)
 
+(* Exact streams the goldens miss: they pin Classic only at one
+   stationary model. Each case hashes the snapshot after reset and, for
+   steps 1-4, the delta report (births "+", deaths "-", in report
+   order) and the snapshot, at seed 11. Cases: Full and Empty starts, a
+   saturated stationary start (q = 0), q = 1 (every edge dies: the
+   death scan's p >= 1 branch), p = 1 (the exhaustive birth scan), and
+   two 64-strip models. bin/regen_golden.exe prints these digests from
+   a copy of [stream_cases] and [stream_digest]. *)
+let stream_cases : (string * (unit -> Core.Dynamic.t)) list =
+  [
+    ("full", fun () -> Edge_meg.Classic.make ~init:Full ~n:20 ~p:0.1 ~q:0.3 ());
+    ("empty", fun () -> Edge_meg.Classic.make ~init:Empty ~n:20 ~p:0.1 ~q:0.3 ());
+    ("saturated q=0", fun () -> Edge_meg.Classic.make ~n:18 ~p:0.2 ~q:0. ());
+    ("q=1", fun () -> Edge_meg.Classic.make ~n:22 ~p:0.15 ~q:1. ());
+    ("p=1", fun () -> Edge_meg.Classic.make ~n:16 ~p:1. ~q:0.6 ());
+    ("parts=64", fun () -> Edge_meg.Classic.make ~parts:64 ~n:24 ~p:0.1 ~q:0.3 ());
+    ("parts=9 p=1", fun () -> Edge_meg.Classic.make ~parts:9 ~n:10 ~p:1. ~q:0.5 ());
+  ]
+
+let stream_digest build =
+  let g = build () in
+  Core.Dynamic.reset g (rng_of_seed 11);
+  let b = Buffer.create 4096 in
+  let snapshot () =
+    Core.Dynamic.iter_edges g (Printf.bprintf b "%d-%d ");
+    Buffer.add_char b '\n'
+  in
+  snapshot ();
+  for _ = 1 to 4 do
+    Core.Dynamic.step g;
+    let ok =
+      Core.Dynamic.deltas g
+        ~birth:(Printf.bprintf b "+%d-%d ")
+        ~death:(Printf.bprintf b "-%d-%d ")
+    in
+    Printf.bprintf b "%b\n" ok;
+    snapshot ()
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let stream_pins =
+  [
+    ("full", "f7a94627f01945df019c41d082046fe5");
+    ("empty", "1a2a38f790349c93824902eb03ab1341");
+    ("saturated q=0", "62bc83c45094e73a5df3e4d6758cd4ad");
+    ("q=1", "e3534a90609105199217ef2afc59f70c");
+    ("p=1", "84c7c66015afd26bb520abf2818e0024");
+    ("parts=64", "5e27123686865fda4658779a7825d8ec");
+    ("parts=9 p=1", "3da3ac7f3aacbff31ecb61e5cfcf69f3");
+  ]
+
+let test_classic_stream_pins () =
+  List.iter
+    (fun (name, build) ->
+      Alcotest.(check string) name (List.assoc name stream_pins) (stream_digest build))
+    stream_cases
+
 (* --- statistical equivalence against the pre-rewrite oracle --- *)
 
 (* The sparse-set rewrite changed the RNG draw sequence (geometric death
    skips instead of per-edge Bernoullis), so trajectories differ by
    design; the process law must not. Compare Monte-Carlo estimates from
-   each engine — heap, and partitioned with its per-strip substreams —
-   against the Hashtbl oracle within a 3-sigma confidence band at fixed
-   seeds. *)
+   each strip count — one strip on the reset generator, and 64 strips
+   on per-strip substreams — against the Hashtbl oracle within a
+   3-sigma confidence band at fixed seeds. *)
 
 let check_within_ci name s_new s_old =
   let k_new = float_of_int (Stats.Summary.count s_new)
@@ -145,10 +210,10 @@ let test_classic_oracle_stationary_edges () =
     s
   in
   let oracle = sample (fun () -> Oracle_edge_meg.make ~n ~p ~q ()) 32 in
-  check_within_ci "stationary edge count, heap vs oracle"
+  check_within_ci "stationary edge count, one strip vs oracle"
     (sample (fun () -> Edge_meg.Classic.make ~n ~p ~q ()) 31)
     oracle;
-  check_within_ci "stationary edge count, partitioned vs oracle"
+  check_within_ci "stationary edge count, 64 strips vs oracle"
     (sample (fun () -> Edge_meg.Classic.make ~parts:64 ~n ~p ~q ()) 35)
     oracle
 
@@ -158,10 +223,10 @@ let test_classic_oracle_flooding_mean () =
     Core.Flooding.mean_time ~rng:(rng_of_seed seed) ~trials:60 build
   in
   let oracle = mean (fun () -> Oracle_edge_meg.make ~n ~p ~q ()) 34 in
-  check_within_ci "flooding mean, heap vs oracle"
+  check_within_ci "flooding mean, one strip vs oracle"
     (mean (fun () -> Edge_meg.Classic.make ~n ~p ~q ()) 33)
     oracle;
-  check_within_ci "flooding mean, partitioned vs oracle"
+  check_within_ci "flooding mean, 64 strips vs oracle"
     (mean (fun () -> Edge_meg.Classic.make ~parts:64 ~n ~p ~q ()) 36)
     oracle
 
@@ -307,13 +372,24 @@ let test_opportunistic_floods () =
   | Some t -> check_true "floods" (t < 3000)
   | None -> Alcotest.fail "opportunistic model did not flood"
 
+(* Saturated starts would fill every strip's hash set with the whole
+   universe, so the 64-strip engine rejects them: with [?parts], and
+   from offheap_nodes up without it. Validation runs before any
+   allocation, so the 2^17 cases cost nothing (a one-strip set there
+   would need two n(n-1)/2-cell arrays, about 137 GB). *)
 let test_classic_offheap_rejects_saturated () =
   let raises f = try f (); false with Invalid_argument _ -> true in
+  let big = Graph.Storage.offheap_nodes in
   check_true "Full init rejected off-heap"
     (raises (fun () ->
          ignore (Edge_meg.Classic.make ~init:Edge_meg.Classic.Full ~parts:64 ~n:32 ~p:0.1 ~q:0.1 ())));
   check_true "saturated stationary rejected off-heap"
-    (raises (fun () -> ignore (Edge_meg.Classic.make ~parts:64 ~n:32 ~p:0.1 ~q:0. ())))
+    (raises (fun () -> ignore (Edge_meg.Classic.make ~parts:64 ~n:32 ~p:0.1 ~q:0. ())));
+  check_true "Full init rejected at 2^17"
+    (raises (fun () ->
+         ignore (Edge_meg.Classic.make ~init:Edge_meg.Classic.Full ~n:big ~p:0.1 ~q:0.1 ())));
+  check_true "saturated stationary rejected at 2^17"
+    (raises (fun () -> ignore (Edge_meg.Classic.make ~n:big ~p:0.1 ~q:0. ())))
 
 let suites =
   [
@@ -330,6 +406,7 @@ let suites =
         Alcotest.test_case "validation" `Quick test_classic_validation;
         Alcotest.test_case "saturated inits use bulk fill" `Quick
           test_classic_saturated_inits_bulk_fill;
+        Alcotest.test_case "stream pins" `Quick test_classic_stream_pins;
         Alcotest.test_case "oracle: stationary edges within CI" `Quick
           test_classic_oracle_stationary_edges;
         Alcotest.test_case "oracle: flooding mean within CI" `Quick

@@ -36,6 +36,10 @@ let opportunistic_params =
 let builders : (string * (unit -> Core.Dynamic.t)) list =
   [
     ("edge_meg.classic", fun () -> Edge_meg.Classic.make ~n:24 ~p:0.08 ~q:0.4 ());
+    (* The 64-strip engine at small n: strips concatenate in index
+       order, in groups of 64 / parts; at n = 10 some strips are empty. *)
+    ("edge_meg.classic.parts64", fun () -> Edge_meg.Classic.make ~parts:64 ~n:24 ~p:0.08 ~q:0.4 ());
+    ("edge_meg.classic.parts9", fun () -> Edge_meg.Classic.make ~parts:9 ~n:10 ~p:0.15 ~q:0.5 ());
     ("edge_meg.general", fun () -> Edge_meg.Opportunistic.make ~n:16 opportunistic_params);
     ( "edge_meg.general_direct",
       fun () ->
