@@ -382,10 +382,10 @@ let micro_tests () =
   let delta_meg = prepared_edge_meg n in
   let delta_sync = Core.Adj_sync.create delta_meg in
   Core.Adj_sync.ensure delta_sync;
-  (* Frontier-scan flooding in a stickier regime (lower churn, sparser
-     graph) than end_to_end: longer runs whose later rounds are
-     dominated by the Σ deg(active) row scans rather than by model
-     steps. *)
+  (* Plain flooding in a stickier regime (lower churn, sparser graph)
+     than end_to_end: longer runs, about 15 rounds. At q = 0.25 the
+     model carries the boundary hook, so a round is a step and one cut
+     scan; the name predates the hook. *)
   let frontier_rng = Prng.Rng.of_seed 9 in
   let frontier_model = Edge_meg.Classic.make ~n:128 ~p:(1. /. 256.) ~q:0.25 () in
   (* The headline model at the perfbench flood-waypoint density (L =
@@ -466,16 +466,15 @@ let micro_tests () =
 (* The large-tier micro: a full flood per call on the off-heap backing
    at a fixed n = 2^18 (deliberately NOT BENCH_LARGE_N: the gated
    baseline and the CI smoke run must measure the same thing). The
-   sticky sparse regime mirrors flooding.frontier_scan. A call is the
-   whole delta path of about 64 rounds: model steps, one adjacency
-   build, then some 4 M edge births and deaths applied in place
-   against under 1 M row entries scanned (flood.delta_edges vs
-   flood.edges), so the delta apply and the step outweigh the scan. *)
+   sticky sparse regime mirrors flooding.frontier_scan. At q = 1/8 the
+   model carries the boundary hook, so a call is about 64 rounds of a
+   model step and one cut scan over the ~2^18 live edges (flood.edges),
+   with no adjacency and no deltas (flood.delta_edges 0); the step
+   outweighs the scan. The name predates the hook and is gated. *)
 let large_micro_tests () =
   let n = 1 lsl 18 in
   let rng = Prng.Rng.of_seed 11 in
-  (* alpha ~ 2/n: expected degree ~2, and the low churn (edges persist
-     ~1/q steps) keeps every round on the incremental delta path. *)
+  (* alpha ~ 2/n: expected degree ~2, edges persisting ~1/q steps. *)
   let model = Edge_meg.Classic.make ~n ~p:(0.25 /. float_of_int n) ~q:0.125 () in
   [
     Test.make

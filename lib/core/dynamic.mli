@@ -127,7 +127,9 @@ val deltas : t -> birth:(int -> int -> unit) -> death:(int -> int -> unit) -> bo
 val has_boundary : t -> bool
 (** Whether the model carries a native boundary hook. A static
     capability, like {!has_deltas}: consumers pick their scan strategy
-    once per run. *)
+    once per run. The implementors are the grid mobility models and
+    the classic edge-MEG from q = 0.05 up, and {!subsample} of
+    either. *)
 
 val boundary : t -> Graph.Storage.Bitset.t -> (int -> unit) -> int
 (** [boundary t inside f] calls [f v] exactly once for each node [v]

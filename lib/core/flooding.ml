@@ -46,13 +46,15 @@ let c_cap_hits = Obs.Metrics.counter "flood.cap_hits"
    model's capabilities:
 
    - Plain flooding on a model with a boundary hook
-     ({!Dynamic.has_boundary}, e.g. the geometric mobility models) asks
-     the model for N_t(I_t) \ I_t directly — for the grid models, one
-     counting-sort sweep that skips cells far from every informed node
-     — then commits and steps: no edge buffer, no per-edge work.
-     Flooding draws no coins and I_{t+1} is a set, so the result is the
-     one enumeration would give. [flood.edges] counts the candidate
-     pairs the hook tested, and every round is one [flood.snapshots].
+     ({!Dynamic.has_boundary}) asks the model for N_t(I_t) \ I_t
+     directly — for the grid mobility models, one counting-sort sweep
+     that skips cells far from every informed node; for a classic
+     edge-MEG from q = 0.05 up, one pass over its live edges — then
+     commits and steps: no edge buffer, no adjacency, no per-edge work
+     here. Flooding draws no coins and I_{t+1} is a set, so the result
+     is the one enumeration would give. [flood.edges] counts the
+     candidate pairs the hook tested, and every round is one
+     [flood.snapshots].
 
    - Delta-capable models ({!Dynamic.has_deltas}) keep an incremental
      adjacency in sync through {!Adj_sync} (which itself chooses
@@ -67,6 +69,10 @@ let c_cap_hits = Obs.Metrics.counter "flood.cap_hits"
      pointer maintains the active suffix. Plain flooding draws no
      coins, so once the uninformed nodes are the fewer it scans their
      rows instead, with early exit on the first informed neighbour.
+     Plain flooding lands here on delta-capable models without a
+     boundary hook, among them node-MEGs, the general edge-MEG,
+     [union], [filter_edges] and classic edge-MEGs below the hook's
+     churn floor.
 
    - Everything else takes the original path: enumerate the snapshot
      into a reused Edge_buffer and consider both directions of every

@@ -44,10 +44,11 @@ val run :
     [rng]; the remainder of [rng] drives the protocol's own coins (for
     [Push]). [cap] defaults to [10_000 + 200 * n] steps.
 
-    [Flood] on a model with a boundary hook ({!Dynamic.has_boundary},
-    e.g. the grid mobility models) asks the model for each round's new
-    neighbours instead of enumerating the snapshot; the results are the
-    same.
+    [Flood] on a model with a boundary hook ({!Dynamic.has_boundary}:
+    the grid mobility models, and classic edge-MEGs from q = 0.05 up)
+    asks the model for each round's new neighbours instead of
+    enumerating the snapshot or keeping an adjacency; the results are
+    the same.
 
     [storage] is ignored. The delta path's incremental adjacency has
     one layout, the off-heap arena of {!Adj_sync}; the argument stays

@@ -13,7 +13,11 @@ type init = Stationary | Empty | Full
    [strip index] of the reset seed and fan out over
    Exec.Pool.run_tiles in [parts] groups. Strips are never cut by
    worker count or [parts], so results are a function of the reset
-   seed alone (test/test_parallel.ml pins both). *)
+   seed alone (test/test_parallel.ml pins both).
+
+   From [boundary_min_q] up, the model also answers plain flooding's
+   one question, which outside nodes touch an inside set, by one pass
+   over the strips' endpoint mirrors (DESIGN.md section 8). *)
 
 module S = Graph.Sparse_set
 module St = Graph.Storage
@@ -139,6 +143,25 @@ let apply_births st =
 (* The strip count from offheap_nodes up or with [?parts], and the
    largest [parts]. *)
 let big_strips = 64
+
+(* The churn floor of the boundary hook. Its cut scan reads every live
+   edge each round, where Flood's delta path reads the ~2qm changed
+   edges and the rows of the smaller side of the cut. Paired per-flood
+   timings (CHANGES.md has the grid) put the crossover near q = 0.05
+   for the sparsest models, p n <= 0.1, whose floods run 30-600
+   rounds: from 0.05 up every measured model took 0.63-1.08x the
+   delta path's time, while at q = 0.01-0.04 those took 1.01-1.71x.
+   Denser models, p n >= 0.4, still win below the floor (0.83-0.95x
+   at q = 0.02) but keep the delta path. *)
+let boundary_min_q = 0.05
+
+(* Raw reads and writes of a Storage.Bitset block: under -opaque the
+   Bitset accessors are calls, one per endpoint. *)
+let[@inline] bit b i = Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let[@inline] set_bit b i =
+  let k = i lsr 3 in
+  Bytes.unsafe_set b k (Char.unsafe_chr (Char.code (Bytes.unsafe_get b k) lor (1 lsl (i land 7))))
 
 let make ?(init = Stationary) ?parts ~n ~p ~q () =
   (match parts with
@@ -305,10 +328,43 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
     if !deltas_valid then Array.fold_left (fun acc st -> acc + st.n_births + st.n_deaths) 0 ss
     else 0
   in
+  (* Same walk as [iter_edges]. An edge with exactly one endpoint
+     inside reports the other, once per call through [seen]: created on
+     the first call, so [make] allocates nothing O(n) for it. No delta
+     state is touched, so a [deltas] report stays valid. *)
+  let seen = lazy (St.Bitset.create n) in
+  let boundary inside f =
+    if St.Bitset.length inside <> n then
+      invalid_arg "Classic.boundary: inside set length mismatch";
+    let seen = Lazy.force seen in
+    St.Bitset.clear_all seen;
+    let ins = St.Bitset.bits inside and out = St.Bitset.bits seen in
+    let scanned = ref 0 in
+    for s = 0 to strips - 1 do
+      let st = ss.(s) in
+      let ends = st.ends_a in
+      let len = length st.present in
+      for i = 0 to len - 1 do
+        let e = A.unsafe_get ends i in
+        let u = pack_u e and v = pack_v e in
+        let iu = bit ins u in
+        if iu <> bit ins v then begin
+          let w = if iu then v else u in
+          if not (bit out w) then begin
+            set_bit out w;
+            f w
+          end
+        end
+      done;
+      scanned := !scanned + len
+    done;
+    !scanned
+  in
+  let boundary = if q >= boundary_min_q then Some boundary else None in
   let expected_edges =
     if init = Full then total else int_of_float (ceil (alpha *. float_of_int total))
   in
-  Core.Dynamic.make ~fill_edges ~deltas ~delta_size ~expected_edges ~n ~reset ~step
+  Core.Dynamic.make ~fill_edges ~deltas ~delta_size ?boundary ~expected_edges ~n ~reset ~step
     ~iter_edges ()
 
 let params ~p ~q = Markov.Two_state.make ~p ~q

@@ -107,9 +107,11 @@ let remove_at t i =
 let remove_bernoulli_pos ?log1mp t rng ~p f =
   check_prob "Sparse_set.remove_bernoulli" p;
   if p >= 1. then begin
+    (* Every slot dies from the top, so removing slot [i] is shrinking
+       to [i]; [f] then sees the compacted set, as below. *)
     for i = t.len - 1 downto 0 do
-      f (Array.unsafe_get t.dense i) i;
-      t.len <- i
+      t.len <- i;
+      f (Array.unsafe_get t.dense i) i
     done
   end
   else if p > 0. then begin
@@ -232,9 +234,9 @@ module Big = struct
     if p >= 1. then begin
       for i = t.len - 1 downto 0 do
         let x = Storage.Ix.unsafe_get t.dense i in
-        f x i;
         Storage.Hash.remove t.idx x;
-        t.len <- i
+        t.len <- i;
+        f x i
       done
     end
     else if p > 0. then begin

@@ -133,6 +133,8 @@ module Bitset = struct
     unsafe_clear t i
 
   let clear_all t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
+
+  let[@inline] bits t = t.bits
 end
 
 module Hash = struct

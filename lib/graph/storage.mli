@@ -22,7 +22,8 @@
     [-opaque], so a call from another module is a real function call.
     Hot loops should therefore hold {!I32.raw} arrays and use the
     Bigarray primitives ([Bigarray.Array1.unsafe_get]/[unsafe_set] on
-    the concrete element type) in their own module. *)
+    the concrete element type) in their own module, and read bitsets
+    through {!Bitset.bits}. *)
 
 val max_nodes : int
 (** Exclusive upper bound on node ids representable in int32 cells
@@ -124,6 +125,11 @@ module Bitset : sig
 
   val clear_all : t -> unit
   (** Clear every bit. O(n/8). *)
+
+  val bits : t -> Bytes.t
+  (** The underlying block, shared, for hot loops in other modules (see
+      {!I32.raw}). Bit [i] is at byte [i lsr 3], mask
+      [1 lsl (i land 7)]. Writes through it are writes to the set. *)
 end
 
 (** Open-addressing hash index from non-negative int keys to

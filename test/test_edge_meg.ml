@@ -391,8 +391,134 @@ let test_classic_offheap_rejects_saturated () =
   check_true "saturated stationary rejected at 2^17"
     (raises (fun () -> ignore (Edge_meg.Classic.make ~n:big ~p:0.1 ~q:0. ())))
 
+(* --- Classic's boundary hook --- *)
+
+(* Hook-capable models: one strip, 64 and 9 strips, the Full and Empty
+   starts, q = 1, p = 1 and a subsampled view (which forwards the
+   hook). *)
+let boundary_models n =
+  let mk ?init ?parts ?(p = 0.12) ?(q = 0.3) () = Edge_meg.Classic.make ?init ?parts ~n ~p ~q () in
+  [
+    ("one strip", fun () -> mk ());
+    ("parts 64", fun () -> mk ~parts:64 ());
+    ("parts 9", fun () -> mk ~parts:9 ~q:0.5 ());
+    ("full start", fun () -> mk ~init:Full ());
+    ("empty start", fun () -> mk ~init:Empty ~p:0.05 ());
+    ("q = 1", fun () -> mk ~q:1. ());
+    ("p = 1", fun () -> mk ~p:1. ~q:0.6 ());
+    ("subsample every 3", fun () -> Core.Dynamic.subsample ~every:3 (mk ~q:0.5 ()));
+  ]
+
+(* The hook against a brute force over iter_edges: every outside node
+   with an inside neighbour, each reported once, and the scan counts
+   every live edge. A deltas report read after the hook is the one
+   read without it. *)
+let q_boundary_bruteforce =
+  qtest ~count:60 "boundary = brute force over iter_edges"
+    QCheck2.Gen.(quad seed_gen (int_range 1 30) (int_range 0 7) (int_range 0 3))
+    (fun (seed, n, which, steps) ->
+      let name, build = List.nth (boundary_models n) which in
+      let module D = Core.Dynamic in
+      let g = build () and twin = build () in
+      List.iter (fun g -> D.reset g (rng_of_seed seed)) [ g; twin ];
+      for _ = 1 to steps do
+        D.step g;
+        D.step twin
+      done;
+      let rng = rng_of_seed (seed + 1) in
+      let density = Prng.Rng.unit_float rng in
+      let member = Array.init n (fun _ -> Prng.Rng.unit_float rng < density) in
+      let inside = Graph.Storage.Bitset.create n in
+      Array.iteri (fun i b -> if b then Graph.Storage.Bitset.set inside i) member;
+      let seen = Array.make n 0 in
+      let scanned = D.boundary g inside (fun v -> seen.(v) <- seen.(v) + 1) in
+      let revealed = Array.make n 0 in
+      D.iter_edges g (fun u v ->
+          if member.(u) && not member.(v) then revealed.(v) <- 1;
+          if member.(v) && not member.(u) then revealed.(u) <- 1);
+      let report g =
+        let acc = ref [] in
+        let ok =
+          D.deltas g ~birth:(fun u v -> acc := (1, u, v) :: !acc) ~death:(fun u v ->
+              acc := (-1, u, v) :: !acc)
+        in
+        (ok, !acc)
+      in
+      let ctx = Printf.sprintf "%s seed %d n %d steps %d" name seed n steps in
+      if seen <> revealed then Alcotest.failf "%s: reported set differs" ctx;
+      Alcotest.(check int) (ctx ^ ": scanned edges") (D.edge_count g) scanned;
+      report g = report twin)
+
+let without_boundary g =
+  let module D = Core.Dynamic in
+  D.make ~n:(D.n g) ~expected_edges:(D.expected_edges g) ~reset:(D.reset g)
+    ~step:(fun () -> D.step g)
+    ~iter_edges:(D.iter_edges g) ~deltas:(D.deltas g)
+    ~delta_size:(fun () -> Option.value ~default:0 (D.delta_size g))
+    ()
+
+(* Plain flooding through the hook reaches the same sets at the same
+   times as Flood's delta path on the same model, and the hook answers
+   once per round. *)
+let test_boundary_flood_equivalence (name, build) () =
+  let module D = Core.Dynamic in
+  let n = D.n (build ()) in
+  check_true (name ^ ": hook offered") (D.has_boundary (build ()));
+  let rewrapped = without_boundary (build ()) in
+  check_true (name ^ ": re-wrap takes the delta path")
+    (D.has_deltas rewrapped && not (D.has_boundary rewrapped));
+  for seed = 0 to 59 do
+    let source = seed mod n in
+    let label = Printf.sprintf "%s seed %d" name seed in
+    let run g = Core.Flooding.run ~cap:300 ~rng:(rng_of_seed seed) ~source g in
+    let hooked, counters = with_counters (fun () -> run (build ())) in
+    let delta = run (without_boundary (build ())) in
+    Alcotest.(check (option int)) (label ^ ": time") delta.time hooked.time;
+    Alcotest.(check (array int)) (label ^ ": trajectory") delta.trajectory hooked.trajectory;
+    Alcotest.(check (array int)) (label ^ ": arrivals") delta.arrivals hooked.arrivals;
+    Alcotest.(check int) (label ^ ": one boundary per round") (count "flood.rounds" counters)
+      (count "flood.snapshots" counters)
+  done
+
+(* The hook is offered from q = 0.05 up (the churn floor); the sparse,
+   low-churn model of the measured grid stays on the delta path. *)
+let test_boundary_floor () =
+  let n = 1024 in
+  let has q = Core.Dynamic.has_boundary (Edge_meg.Classic.make ~n ~p:(0.05 /. 1024.) ~q ()) in
+  check_true "on the floor" (has 0.05);
+  check_true "just below the floor" (not (has (Float.pred 0.05)));
+  check_true "q = 0.01 keeps the delta path" (not (has 0.01));
+  let module D = Core.Dynamic in
+  let g () = Edge_meg.Classic.make ~n:10 ~p:0.2 ~q:0.5 () in
+  check_true "subsample forwards" (D.has_boundary (D.subsample ~every:2 (g ())));
+  check_true "union drops" (not (D.has_boundary (D.union (g ()) (g ()))));
+  check_true "filter_edges drops" (not (D.has_boundary (D.filter_edges ~p_keep:0.5 (g ()))))
+
+let test_boundary_length_mismatch () =
+  let g = Edge_meg.Classic.make ~n:10 ~p:0.2 ~q:0.5 () in
+  Core.Dynamic.reset g (rng_of_seed 3);
+  List.iter
+    (fun len ->
+      check_true
+        (Printf.sprintf "inside of length %d raises" len)
+        (try
+           ignore (Core.Dynamic.boundary g (Graph.Storage.Bitset.create len) ignore);
+           false
+         with Invalid_argument _ -> true))
+    [ 9; 11 ]
+
 let suites =
   [
+    ( "edge_meg.classic_boundary",
+      [
+        Alcotest.test_case "churn floor" `Quick test_boundary_floor;
+        Alcotest.test_case "wrong-length inside" `Quick test_boundary_length_mismatch;
+        q_boundary_bruteforce;
+      ]
+      @ List.map
+          (fun ((name, _) as model) ->
+            Alcotest.test_case ("flood: " ^ name) `Quick (test_boundary_flood_equivalence model))
+          (boundary_models 40) );
     ( "edge_meg.classic",
       [
         Alcotest.test_case "stationary density at init" `Quick test_classic_stationary_density;

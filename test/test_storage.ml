@@ -81,6 +81,20 @@ let test_bitset () =
     check_true "clear_all" (not (St.Bitset.get b i))
   done
 
+(* [bits] is the set itself, in the documented layout: bit i at byte
+   i lsr 3, mask 1 lsl (i land 7). Classic's boundary scan reads and
+   writes it raw. *)
+let test_bitset_bits_layout () =
+  let b = St.Bitset.create 20 in
+  List.iter (St.Bitset.set b) [ 0; 9; 15; 19 ];
+  let bits = St.Bitset.bits b in
+  Alcotest.(check (list int)) "bytes" [ 0x01; 0x82; 0x08 ]
+    (List.init (Bytes.length bits) (fun k -> Char.code (Bytes.get bits k)));
+  Bytes.set bits 0 (Char.chr 0x21);
+  check_true "a raw write is a set bit" (St.Bitset.get b 5);
+  St.Bitset.clear_all b;
+  check_true "shared, not copied" (Bytes.get bits 1 = '\000')
+
 (* Random replace/remove/find sequences vs a Hashtbl model. The key
    distribution mixes clustered keys (stressing linear-probe runs and
    backward-shift deletion) with huge pair-index-sized keys. *)
@@ -174,6 +188,7 @@ let suites =
         Alcotest.test_case "I32 ensure" `Quick test_i32_ensure;
         Alcotest.test_case "Ix basics" `Quick test_ix_basics;
         Alcotest.test_case "Bitset" `Quick test_bitset;
+        Alcotest.test_case "Bitset.bits layout" `Quick test_bitset_bits_layout;
         Alcotest.test_case "Hash growth and deletion" `Quick test_hash_growth_and_deletion;
         Alcotest.test_case "accessors allocation-free" `Quick test_accessors_allocation_free;
         q_hash_vs_hashtbl;
