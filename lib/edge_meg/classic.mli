@@ -54,9 +54,9 @@ val make :
     with exactly one endpoint inside, once per call; it returns the
     number of live edges scanned and raises [Invalid_argument] when the
     inside set's length is not [n]. Below q = 0.05 the model keeps
-    Flood's delta path: its per-round scan of every live edge costs
-    more than reading the few changed edges there, up to 1.7x the
-    flood time on sparse models (DESIGN.md section 8). The floor is a
+    Flood's delta path: there, scanning every live edge each round can
+    cost more than reading the few changed edges, up to 1.7x the flood
+    time on sparse models (DESIGN.md section 8). The floor is a
     constant, not an option.
 
     Raises [Invalid_argument] when [parts] lies outside 1..64, and for
