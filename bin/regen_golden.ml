@@ -119,18 +119,30 @@ let () =
     [ 42; 7 ]
 
 (* Mirrors test/test_edge_meg.ml's [stream_cases] and [stream_digest]. *)
-let stream_cases : (string * (unit -> Core.Dynamic.t)) list =
+let stream_cases : (string * int * (unit -> Core.Dynamic.t)) list =
   [
-    ("full", fun () -> Edge_meg.Classic.make ~init:Full ~n:20 ~p:0.1 ~q:0.3 ());
-    ("empty", fun () -> Edge_meg.Classic.make ~init:Empty ~n:20 ~p:0.1 ~q:0.3 ());
-    ("saturated q=0", fun () -> Edge_meg.Classic.make ~n:18 ~p:0.2 ~q:0. ());
-    ("q=1", fun () -> Edge_meg.Classic.make ~n:22 ~p:0.15 ~q:1. ());
-    ("p=1", fun () -> Edge_meg.Classic.make ~n:16 ~p:1. ~q:0.6 ());
-    ("parts=64", fun () -> Edge_meg.Classic.make ~parts:64 ~n:24 ~p:0.1 ~q:0.3 ());
-    ("parts=9 p=1", fun () -> Edge_meg.Classic.make ~parts:9 ~n:10 ~p:1. ~q:0.5 ());
+    ("full", 4, fun () -> Edge_meg.Classic.make ~init:Full ~n:20 ~p:0.1 ~q:0.3 ());
+    ("empty", 4, fun () -> Edge_meg.Classic.make ~init:Empty ~n:20 ~p:0.1 ~q:0.3 ());
+    ("saturated q=0", 4, fun () -> Edge_meg.Classic.make ~n:18 ~p:0.2 ~q:0. ());
+    ("q=1", 4, fun () -> Edge_meg.Classic.make ~n:22 ~p:0.15 ~q:1. ());
+    ("p=1", 4, fun () -> Edge_meg.Classic.make ~n:16 ~p:1. ~q:0.6 ());
+    ("parts=64", 4, fun () -> Edge_meg.Classic.make ~parts:64 ~n:24 ~p:0.1 ~q:0.3 ());
+    ("parts=9 p=1", 4, fun () -> Edge_meg.Classic.make ~parts:9 ~n:10 ~p:1. ~q:0.5 ());
+    ("parts=64 n=300 q=0.3", 30, fun () -> Edge_meg.Classic.make ~parts:64 ~n:300 ~p:0.02 ~q:0.3 ());
+    ("parts=64 n=300 q=1", 30, fun () -> Edge_meg.Classic.make ~parts:64 ~n:300 ~p:0.02 ~q:1. ());
+    ( "parts=64 n=300 inversion",
+      30,
+      fun () -> Edge_meg.Classic.make ~parts:64 ~n:300 ~p:0.001 ~q:1e-4 () );
+    ( "parts=64 empty q=0",
+      30,
+      fun () -> Edge_meg.Classic.make ~init:Empty ~parts:64 ~n:200 ~p:0.01 ~q:0. () );
+    ( "parts=64 empty p=1",
+      30,
+      fun () -> Edge_meg.Classic.make ~init:Empty ~parts:64 ~n:200 ~p:1. ~q:0.4 () );
+    ("parts=7 n=500", 30, fun () -> Edge_meg.Classic.make ~parts:7 ~n:500 ~p:0.004 ~q:0.05 ());
   ]
 
-let stream_digest build =
+let stream_digest steps build =
   let g = build () in
   Core.Dynamic.reset g (Prng.Rng.of_seed 11);
   let b = Buffer.create 4096 in
@@ -139,7 +151,7 @@ let stream_digest build =
     Buffer.add_char b '\n'
   in
   snapshot ();
-  for _ = 1 to 4 do
+  for _ = 1 to steps do
     Core.Dynamic.step g;
     let ok =
       Core.Dynamic.deltas g
@@ -153,4 +165,6 @@ let stream_digest build =
 
 let () =
   print_endline "=== Classic stream pins, seed 11 ===";
-  List.iter (fun (name, build) -> Printf.printf "(%S, %S);\n" name (stream_digest build)) stream_cases
+  List.iter
+    (fun (name, steps, build) -> Printf.printf "(%S, %S);\n" name (stream_digest steps build))
+    stream_cases

@@ -23,17 +23,27 @@ module S = Graph.Sparse_set
 module St = Graph.Storage
 module A = Bigarray.Array1
 
-(* A strip's present set over pair indices. One strip indexes the whole
-   universe by array (O(n²) memory); 64 strips index by hash (memory
-   O(live edges)). Both evolve their dense arrays by append and
-   swap-remove, so the draw streams do not depend on the backing.
-   Matched per call: a functor over the two sets measured 4-6% slower
-   per step, and Big at one strip 1.3-2.1x slower (n = 128 to 1024). *)
-type members = Small of S.t | Big of S.Big.t
+(* A strip's present set. One strip indexes the whole universe by
+   array (O(n²) memory). 64 strips keep the pair indices of their live
+   edges as one ascending run (memory O(live edges)): the birth scan
+   visits pairs in ascending order, so one forward pointer answers its
+   membership tests, and one merge per step applies the step. Deaths
+   walk the endpoint mirror with the array set's draws and
+   swap-removes, so the draw streams do not depend on the backing. A
+   run at one strip stepped 2-3x slower (n = 128 to 1024): its merge
+   moves every live edge each step. *)
+type members = Small of S.t | Sorted of sorted
 
-let[@inline] length = function Small s -> S.length s | Big s -> S.Big.length s
-
-let[@inline] mem set i = match set with Small s -> S.mem s i | Big s -> S.Big.mem s i
+(* The run, its merge target (the two swap at each merge), and the
+   radix sort's buffers for the step's deaths: two vectors and the
+   256 digit counts. *)
+and sorted = {
+  mutable run : St.Ix.t;
+  mutable spare : St.Ix.t;
+  dsort : St.Ix.t;
+  dtmp : St.Ix.t;
+  count : St.Ix.t;
+}
 
 (* An edge as one native int, u above bit 31. Node ids lie below
    Storage.max_nodes = 2^31, so the pair fits OCaml's 63-bit int, and a
@@ -43,6 +53,11 @@ let[@inline] pack u v = (u lsl 31) lor v
 let[@inline] pack_u e = e lsr 31
 
 let[@inline] pack_v e = e land 0x7FFF_FFFF
+
+(* The pair index of a packed edge (Graph.Pairs.encode, inline). *)
+let[@inline] index n e =
+  let u = pack_u e in
+  (u * n) - (u * (u + 1) / 2) + (pack_v e - u - 1)
 
 type strip = {
   lo : int;  (* pair range [lo, hi) *)
@@ -65,6 +80,7 @@ type strip = {
   mutable bi_a : St.Ix.raw;
   mutable be_a : St.Ix.raw;
   mutable de_a : St.Ix.raw;
+  mutable len : int;  (* live edges, the mirror's occupied prefix *)
   mutable n_births : int;
   mutable n_deaths : int;
   mutable rng : Prng.Rng.t;
@@ -75,12 +91,13 @@ let grow_mirror st cap =
   st.ends_a <- St.Ix.raw st.ends
 
 (* Reset visits only absent indices, so [add]'s membership check is
-   skipped. *)
+   skipped. A run is filled from the mirror once the scan ends. *)
 let add_present st i u v =
-  let pos = length st.present in
+  let pos = st.len in
   if pos = A.dim st.ends_a then grow_mirror st (pos + 1);
-  (match st.present with Small s -> S.add_unchecked s i | Big s -> S.Big.add_unchecked s i);
-  A.unsafe_set st.ends_a pos (pack u v)
+  (match st.present with Small s -> S.add_unchecked s i | Sorted _ -> ());
+  A.unsafe_set st.ends_a pos (pack u v);
+  st.len <- pos + 1
 
 let push_birth st i u v =
   let k = st.n_births in
@@ -94,15 +111,16 @@ let push_birth st i u v =
   A.unsafe_set st.be_a k (pack u v);
   st.n_births <- k + 1
 
-(* Each present edge dies with probability q: the set subsamples its
-   dense array top-down with geometric skips. The dying edge still sits
-   at mirror slot [i]; the survivor swapped into [i] sits at the old
-   last slot. The k-th death (from 0) leaves [len0 - 1 - k] members, so
-   that slot is counted, not asked of the set. *)
+(* Each present edge dies with probability q: a top-down walk over the
+   dense slots with geometric skips. The dying edge still sits at
+   mirror slot [i]; the survivor swapped into [i] sits at the old last
+   slot. The k-th death (from 0) leaves [len0 - 1 - k] members, so that
+   slot is counted, not asked of the set. A run's strip walks the
+   mirror itself, drawing and swapping as the array set's scan does. *)
 let deaths st geo_q q =
   let ends = st.ends_a in
-  let len0 = length st.present in
-  let on_death _ i =
+  let len0 = st.len in
+  let on_death i =
     let k = st.n_deaths in
     if k = A.dim st.de_a then begin
       St.Ix.ensure st.d_ends (k + 1);
@@ -112,32 +130,126 @@ let deaths st geo_q q =
     st.n_deaths <- k + 1;
     A.unsafe_set ends i (A.unsafe_get ends (len0 - 1 - k))
   in
-  match (st.present, geo_q) with
-  | Small s, Some geo -> S.remove_geo_pos s geo st.rng on_death
-  | Small s, None -> S.remove_bernoulli_pos s st.rng ~p:q on_death
-  | Big s, Some geo -> S.Big.remove_geo_pos s geo st.rng on_death
-  | Big s, None -> S.Big.remove_bernoulli_pos s st.rng ~p:q on_death
+  (match (st.present, geo_q) with
+  | Small s, Some geo -> S.remove_geo_pos s geo st.rng (fun _ i -> on_death i)
+  | Small s, None -> S.remove_bernoulli_pos s st.rng ~p:q (fun _ i -> on_death i)
+  | Sorted _, Some geo ->
+      let r = st.rng in
+      let i = ref (len0 - 1 - Prng.Rng.Geo.draw geo r) in
+      while !i >= 0 do
+        on_death !i;
+        i := !i - 1 - Prng.Rng.Geo.draw geo r
+      done
+  | Sorted _, None ->
+      (* No sampler at q = 0, where nothing dies, and at q = 1, where
+         every slot dies from the top and nothing is drawn. *)
+      if q >= 1. then
+        for i = len0 - 1 downto 0 do
+          on_death i
+        done);
+  st.len <- len0 - st.n_deaths
 
-(* The buffered births join in one block: one capacity check, then
-   straight copies. The set backing is matched once for the block. *)
+(* The buffered births join the mirror in one block: one capacity
+   check, then straight copies. *)
 let apply_births st =
   let nb = st.n_births in
   if nb > 0 then begin
-    let pos0 = length st.present in
+    let pos0 = st.len in
     if pos0 + nb > A.dim st.ends_a then grow_mirror st (pos0 + nb);
-    let ends = st.ends_a and bi = st.bi_a and be = st.be_a in
+    let ends = st.ends_a and be = st.be_a in
     (match st.present with
     | Small s ->
+        let bi = st.bi_a in
         for k = 0 to nb - 1 do
           S.add_unchecked s (A.unsafe_get bi k)
         done
-    | Big s ->
-        for k = 0 to nb - 1 do
-          S.Big.add_unchecked s (A.unsafe_get bi k)
-        done);
+    | Sorted _ -> ());
     for k = 0 to nb - 1 do
       A.unsafe_set ends (pos0 + k) (A.unsafe_get be k)
-    done
+    done;
+    st.len <- pos0 + nb
+  end
+
+(* The first slot of [run] from [j] below [len] whose index is not
+   below [i]. A function of its own keeps the pointer in a register:
+   inlined into the scan, the loop spilled it. *)
+let rec advance (run : St.Ix.raw) j len i =
+  if j < len && A.unsafe_get run j < i then advance run (j + 1) len i else j
+
+(* The step's deaths as ascending pair indices, in [sorted.dsort]: a
+   radix sort, 8 bits a pass, of their offsets in the strip. [d_ends]
+   keeps the walk's order for [deltas]. *)
+let sort_deaths st sorted n =
+  let nd = st.n_deaths and lo = st.lo in
+  St.Ix.ensure sorted.dsort nd;
+  St.Ix.ensure sorted.dtmp nd;
+  let passes = ref 1 in
+  while (st.hi - lo - 1) lsr (8 * !passes) > 0 do
+    incr passes
+  done;
+  let a = St.Ix.raw sorted.dsort and b = St.Ix.raw sorted.dtmp in
+  (* An odd number of passes starts in [dtmp], so the last lands in
+     [dsort]. *)
+  let src = ref (if !passes land 1 = 1 then b else a) in
+  let de = st.de_a in
+  for k = 0 to nd - 1 do
+    A.unsafe_set !src k (index n (A.unsafe_get de k) - lo)
+  done;
+  let count = St.Ix.raw sorted.count in
+  for pass = 0 to !passes - 1 do
+    let shift = 8 * pass and s = !src in
+    let d = if s == a then b else a in
+    A.fill count 0;
+    for k = 0 to nd - 1 do
+      let c = (A.unsafe_get s k lsr shift) land 255 in
+      A.unsafe_set count c (A.unsafe_get count c + 1)
+    done;
+    let acc = ref 0 in
+    for c = 0 to 255 do
+      let m = A.unsafe_get count c in
+      A.unsafe_set count c !acc;
+      acc := !acc + m
+    done;
+    for k = 0 to nd - 1 do
+      let x = A.unsafe_get s k in
+      let c = (x lsr shift) land 255 in
+      let at = A.unsafe_get count c in
+      A.unsafe_set d at x;
+      A.unsafe_set count c (at + 1)
+    done;
+    src := d
+  done
+
+(* The new run is (run \ deaths) ∪ births, in one linear pass over the
+   run, the sorted deaths and the births, whose indices ascend in
+   [bi_a]. [len0] is the run's pre-step length. *)
+let merge st sorted n len0 =
+  let nb = st.n_births and nd = st.n_deaths in
+  if nb + nd > 0 then begin
+    if nd > 0 then sort_deaths st sorted n;
+    let run = St.Ix.raw sorted.run and ds = St.Ix.raw sorted.dsort and lo = st.lo in
+    St.Ix.ensure sorted.spare (len0 - nd + nb);
+    let out = St.Ix.raw sorted.spare and bi = st.bi_a in
+    let o = ref 0 and j = ref 0 and d = ref 0 in
+    for i = 0 to len0 - 1 do
+      let x = A.unsafe_get run i in
+      if !d < nd && A.unsafe_get ds !d + lo = x then incr d
+      else begin
+        while !j < nb && A.unsafe_get bi !j < x do
+          A.unsafe_set out !o (A.unsafe_get bi !j);
+          incr o;
+          incr j
+        done;
+        A.unsafe_set out !o x;
+        incr o
+      end
+    done;
+    for k = !j to nb - 1 do
+      A.unsafe_set out (!o + k - !j) (A.unsafe_get bi k)
+    done;
+    let old = sorted.run in
+    sorted.run <- sorted.spare;
+    sorted.spare <- old
   end
 
 (* The strip count from offheap_nodes up or with [?parts], and the
@@ -193,13 +305,10 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
         let base = lo - (v - u - 1) in
         (u, base, base + (n - 1 - u))
     in
-    let present =
-      if strips = 1 then Small (S.create total)
-      else
-        let expected = int_of_float (ceil (alpha *. float_of_int (hi - lo))) in
-        Big (S.Big.create ~capacity:(max 64 expected) total)
-    in
     let ix () = St.Ix.create 64 in
+    let present =
+      if strips = 1 then Small (S.create total) else Sorted { run = ix (); spare = ix (); dsort = ix (); dtmp = ix (); count = St.Ix.create 256 }
+    in
     let ends = ix () and b_idx = ix () and b_ends = ix () and d_ends = ix () in
     {
       lo;
@@ -216,6 +325,7 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
       bi_a = St.Ix.raw b_idx;
       be_a = St.Ix.raw b_ends;
       de_a = St.Ix.raw d_ends;
+      len = 0;
       n_births = 0;
       n_deaths = 0;
       rng = Prng.Rng.of_seed 0;
@@ -226,11 +336,15 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
      [prob] by geometric jumps; at prob = 1 every skip is 0 and draws
      nothing. A monotone row cursor decodes each visited index in O(1).
      Reset adds every visited pair; a step buffers the absent ones as
-     births. Written out rather than through a callback: a closure call
-     per event costs as much as the membership test. *)
+     births, against the pre-step set: a run's pointer [j] only moves
+     forward, as the candidates ascend. Written out rather than
+     through a callback: a closure call per event costs as much as the
+     membership test. *)
   let scan st ~births prob geo =
     if prob > 0. then begin
       let r = st.rng and hi = st.hi and present = st.present in
+      let run = match present with Sorted o -> St.Ix.raw o.run | Small _ -> st.ends_a in
+      let len = st.len and j = ref 0 in
       let idx = ref (st.lo + (match geo with Some g -> Prng.Rng.Geo.draw g r | None -> 0)) in
       let u = ref st.u0 and base = ref st.base0 and next = ref st.next0 in
       while !idx < hi do
@@ -242,25 +356,47 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
         let i = !idx in
         let v = !u + 1 + (i - !base) in
         if not births then add_present st i !u v
-        else if not (mem present i) then push_birth st i !u v;
+        else begin
+          let absent =
+            match present with
+            | Small s -> not (S.mem s i)
+            | Sorted _ ->
+                j := advance run !j len i;
+                !j = len || A.unsafe_get run !j <> i
+          in
+          if absent then push_birth st i !u v
+        end;
         idx := i + 1 + (match geo with Some g -> Prng.Rng.Geo.draw g r | None -> 0)
       done
     end
   in
+  (* The reset scan appends in ascending order, so a run is the
+     mirror's indices in order. *)
   let strip_reset st =
-    (match st.present with Small s -> S.clear s | Big s -> S.Big.clear s);
+    st.len <- 0;
     st.n_births <- 0;
     st.n_deaths <- 0;
-    scan st ~births:false init_prob geo_init
+    (match st.present with Small s -> S.clear s | Sorted _ -> ());
+    scan st ~births:false init_prob geo_init;
+    match st.present with
+    | Small _ -> ()
+    | Sorted o ->
+        St.Ix.ensure o.run st.len;
+        let run = St.Ix.raw o.run and ends = st.ends_a in
+        for k = 0 to st.len - 1 do
+          A.unsafe_set run k (index n (A.unsafe_get ends k))
+        done
   in
   (* Birth hits are collected against the pre-step edge set before
      deaths apply, so an edge that dies this step cannot also be born. *)
   let strip_step st =
+    let len0 = st.len in
     st.n_births <- 0;
     st.n_deaths <- 0;
     scan st ~births:true p geo_p;
     deaths st geo_q q;
-    apply_births st
+    apply_births st;
+    match st.present with Small _ -> () | Sorted o -> merge st o n len0
   in
   (* One strip runs on the caller, not through run_tiles, so the
      exec.tile_plans and exec.tiles counters count only the 64-strip
@@ -289,7 +425,7 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
     for s = 0 to strips - 1 do
       let st = ss.(s) in
       let ends = st.ends_a in
-      for i = 0 to length st.present - 1 do
+      for i = 0 to st.len - 1 do
         let e = A.unsafe_get ends i in
         f (pack_u e) (pack_v e)
       done
@@ -300,7 +436,7 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
     for s = 0 to strips - 1 do
       let st = ss.(s) in
       let ends = st.ends_a in
-      for i = 0 to length st.present - 1 do
+      for i = 0 to st.len - 1 do
         let e = A.unsafe_get ends i in
         Graph.Edge_buffer.push buf (pack_u e) (pack_v e)
       done
@@ -343,7 +479,7 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
     for s = 0 to strips - 1 do
       let st = ss.(s) in
       let ends = st.ends_a in
-      let len = length st.present in
+      let len = st.len in
       for i = 0 to len - 1 do
         let e = A.unsafe_get ends i in
         let u = pack_u e and v = pack_v e in

@@ -154,114 +154,3 @@ let remove_geo_pos t geo rng f =
 
 let remove_bernoulli ?log1mp t rng ~p f =
   remove_bernoulli_pos ?log1mp t rng ~p (fun x _ -> f x)
-
-(* Sparse set over a universe far too large for a position array: the
-   dense array grows on demand (native-int cells — pair indices at
-   n = 2^20 exceed 32 bits) and the position index is an off-heap
-   open-addressing hash keyed by member. Memory is O(peak membership),
-   never O(universe): this is what lets an edge-MEG at 10^6 nodes keep
-   its ~n(n-1)/2-sized pair universe while storing only the live
-   edges. The dense array evolves exactly as in the array-indexed set
-   above (append + swap-remove), so a given operation sequence produces
-   the same dense order and the same draw streams. *)
-module Big = struct
-  type t = {
-    dense : Storage.Ix.t;
-    idx : Storage.Hash.t;
-    mutable len : int;
-    universe : int;
-  }
-
-  let create ?(capacity = 64) universe =
-    if universe < 0 then invalid_arg "Sparse_set.Big.create: negative universe";
-    {
-      dense = Storage.Ix.create (max 1 capacity);
-      idx = Storage.Hash.create ~capacity ();
-      len = 0;
-      universe;
-    }
-
-  let universe t = t.universe
-
-  let length t = t.len
-
-  let mem t x = Storage.Hash.mem t.idx x
-
-  let add_unchecked t x =
-    Storage.Ix.ensure t.dense (t.len + 1);
-    Storage.Ix.unsafe_set t.dense t.len x;
-    Storage.Hash.replace t.idx x t.len;
-    t.len <- t.len + 1
-
-  let add t x = if not (mem t x) then add_unchecked t x
-
-  let remove t x =
-    match Storage.Hash.find t.idx x with
-    | -1 -> ()
-    | p ->
-        let last = t.len - 1 in
-        let y = Storage.Ix.unsafe_get t.dense last in
-        Storage.Ix.unsafe_set t.dense p y;
-        if y <> x then Storage.Hash.replace t.idx y p;
-        Storage.Hash.remove t.idx x;
-        t.len <- last
-
-  let clear t =
-    Storage.Hash.clear t.idx;
-    t.len <- 0
-
-  let get t i =
-    if i < 0 || i >= t.len then invalid_arg "Sparse_set.Big.get: index out of range";
-    Storage.Ix.unsafe_get t.dense i
-
-  let find t x =
-    match Storage.Hash.find t.idx x with
-    | -1 -> invalid_arg "Sparse_set.Big.find: not a member"
-    | p -> p
-
-  let remove_at t i =
-    let x = Storage.Ix.unsafe_get t.dense i in
-    let last = t.len - 1 in
-    let y = Storage.Ix.unsafe_get t.dense last in
-    Storage.Ix.unsafe_set t.dense i y;
-    if y <> x then Storage.Hash.replace t.idx y i;
-    Storage.Hash.remove t.idx x;
-    t.len <- last;
-    x
-
-  let remove_bernoulli_pos ?log1mp t rng ~p f =
-    check_prob "Sparse_set.Big.remove_bernoulli" p;
-    if p >= 1. then begin
-      for i = t.len - 1 downto 0 do
-        let x = Storage.Ix.unsafe_get t.dense i in
-        Storage.Hash.remove t.idx x;
-        t.len <- i;
-        f x i
-      done
-    end
-    else if p > 0. then begin
-      match log1mp with
-      | Some l ->
-          let i = ref (t.len - 1 - Prng.Rng.geometric_log1mp rng ~log1mp:l) in
-          while !i >= 0 do
-            let x = remove_at t !i in
-            f x !i;
-            i := !i - 1 - Prng.Rng.geometric_log1mp rng ~log1mp:l
-          done
-      | None ->
-          let i = ref (t.len - 1 - Prng.Rng.geometric rng p) in
-          while !i >= 0 do
-            let x = remove_at t !i in
-            f x !i;
-            i := !i - 1 - Prng.Rng.geometric rng p
-          done
-    end
-
-  let remove_geo_pos t geo rng f =
-    let i = ref (t.len - 1 - Prng.Rng.Geo.draw geo rng) in
-    while !i >= 0 do
-      let x = remove_at t !i in
-      f x !i;
-      i := !i - 1 - Prng.Rng.Geo.draw geo rng
-    done
-end

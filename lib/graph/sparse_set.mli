@@ -8,12 +8,15 @@
     perturbed by past swap-removes — deterministic for a deterministic
     operation sequence, but not sorted.
 
-    This is the state representation behind the edge-Markovian models:
-    the pair index of every present edge lives in the set, membership
-    checks during the birth scan are two array reads, and the death
-    scan subsamples the dense array with geometric skips
-    ({!remove_bernoulli}) so a step draws O(m·q) variates instead of m
-    Bernoullis. *)
+    This is the state representation behind the edge-Markovian models
+    at one strip ([Edge_meg.Classic] below 2¹⁷ nodes without [?parts],
+    and [Edge_meg.General]): the pair index of every present edge lives
+    in the set, membership checks during the birth scan are two array
+    reads, and the death scan subsamples the dense array with geometric
+    skips ({!remove_bernoulli}) so a step draws O(m·q) variates instead
+    of m Bernoullis. Its two arrays span the universe, n(n-1)/2 cells
+    each; the 64-strip classic engine keeps a sorted run of live pair
+    indices instead, and walks its dense order with the same draws. *)
 
 type t
 
@@ -95,43 +98,3 @@ val remove_geo_pos : t -> Prng.Rng.Geo.sampler -> Prng.Rng.t -> (int -> int -> u
     probability) instead of inversion — about half the cost per draw
     on hot death scans. The stream differs from the inversion scan's,
     so switching a model between the two regenerates goldens. *)
-
-(** Sparse set for universes far beyond addressable memory (the pair
-    index space of a 10⁶-node graph is ~2³⁹): a growable native-int
-    dense array plus an off-heap open-addressing position index
-    ({!Storage.Hash}), so memory is O(peak membership) instead of
-    O(universe). The dense array evolves exactly as in the
-    array-indexed set (append + swap-remove), so identical operation
-    sequences yield identical dense orders and draw streams.
-    [fill_all] is deliberately absent — saturating such a universe is
-    never meaningful. *)
-module Big : sig
-  type t
-
-  val create : ?capacity:int -> int -> t
-  (** [create ?capacity universe]: [capacity] presizes the dense array
-      and index (both still grow on demand). *)
-
-  val universe : t -> int
-
-  val length : t -> int
-
-  val mem : t -> int -> bool
-
-  val add : t -> int -> unit
-
-  val add_unchecked : t -> int -> unit
-
-  val remove : t -> int -> unit
-
-  val clear : t -> unit
-
-  val get : t -> int -> int
-
-  val find : t -> int -> int
-
-  val remove_bernoulli_pos :
-    ?log1mp:float -> t -> Prng.Rng.t -> p:float -> (int -> int -> unit) -> unit
-
-  val remove_geo_pos : t -> Prng.Rng.Geo.sampler -> Prng.Rng.t -> (int -> int -> unit) -> unit
-end

@@ -136,135 +136,3 @@ module Bitset = struct
 
   let[@inline] bits t = t.bits
 end
-
-module Hash = struct
-  (* Linear probing over two parallel native-int Bigarrays; an empty
-     bucket holds key -1. Capacity is a power of two and load is kept
-     at or below 1/2, so probe sequences stay short. Removal
-     backward-shifts the displaced suffix of the probe cluster instead
-     of leaving tombstones, keeping [find] O(cluster) forever. *)
-  type t = {
-    mutable keys : Ix.raw;
-    mutable vals : Ix.raw;
-    mutable mask : int;
-    mutable len : int;
-  }
-
-  let alloc cap : Ix.raw =
-    let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout cap in
-    Bigarray.Array1.fill a (-1);
-    a
-
-  let create ?(capacity = 16) () =
-    let cap = ref 16 in
-    while !cap < capacity do
-      cap := 2 * !cap
-    done;
-    { keys = alloc !cap; vals = alloc !cap; mask = !cap - 1; len = 0 }
-
-  let length t = t.len
-
-  (* Multiplicative hashing: one wrap-around multiply by a fixed odd
-     62-bit constant (the splitmix64 mixer's, truncated to OCaml's
-     63-bit int); [lsr 21] keeps the well-mixed middle-high bits and
-     still leaves 42 of them, far above any realistic capacity.
-     Deterministic across processes — no per-run seeding. *)
-  let[@inline] slot t k = (k * 0x2545F4914F6CDD1D) lsr 21 land t.mask
-
-  let find t k =
-    let keys = t.keys in
-    let mask = t.mask in
-    let i = ref (slot t k) in
-    let res = ref (-2) in
-    while !res = -2 do
-      let kk = Bigarray.Array1.unsafe_get keys !i in
-      if kk = k then res := Bigarray.Array1.unsafe_get t.vals !i
-      else if kk = -1 then res := -1
-      else i := (!i + 1) land mask
-    done;
-    !res
-
-  let mem t k = find t k >= 0
-
-  let rec replace t k v =
-    if 2 * (t.len + 1) > t.mask + 1 then grow t;
-    let keys = t.keys in
-    let mask = t.mask in
-    let i = ref (slot t k) in
-    let placed = ref false in
-    while not !placed do
-      let kk = Bigarray.Array1.unsafe_get keys !i in
-      if kk = k then begin
-        Bigarray.Array1.unsafe_set t.vals !i v;
-        placed := true
-      end
-      else if kk = -1 then begin
-        Bigarray.Array1.unsafe_set keys !i k;
-        Bigarray.Array1.unsafe_set t.vals !i v;
-        t.len <- t.len + 1;
-        placed := true
-      end
-      else i := (!i + 1) land mask
-    done
-
-  and grow t =
-    let old_keys = t.keys and old_vals = t.vals in
-    let old_cap = t.mask + 1 in
-    let cap = 2 * old_cap in
-    t.keys <- alloc cap;
-    t.vals <- alloc cap;
-    t.mask <- cap - 1;
-    t.len <- 0;
-    for i = 0 to old_cap - 1 do
-      let k = Bigarray.Array1.unsafe_get old_keys i in
-      if k >= 0 then replace t k (Bigarray.Array1.unsafe_get old_vals i)
-    done
-
-  let remove t k =
-    let keys = t.keys and vals = t.vals in
-    let mask = t.mask in
-    let i = ref (slot t k) in
-    let found = ref false and stop = ref false in
-    while not !stop do
-      let kk = Bigarray.Array1.unsafe_get keys !i in
-      if kk = k then begin
-        found := true;
-        stop := true
-      end
-      else if kk = -1 then stop := true
-      else i := (!i + 1) land mask
-    done;
-    if !found then begin
-      (* Backward shift: walk the rest of the cluster and pull back any
-         entry whose home slot lies at or before the hole (cyclically),
-         then clear the final hole. *)
-      let hole = ref !i in
-      let j = ref ((!i + 1) land mask) in
-      let continue_ = ref true in
-      while !continue_ do
-        let kk = Bigarray.Array1.unsafe_get keys !j in
-        if kk = -1 then continue_ := false
-        else begin
-          let home = slot t kk in
-          (* kk may move back to [hole] iff hole lies cyclically within
-             [home, j). *)
-          let between =
-            if !hole <= !j then home <= !hole || home > !j
-            else home <= !hole && home > !j
-          in
-          if between then begin
-            Bigarray.Array1.unsafe_set keys !hole kk;
-            Bigarray.Array1.unsafe_set vals !hole (Bigarray.Array1.unsafe_get vals !j);
-            hole := !j
-          end;
-          j := (!j + 1) land mask
-        end
-      done;
-      Bigarray.Array1.unsafe_set keys !hole (-1);
-      t.len <- t.len - 1
-    end
-
-  let clear t =
-    Bigarray.Array1.fill t.keys (-1);
-    t.len <- 0
-end

@@ -1,7 +1,7 @@
 (** Off-heap storage layer for the big per-run state.
 
-    Everything whose size scales with the graph — sparse-set dense
-    arrays and position indices, adjacency rows, informed bitsets,
+    Everything whose size scales with the graph — edge-MEG strips'
+    endpoint mirrors and sorted runs, adjacency rows, informed bitsets,
     arrival and frontier arrays — can live here instead of on the OCaml
     heap: int32 Bigarrays (4 bytes per element, never scanned by the
     GC) for node ids and dense positions, native-int Bigarrays for pair
@@ -31,9 +31,9 @@ val max_nodes : int
 
 val offheap_nodes : int
 (** Node-count threshold (2¹⁷) from which [Edge_meg.Classic.make] cuts
-    the pair universe into 64 strips on hash-indexed sets, with memory
-    O(live edges), instead of one strip on an array-indexed set of
-    O(n²) memory. *)
+    the pair universe into 64 strips, each holding its live edges as a
+    sorted run of pair indices, with memory O(live edges), instead of
+    one strip on an array-indexed set of O(n²) memory. *)
 
 (** Growable int32 vector on a Bigarray. *)
 module I32 : sig
@@ -130,34 +130,4 @@ module Bitset : sig
   (** The underlying block, shared, for hot loops in other modules (see
       {!I32.raw}). Bit [i] is at byte [i lsr 3], mask
       [1 lsl (i land 7)]. Writes through it are writes to the set. *)
-end
-
-(** Open-addressing hash index from non-negative int keys to
-    non-negative int values, both stored in native-int Bigarrays:
-    allocation-free lookups and updates, off-heap buckets. Linear
-    probing with backward-shift deletion; capacity doubles at 50%
-    load. This is the position index behind {!Sparse_set.Big}, where
-    the pair-index universe (n(n-1)/2) is far too large for the
-    array-backed index. Deterministic: the hash is a fixed integer
-    mix, no per-process seeding. *)
-module Hash : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-
-  val length : t -> int
-
-  val find : t -> int -> int
-  (** [find t k] is the value bound to [k], or [-1] if absent. *)
-
-  val mem : t -> int -> bool
-
-  val replace : t -> int -> int -> unit
-  (** Bind [k] to [v], overwriting any previous binding. *)
-
-  val remove : t -> int -> unit
-  (** Remove [k]'s binding; no-op if absent. *)
-
-  val clear : t -> unit
-  (** Forget all bindings, keeping the bucket storage. O(capacity). *)
 end

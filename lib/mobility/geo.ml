@@ -6,8 +6,8 @@ type t = {
   ys : float array;
   reset_node : Prng.Rng.t -> int -> unit;
   move_node : Prng.Rng.t -> int -> unit;
-  mutable node_rngs : Prng.Rng.t array;
-  edges : Graph.Edge_buffer.t;
+  mutable node_rngs : Prng.Rng.t array;  (* empty until the first reset *)
+  edges : Graph.Edge_buffer.t Lazy.t;  (* boundary-hook floods never enumerate *)
   grid : Space.scratch;
   mutable edges_valid : bool;
 }
@@ -26,8 +26,8 @@ let make ~n ~l ~r ~xs ~ys ~reset_node ~move_node =
     ys;
     reset_node;
     move_node;
-    node_rngs = Array.init n (fun i -> Prng.Rng.of_seed i);
-    edges = Graph.Edge_buffer.create ~capacity:(4 * n) ();
+    node_rngs = [||];
+    edges = lazy (Graph.Edge_buffer.create ~capacity:(4 * n) ());
     grid = Space.scratch ();
     edges_valid = false;
   }
@@ -50,32 +50,31 @@ let reset t rng =
   t.edges_valid <- false
 
 let step t =
+  if Array.length t.node_rngs = 0 then invalid_arg "Geo.step: the model was never reset";
   for i = 0 to t.n - 1 do
     t.move_node t.node_rngs.(i) i
   done;
   t.edges_valid <- false
 
 let refresh_edges t =
+  let edges = Lazy.force t.edges in
   if not t.edges_valid then begin
-    Graph.Edge_buffer.clear t.edges;
+    Graph.Edge_buffer.clear edges;
     (* Enumeration order feeds RNG-coupled consumers (Push coins, edge
        filters), so it is the grid's deterministic sweep order, pinned
        by the golden tests regenerated with the CSR grid. *)
     Space.iter_close_pairs ~scratch:t.grid ~l:t.l ~r:t.r ~xs:t.xs ~ys:t.ys (fun i j ->
-        Graph.Edge_buffer.push t.edges i j);
+        Graph.Edge_buffer.push edges i j);
     t.edges_valid <- true
-  end
+  end;
+  edges
 
 let dynamic t =
   Core.Dynamic.make ~n:t.n
     ~reset:(fun rng -> reset t rng)
     ~step:(fun () -> step t)
-    ~iter_edges:(fun f ->
-      refresh_edges t;
-      Graph.Edge_buffer.iter t.edges f)
-    ~fill_edges:(fun buf ->
-      refresh_edges t;
-      Graph.Edge_buffer.append t.edges ~into:buf)
+    ~iter_edges:(fun f -> Graph.Edge_buffer.iter (refresh_edges t) f)
+    ~fill_edges:(fun buf -> Graph.Edge_buffer.append (refresh_edges t) ~into:buf)
       (* Sorts by (cell, inside?) into the same grid scratch; the edge
          cache is left as it is. *)
     ~boundary:(fun inside f ->

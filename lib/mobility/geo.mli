@@ -29,7 +29,10 @@ val r : t -> float
 val position : t -> int -> float * float
 val positions : t -> (float * float) array
 val reset : t -> Prng.Rng.t -> unit
+
 val step : t -> unit
+(** Moves every node once. Raises [Invalid_argument] before the first
+    {!reset}, which seeds the per-node substreams. *)
 
 val dynamic : t -> Core.Dynamic.t
 (** View as a dynamic graph. The view shares state with [t]: resetting

@@ -142,13 +142,19 @@ let escape s =
 let float_lit x =
   if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
 
+(* Stamps are epoch seconds once the CLI installs its clock: six
+   significant digits would round them to about 1000 s, so [wall] is
+   printed to the microsecond. *)
+let wall_lit x =
+  if Float.is_finite x then Printf.sprintf "%.6f" x else "null"
+
 let ctx_string path =
   String.concat "." (List.map string_of_int (Array.to_list path))
 
 let event_line buf ev =
   Buffer.add_string buf
     (Printf.sprintf "{\"ev\":\"%s\",\"ctx\":\"%s\",\"seq\":%d,\"wall\":%s" (escape ev.name)
-       (ctx_string ev.path) ev.seq (float_lit ev.wall));
+       (ctx_string ev.path) ev.seq (wall_lit ev.wall));
   List.iter
     (fun (k, v) ->
       Buffer.add_string buf (Printf.sprintf ",\"%s\":" (escape k));

@@ -119,24 +119,41 @@ let test_classic_saturated_inits_bulk_fill () =
 
 (* Exact streams the goldens miss: they pin Classic only at one
    stationary model. Each case hashes the snapshot after reset and, for
-   steps 1-4, the delta report (births "+", deaths "-", in report
+   each step, the delta report (births "+", deaths "-", in report
    order) and the snapshot, at seed 11. Cases: Full and Empty starts, a
    saturated stationary start (q = 0), q = 1 (every edge dies: the
    death scan's p >= 1 branch), p = 1 (the exhaustive birth scan), and
-   two 64-strip models. bin/regen_golden.exe prints these digests from
-   a copy of [stream_cases] and [stream_digest]. *)
-let stream_cases : (string * (unit -> Core.Dynamic.t)) list =
+   two 64-strip models, over 4 steps each. The 30-step cases hold
+   hundreds of pairs per strip, so each 64-strip step merges
+   non-trivial runs: a stationary start at q = 0.3 and at q = 1, the
+   inversion geometric sampler (p = 0.001, q = 1e-4), Empty starts at
+   q = 0 (births only) and at p = 1 (every absent pair is born), and
+   [parts:7]. bin/regen_golden.exe prints these digests from a copy of
+   [stream_cases] and [stream_digest]. *)
+let stream_cases : (string * int * (unit -> Core.Dynamic.t)) list =
   [
-    ("full", fun () -> Edge_meg.Classic.make ~init:Full ~n:20 ~p:0.1 ~q:0.3 ());
-    ("empty", fun () -> Edge_meg.Classic.make ~init:Empty ~n:20 ~p:0.1 ~q:0.3 ());
-    ("saturated q=0", fun () -> Edge_meg.Classic.make ~n:18 ~p:0.2 ~q:0. ());
-    ("q=1", fun () -> Edge_meg.Classic.make ~n:22 ~p:0.15 ~q:1. ());
-    ("p=1", fun () -> Edge_meg.Classic.make ~n:16 ~p:1. ~q:0.6 ());
-    ("parts=64", fun () -> Edge_meg.Classic.make ~parts:64 ~n:24 ~p:0.1 ~q:0.3 ());
-    ("parts=9 p=1", fun () -> Edge_meg.Classic.make ~parts:9 ~n:10 ~p:1. ~q:0.5 ());
+    ("full", 4, fun () -> Edge_meg.Classic.make ~init:Full ~n:20 ~p:0.1 ~q:0.3 ());
+    ("empty", 4, fun () -> Edge_meg.Classic.make ~init:Empty ~n:20 ~p:0.1 ~q:0.3 ());
+    ("saturated q=0", 4, fun () -> Edge_meg.Classic.make ~n:18 ~p:0.2 ~q:0. ());
+    ("q=1", 4, fun () -> Edge_meg.Classic.make ~n:22 ~p:0.15 ~q:1. ());
+    ("p=1", 4, fun () -> Edge_meg.Classic.make ~n:16 ~p:1. ~q:0.6 ());
+    ("parts=64", 4, fun () -> Edge_meg.Classic.make ~parts:64 ~n:24 ~p:0.1 ~q:0.3 ());
+    ("parts=9 p=1", 4, fun () -> Edge_meg.Classic.make ~parts:9 ~n:10 ~p:1. ~q:0.5 ());
+    ("parts=64 n=300 q=0.3", 30, fun () -> Edge_meg.Classic.make ~parts:64 ~n:300 ~p:0.02 ~q:0.3 ());
+    ("parts=64 n=300 q=1", 30, fun () -> Edge_meg.Classic.make ~parts:64 ~n:300 ~p:0.02 ~q:1. ());
+    ( "parts=64 n=300 inversion",
+      30,
+      fun () -> Edge_meg.Classic.make ~parts:64 ~n:300 ~p:0.001 ~q:1e-4 () );
+    ( "parts=64 empty q=0",
+      30,
+      fun () -> Edge_meg.Classic.make ~init:Empty ~parts:64 ~n:200 ~p:0.01 ~q:0. () );
+    ( "parts=64 empty p=1",
+      30,
+      fun () -> Edge_meg.Classic.make ~init:Empty ~parts:64 ~n:200 ~p:1. ~q:0.4 () );
+    ("parts=7 n=500", 30, fun () -> Edge_meg.Classic.make ~parts:7 ~n:500 ~p:0.004 ~q:0.05 ());
   ]
 
-let stream_digest build =
+let stream_digest steps build =
   let g = build () in
   Core.Dynamic.reset g (rng_of_seed 11);
   let b = Buffer.create 4096 in
@@ -145,7 +162,7 @@ let stream_digest build =
     Buffer.add_char b '\n'
   in
   snapshot ();
-  for _ = 1 to 4 do
+  for _ = 1 to steps do
     Core.Dynamic.step g;
     let ok =
       Core.Dynamic.deltas g
@@ -166,12 +183,18 @@ let stream_pins =
     ("p=1", "84c7c66015afd26bb520abf2818e0024");
     ("parts=64", "5e27123686865fda4658779a7825d8ec");
     ("parts=9 p=1", "3da3ac7f3aacbff31ecb61e5cfcf69f3");
+    ("parts=64 n=300 q=0.3", "faf5de3a90401392e70376c31e6eabee");
+    ("parts=64 n=300 q=1", "c861065c451b8fae76aad6b6c7770bb0");
+    ("parts=64 n=300 inversion", "bcb7519422811f952410e0949dc0a007");
+    ("parts=64 empty q=0", "4e55283aef09fce114bc4680da3e8600");
+    ("parts=64 empty p=1", "d06011cb8814a6c7fae52f314586136c");
+    ("parts=7 n=500", "ccc2ffeb4f163aaa17b12a7bf6edbf8e");
   ]
 
 let test_classic_stream_pins () =
   List.iter
-    (fun (name, build) ->
-      Alcotest.(check string) name (List.assoc name stream_pins) (stream_digest build))
+    (fun (name, steps, build) ->
+      Alcotest.(check string) name (List.assoc name stream_pins) (stream_digest steps build))
     stream_cases
 
 (* --- statistical equivalence against the pre-rewrite oracle --- *)

@@ -788,6 +788,18 @@ let test_geo_infinite_side () =
   check_true "l = nan rejected" (raises (geo ~l:Float.nan ~r:1.));
   check_true "l = 0 rejected" (raises (geo ~l:0. ~r:1.))
 
+(* [make] seeds no per-node generators: [reset] does. A step before the
+   first reset raises, and the reset model steps. *)
+let test_geo_step_before_reset () =
+  let w = Mobility.Waypoint.create ~n:5 ~l:4. ~r:1. ~v_min:1. ~v_max:1.25 () in
+  check_true "step before reset raises" (raises (fun () -> Mobility.Geo.step w));
+  Mobility.Geo.reset w (rng_of_seed 3);
+  Mobility.Geo.step w;
+  check_true "a dynamic view raises too"
+    (raises (fun () ->
+         Core.Dynamic.step
+           (Mobility.Random_walk_model.dynamic ~n:4 ~m:3 ~r:1. ())))
+
 (* --- Flooding through the boundary hook --- *)
 
 (* The same process minus its boundary hook: edges come from
@@ -875,6 +887,7 @@ let suites =
       [
         Alcotest.test_case "nan radius rejected" `Quick test_geo_nan_radius;
         Alcotest.test_case "infinite side rejected" `Quick test_geo_infinite_side;
+        Alcotest.test_case "step before reset raises" `Quick test_geo_step_before_reset;
       ] );
     ( "mobility.boundary_flood",
       Alcotest.test_case "combinators" `Quick test_boundary_combinators

@@ -251,6 +251,30 @@ let test_trace_event_shape () =
      let rec go i = i + nn <= nh && (String.sub line i nn = needle || go (i + 1)) in
      go 0)
 
+(* [wall] has microsecond resolution: on an epoch-seconds clock, two
+   events 5 ms apart get different stamps, which six significant
+   digits would both round to 1.79239e+09. *)
+let test_trace_wall_resolution () =
+  let t = ref 1792390000.25 in
+  Obs.Clock.set (fun () -> !t);
+  Obs.Trace.enable ();
+  under_fresh_frame (fun () ->
+      Obs.Trace.emit "first" [ ("x", Float 1792390000.25) ];
+      t := !t +. 0.005;
+      Obs.Trace.emit "second" []);
+  let walls =
+    List.map
+      (fun line ->
+        Scanf.sscanf line "{\"ev\":%S,\"ctx\":%S,\"seq\":%d,\"wall\":%[^,}]" (fun _ _ _ w -> w))
+      (List.filter (( <> ) "") (String.split_on_char '\n' (Obs.Trace.render_jsonl ())))
+  in
+  Alcotest.(check (list string)) "stamps" [ "1792390000.250000"; "1792390000.255000" ] walls;
+  check_true "other floats keep six significant digits"
+    (let line = Obs.Trace.render_jsonl () and needle = "\"x\":1.79239e+09" in
+     let nh = String.length line and nn = String.length needle in
+     let rec go i = i + nn <= nh && (String.sub line i nn = needle || go (i + 1)) in
+     go 0)
+
 let test_trace_ring_overflow () =
   Obs.Trace.enable ~capacity:4 ();
   under_fresh_frame (fun () ->
@@ -293,5 +317,6 @@ let suites =
           (with_clean test_trace_determinism_across_schedulers);
         Alcotest.test_case "event shape and escaping" `Quick (with_clean test_trace_event_shape);
         Alcotest.test_case "ring overflow" `Quick (with_clean test_trace_ring_overflow);
+        Alcotest.test_case "wall stamps resolve 5 ms" `Quick (with_clean test_trace_wall_resolution);
       ] );
   ]

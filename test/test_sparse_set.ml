@@ -154,137 +154,36 @@ let test_bernoulli_extremes () =
        false
      with Invalid_argument _ -> true)
 
-(* --- storage-backed implementation: Big vs the heap set ---
-
-   The mli promises more than set equality: identical operation
-   sequences must produce identical DENSE ORDERS (hence identical draw
-   streams in the subsampling scans). So the checks below compare the
-   dense arrays slot by slot, and the removal scans' (element, slot)
-   streams, not just membership. *)
-
 module S = Graph.Sparse_set
 
-let dense_heap s = List.init (S.length s) (S.get s)
-
-let dense_big s = List.init (S.Big.length s) (S.Big.get s)
-
-let q_big_matches_heap =
-  qtest ~count:200 "Big backing mirrors the heap set exactly"
-    QCheck2.Gen.(pair seed_gen (int_range 1 80))
-    (fun (seed, universe) ->
-      let rng = Prng.Rng.of_seed seed in
-      let a = S.create universe in
-      let b = S.Big.create ~capacity:1 universe in
-      let ok = ref true in
-      for _ = 1 to 200 do
-        let x = Prng.Rng.int rng universe in
-        (match Prng.Rng.int rng 20 with
-        | 0 ->
-            S.clear a;
-            S.Big.clear b
-        | k when k < 12 ->
-            S.add a x;
-            S.Big.add b x
-        | _ ->
-            S.remove a x;
-            S.Big.remove b x);
-        ok :=
-          !ok
-          && S.length a = S.Big.length b
-          && S.mem a x = S.Big.mem b x
-          && (not (S.mem a x)) || S.find a x = S.Big.find b x
-      done;
-      !ok && dense_heap a = dense_big b)
-
-(* The removal scans must report the same (element, slot) stream on
-   both backings — the edge-MEG death mirror copies payload by that
-   slot, so a divergence would silently corrupt off-heap models. Inside
-   the callback the set is already compacted: the k-th removal (from 0)
-   sees [len0 - 1 - k] members, at p = 1 too. *)
-let q_removal_streams_match =
-  qtest ~count:100 "removal scans emit identical (x, slot) streams on every backing"
+(* Inside a removal scan's callback the set is already compacted: the
+   k-th removal (from 0) sees [len0 - 1 - k] members, at p = 1 too (the
+   p >= 1 branch once reported before shrinking). The classic edge-MEG's
+   death walk copies the survivor from that slot into its mirror. *)
+let q_removal_streams_compacted =
+  qtest ~count:100 "removal scans emit into the compacted set"
     QCheck2.Gen.(triple seed_gen (int_range 1 60) (oneofl [ 0.35; 1. ]))
     (fun (seed, universe, p) ->
-      let build_heap () =
+      let full () =
         let s = S.create universe in
         for x = 0 to universe - 1 do
           S.add s x
         done;
         s
       in
-      let build_big () =
-        let s = S.Big.create universe in
-        for x = 0 to universe - 1 do
-          S.Big.add s x
-        done;
-        s
-      in
       let compacted = ref true in
-      let stream length remover =
-        let acc = ref [] in
+      let scan remover =
+        let s = full () in
         let k = ref 0 in
-        remover (fun x i ->
-            if length () <> universe - 1 - !k then compacted := false;
-            incr k;
-            acc := (x, i) :: !acc);
-        List.rev !acc
+        remover s (fun _ _ ->
+            if S.length s <> universe - 1 - !k then compacted := false;
+            incr k)
       in
-      let bern_heap =
-        let s = build_heap () in
-        stream
-          (fun () -> S.length s)
-          (fun f -> S.remove_bernoulli_pos s (Prng.Rng.of_seed seed) ~p f)
-      in
-      let bern_big =
-        let s = build_big () in
-        stream
-          (fun () -> S.Big.length s)
-          (fun f -> S.Big.remove_bernoulli_pos s (Prng.Rng.of_seed seed) ~p f)
-      in
+      scan (fun s f -> S.remove_bernoulli_pos s (Prng.Rng.of_seed seed) ~p f);
       (* The tabulated sampler covers p in (0, 1) only. *)
-      let geo_same =
-        p >= 1.
-        ||
-        let geo = Prng.Rng.Geo.make ~p in
-        let geo_heap =
-          let s = build_heap () in
-          stream
-            (fun () -> S.length s)
-            (fun f -> S.remove_geo_pos s geo (Prng.Rng.of_seed (seed + 1)) f)
-        in
-        let geo_big =
-          let s = build_big () in
-          stream
-            (fun () -> S.Big.length s)
-            (fun f -> S.Big.remove_geo_pos s geo (Prng.Rng.of_seed (seed + 1)) f)
-        in
-        geo_heap = geo_big
-      in
-      bern_heap = bern_big && geo_same && !compacted)
-
-(* Universe boundaries: 0 (every op is a no-op or out of range), 1 (the
-   swap-remove degenerates to self-swap), and members far beyond the
-   int32 range. *)
-let test_backing_boundaries () =
-  let z = S.Big.create 0 in
-  Alcotest.(check int) "Big empty universe" 0 (S.Big.length z);
-  let one = S.Big.create 1 in
-  S.Big.add one 0;
-  S.Big.add one 0;
-  Alcotest.(check int) "Big singleton idempotent" 1 (S.Big.length one);
-  S.Big.remove one 0;
-  check_true "Big singleton" (not (S.Big.mem one 0));
-  (* The pair-index universe of a million-node graph is ~2^39. *)
-  let u = 1 lsl 40 in
-  let big = S.Big.create u in
-  let top = u - 1 in
-  S.Big.add big top;
-  S.Big.add big (Graph.Storage.max_nodes + 7);
-  check_true "Big holds huge member" (S.Big.mem big top);
-  Alcotest.(check int) "Big dense order" top (S.Big.get big 0);
-  S.Big.remove big top;
-  check_true "Big swap-remove of huge member" (not (S.Big.mem big top));
-  Alcotest.(check int) "survivor took slot 0" (Graph.Storage.max_nodes + 7) (S.Big.get big 0)
+      if p < 1. then
+        scan (fun s f -> S.remove_geo_pos s (Prng.Rng.Geo.make ~p) (Prng.Rng.of_seed (seed + 1)) f);
+      !compacted)
 
 let suites =
   [
@@ -297,8 +196,6 @@ let suites =
         Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
         q_vs_hashtbl_model;
         q_remove_bernoulli_consistent;
-        Alcotest.test_case "storage backing boundaries" `Quick test_backing_boundaries;
-        q_big_matches_heap;
-        q_removal_streams_match;
+        q_removal_streams_compacted;
       ] );
   ]

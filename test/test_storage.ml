@@ -3,11 +3,8 @@ module St = Graph.Storage
 
 (* Graph.Storage: the off-heap backing for big per-run state. The
    vectors and bitset are checked for round-trips, growth and boundary
-   bits; the open-addressing Hash is checked against a Hashtbl model
-   under random replace/remove/find sequences (which exercises the
-   backward-shift deletion and the load-factor growth); and the
-   accessors are checked to be allocation-free, which is the whole
-   point of the layer. *)
+   bits, and the accessors are checked to be allocation-free, which is
+   the whole point of the layer. *)
 
 let test_i32_basics () =
   let v = St.I32.create 8 in
@@ -95,66 +92,6 @@ let test_bitset_bits_layout () =
   St.Bitset.clear_all b;
   check_true "shared, not copied" (Bytes.get bits 1 = '\000')
 
-(* Random replace/remove/find sequences vs a Hashtbl model. The key
-   distribution mixes clustered keys (stressing linear-probe runs and
-   backward-shift deletion) with huge pair-index-sized keys. *)
-let q_hash_vs_hashtbl =
-  qtest ~count:200 "Hash matches a Hashtbl model"
-    QCheck2.Gen.(pair seed_gen (int_range 1 400))
-    (fun (seed, ops) ->
-      let rng = Prng.Rng.of_seed seed in
-      let h = St.Hash.create ~capacity:4 () in
-      let model = Hashtbl.create 64 in
-      let key () =
-        match Prng.Rng.int rng 3 with
-        | 0 -> Prng.Rng.int rng 16 (* clustered *)
-        | 1 -> Prng.Rng.int rng 1000
-        | _ -> (1 lsl 38) + Prng.Rng.int rng 64 (* pair-index sized *)
-      in
-      let ok = ref true in
-      for _ = 1 to ops do
-        let k = key () in
-        (match Prng.Rng.int rng 10 with
-        | 0 ->
-            St.Hash.clear h;
-            Hashtbl.reset model
-        | n when n < 7 ->
-            let v = Prng.Rng.int rng 1_000_000 in
-            St.Hash.replace h k v;
-            Hashtbl.replace model k v
-        | _ ->
-            St.Hash.remove h k;
-            Hashtbl.remove model k);
-        ok :=
-          !ok
-          && St.Hash.length h = Hashtbl.length model
-          && St.Hash.mem h k = Hashtbl.mem model k
-          && St.Hash.find h k = Option.value ~default:(-1) (Hashtbl.find_opt model k)
-      done;
-      !ok
-      && Hashtbl.fold (fun k v acc -> acc && St.Hash.find h k = v) model true)
-
-let test_hash_growth_and_deletion () =
-  let h = St.Hash.create ~capacity:2 () in
-  let n = 10_000 in
-  for k = 0 to n - 1 do
-    St.Hash.replace h k (k * 3)
-  done;
-  Alcotest.(check int) "grows through many inserts" n (St.Hash.length h);
-  (* Delete every even key, then verify every odd binding survived the
-     backward shifts. *)
-  for k = 0 to n - 1 do
-    if k mod 2 = 0 then St.Hash.remove h k
-  done;
-  Alcotest.(check int) "half deleted" (n / 2) (St.Hash.length h);
-  let ok = ref true in
-  for k = 0 to n - 1 do
-    let expect = if k mod 2 = 0 then -1 else k * 3 in
-    if St.Hash.find h k <> expect then ok := false
-  done;
-  check_true "odd bindings survive even deletions" !ok;
-  Alcotest.(check int) "find on absent" (-1) (St.Hash.find h (n + 5))
-
 (* The layer's contract: reads and writes through the accessors do not
    allocate, even without flambda (the int32 box/unbox pair cancels in
    argument position). A boxing regression would cost 2+ words per
@@ -189,8 +126,6 @@ let suites =
         Alcotest.test_case "Ix basics" `Quick test_ix_basics;
         Alcotest.test_case "Bitset" `Quick test_bitset;
         Alcotest.test_case "Bitset.bits layout" `Quick test_bitset_bits_layout;
-        Alcotest.test_case "Hash growth and deletion" `Quick test_hash_growth_and_deletion;
         Alcotest.test_case "accessors allocation-free" `Quick test_accessors_allocation_free;
-        q_hash_vs_hashtbl;
       ] );
   ]
