@@ -128,7 +128,9 @@ let stream_cases : (string * int * (unit -> Core.Dynamic.t)) list =
     ("p=1", 4, fun () -> Edge_meg.Classic.make ~n:16 ~p:1. ~q:0.6 ());
     ("parts=64", 4, fun () -> Edge_meg.Classic.make ~parts:64 ~n:24 ~p:0.1 ~q:0.3 ());
     ("parts=9 p=1", 4, fun () -> Edge_meg.Classic.make ~parts:9 ~n:10 ~p:1. ~q:0.5 ());
-    ("parts=64 n=300 q=0.3", 30, fun () -> Edge_meg.Classic.make ~parts:64 ~n:300 ~p:0.02 ~q:0.3 ());
+    ( "parts=64 n=300 q=0.3",
+      30,
+      fun () -> Edge_meg.Classic.make ~parts:64 ~n:300 ~p:0.02 ~q:0.3 () );
     ("parts=64 n=300 q=1", 30, fun () -> Edge_meg.Classic.make ~parts:64 ~n:300 ~p:0.02 ~q:1. ());
     ( "parts=64 n=300 inversion",
       30,

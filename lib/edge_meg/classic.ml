@@ -30,20 +30,10 @@ module A = Bigarray.Array1
    membership tests, and one merge per step applies the step. Deaths
    walk the endpoint mirror with the array set's draws and
    swap-removes, so the draw streams do not depend on the backing. A
-   run at one strip stepped 2-3x slower (n = 128 to 1024): its merge
-   moves every live edge each step. *)
-type members = Small of S.t | Sorted of sorted
-
-(* The run, its merge target (the two swap at each merge), and the
-   radix sort's buffers for the step's deaths: two vectors and the
-   256 digit counts. *)
-and sorted = {
-  mutable run : St.Ix.t;
-  mutable spare : St.Ix.t;
-  dsort : St.Ix.t;
-  dtmp : St.Ix.t;
-  count : St.Ix.t;
-}
+   run at one strip stepped 2.3x slower at n = 128 and 256, and
+   1.05-1.07x at n = 1024: its merge moves every live edge each step.
+   A [Sorted] strip's set is its [run]. *)
+type members = Small of S.t | Sorted
 
 (* An edge as one native int, u above bit 31. Node ids lie below
    Storage.max_nodes = 2^31, so the pair fits OCaml's 63-bit int, and a
@@ -66,11 +56,15 @@ type strip = {
   base0 : int;
   next0 : int;
   present : members;
+  mutable run : St.Ix.t;  (* [Sorted]: live pair indices, ascending *)
+  mutable spare : St.Ix.t;  (* [Sorted]: the merge target, swapped with [run] *)
+  scratch : St.Ix.t;  (* [Sorted]: the deaths' radix sort, see [sort_deaths] *)
   ends : St.Ix.t;  (* endpoint mirror of the strip's dense slots, packed *)
   b_idx : St.Ix.t;  (* births of the current step: pair index, packed edge *)
   b_ends : St.Ix.t;
   d_ends : St.Ix.t;  (* deaths of the current step, packed *)
-  (* The raw arrays of the vectors above, re-read after each growth.
+  (* The raw arrays of the mirror and the step's buffers, re-read after
+     each growth.
      The hot loops use Bigarray primitives on them because under
      dune's dev profile (-opaque) a Storage accessor is a real call: at
      2^17 nodes the 64-strip step through the accessors took about a
@@ -95,7 +89,7 @@ let grow_mirror st cap =
 let add_present st i u v =
   let pos = st.len in
   if pos = A.dim st.ends_a then grow_mirror st (pos + 1);
-  (match st.present with Small s -> S.add_unchecked s i | Sorted _ -> ());
+  (match st.present with Small s -> S.add_unchecked s i | Sorted -> ());
   A.unsafe_set st.ends_a pos (pack u v);
   st.len <- pos + 1
 
@@ -133,14 +127,14 @@ let deaths st geo_q q =
   (match (st.present, geo_q) with
   | Small s, Some geo -> S.remove_geo_pos s geo st.rng (fun _ i -> on_death i)
   | Small s, None -> S.remove_bernoulli_pos s st.rng ~p:q (fun _ i -> on_death i)
-  | Sorted _, Some geo ->
+  | Sorted, Some geo ->
       let r = st.rng in
       let i = ref (len0 - 1 - Prng.Rng.Geo.draw geo r) in
       while !i >= 0 do
         on_death !i;
         i := !i - 1 - Prng.Rng.Geo.draw geo r
       done
-  | Sorted _, None ->
+  | Sorted, None ->
       (* No sampler at q = 0, where nothing dies, and at q = 1, where
          every slot dies from the top and nothing is drawn. *)
       if q >= 1. then
@@ -163,7 +157,7 @@ let apply_births st =
         for k = 0 to nb - 1 do
           S.add_unchecked s (A.unsafe_get bi k)
         done
-    | Sorted _ -> ());
+    | Sorted -> ());
     for k = 0 to nb - 1 do
       A.unsafe_set ends (pos0 + k) (A.unsafe_get be k)
     done;
@@ -176,46 +170,50 @@ let apply_births st =
 let rec advance (run : St.Ix.raw) j len i =
   if j < len && A.unsafe_get run j < i then advance run (j + 1) len i else j
 
-(* The step's deaths as ascending pair indices, in [sorted.dsort]: a
-   radix sort, 8 bits a pass, of their offsets in the strip. [d_ends]
-   keeps the walk's order for [deltas]. *)
-let sort_deaths st sorted n =
+(* The step's deaths as ascending pair indices, in [scratch] cells
+   [0, nd): a radix sort, 8 bits a pass, of their offsets in the strip,
+   between the halves [0, nd) and [nd, 2 nd), with the digit counts
+   after them. [d_ends] keeps the walk's order for [deltas]. A binary
+   search per death into the run took about twice as long at 2^17
+   nodes. One vector rather than three: each is a heap block per
+   strip, and three lifted the large tier's gc.top_heap_words. *)
+let sort_deaths st n =
   let nd = st.n_deaths and lo = st.lo in
-  St.Ix.ensure sorted.dsort nd;
-  St.Ix.ensure sorted.dtmp nd;
+  St.Ix.ensure st.scratch ((2 * nd) + 256);
+  let a = St.Ix.raw st.scratch and count = 2 * nd in
   let passes = ref 1 in
   while (st.hi - lo - 1) lsr (8 * !passes) > 0 do
     incr passes
   done;
-  let a = St.Ix.raw sorted.dsort and b = St.Ix.raw sorted.dtmp in
-  (* An odd number of passes starts in [dtmp], so the last lands in
-     [dsort]. *)
-  let src = ref (if !passes land 1 = 1 then b else a) in
+  (* An odd number of passes starts in the upper half, so the last
+     lands in the lower. *)
+  let src = ref (if !passes land 1 = 1 then nd else 0) in
   let de = st.de_a in
   for k = 0 to nd - 1 do
-    A.unsafe_set !src k (index n (A.unsafe_get de k) - lo)
+    A.unsafe_set a (!src + k) (index n (A.unsafe_get de k) - lo)
   done;
-  let count = St.Ix.raw sorted.count in
   for pass = 0 to !passes - 1 do
     let shift = 8 * pass and s = !src in
-    let d = if s == a then b else a in
-    A.fill count 0;
-    for k = 0 to nd - 1 do
-      let c = (A.unsafe_get s k lsr shift) land 255 in
-      A.unsafe_set count c (A.unsafe_get count c + 1)
+    let d = nd - s in
+    for c = count to count + 255 do
+      A.unsafe_set a c 0
     done;
-    let acc = ref 0 in
-    for c = 0 to 255 do
-      let m = A.unsafe_get count c in
-      A.unsafe_set count c !acc;
+    for k = s to s + nd - 1 do
+      let c = count + ((A.unsafe_get a k lsr shift) land 255) in
+      A.unsafe_set a c (A.unsafe_get a c + 1)
+    done;
+    let acc = ref d in
+    for c = count to count + 255 do
+      let m = A.unsafe_get a c in
+      A.unsafe_set a c !acc;
       acc := !acc + m
     done;
-    for k = 0 to nd - 1 do
-      let x = A.unsafe_get s k in
-      let c = (x lsr shift) land 255 in
-      let at = A.unsafe_get count c in
-      A.unsafe_set d at x;
-      A.unsafe_set count c (at + 1)
+    for k = s to s + nd - 1 do
+      let x = A.unsafe_get a k in
+      let c = count + ((x lsr shift) land 255) in
+      let at = A.unsafe_get a c in
+      A.unsafe_set a at x;
+      A.unsafe_set a c (at + 1)
     done;
     src := d
   done
@@ -223,13 +221,13 @@ let sort_deaths st sorted n =
 (* The new run is (run \ deaths) ∪ births, in one linear pass over the
    run, the sorted deaths and the births, whose indices ascend in
    [bi_a]. [len0] is the run's pre-step length. *)
-let merge st sorted n len0 =
+let merge st n len0 =
   let nb = st.n_births and nd = st.n_deaths in
   if nb + nd > 0 then begin
-    if nd > 0 then sort_deaths st sorted n;
-    let run = St.Ix.raw sorted.run and ds = St.Ix.raw sorted.dsort and lo = st.lo in
-    St.Ix.ensure sorted.spare (len0 - nd + nb);
-    let out = St.Ix.raw sorted.spare and bi = st.bi_a in
+    if nd > 0 then sort_deaths st n;
+    let run = St.Ix.raw st.run and ds = St.Ix.raw st.scratch and lo = st.lo in
+    St.Ix.ensure st.spare (len0 - nd + nb);
+    let out = St.Ix.raw st.spare and bi = st.bi_a in
     let o = ref 0 and j = ref 0 and d = ref 0 in
     for i = 0 to len0 - 1 do
       let x = A.unsafe_get run i in
@@ -247,9 +245,9 @@ let merge st sorted n len0 =
     for k = !j to nb - 1 do
       A.unsafe_set out (!o + k - !j) (A.unsafe_get bi k)
     done;
-    let old = sorted.run in
-    sorted.run <- sorted.spare;
-    sorted.spare <- old
+    let old = st.run in
+    st.run <- st.spare;
+    st.spare <- old
   end
 
 (* The strip count from offheap_nodes up or with [?parts], and the
@@ -306,9 +304,7 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
         (u, base, base + (n - 1 - u))
     in
     let ix () = St.Ix.create 64 in
-    let present =
-      if strips = 1 then Small (S.create total) else Sorted { run = ix (); spare = ix (); dsort = ix (); dtmp = ix (); count = St.Ix.create 256 }
-    in
+    let present = if strips = 1 then Small (S.create total) else Sorted in
     let ends = ix () and b_idx = ix () and b_ends = ix () and d_ends = ix () in
     {
       lo;
@@ -317,6 +313,9 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
       base0;
       next0;
       present;
+      run = ix ();
+      spare = ix ();
+      scratch = ix ();
       ends;
       b_idx;
       b_ends;
@@ -343,7 +342,7 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
   let scan st ~births prob geo =
     if prob > 0. then begin
       let r = st.rng and hi = st.hi and present = st.present in
-      let run = match present with Sorted o -> St.Ix.raw o.run | Small _ -> st.ends_a in
+      let run = St.Ix.raw st.run in
       let len = st.len and j = ref 0 in
       let idx = ref (st.lo + (match geo with Some g -> Prng.Rng.Geo.draw g r | None -> 0)) in
       let u = ref st.u0 and base = ref st.base0 and next = ref st.next0 in
@@ -360,7 +359,7 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
           let absent =
             match present with
             | Small s -> not (S.mem s i)
-            | Sorted _ ->
+            | Sorted ->
                 j := advance run !j len i;
                 !j = len || A.unsafe_get run !j <> i
           in
@@ -376,13 +375,13 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
     st.len <- 0;
     st.n_births <- 0;
     st.n_deaths <- 0;
-    (match st.present with Small s -> S.clear s | Sorted _ -> ());
+    (match st.present with Small s -> S.clear s | Sorted -> ());
     scan st ~births:false init_prob geo_init;
     match st.present with
     | Small _ -> ()
-    | Sorted o ->
-        St.Ix.ensure o.run st.len;
-        let run = St.Ix.raw o.run and ends = st.ends_a in
+    | Sorted ->
+        St.Ix.ensure st.run st.len;
+        let run = St.Ix.raw st.run and ends = st.ends_a in
         for k = 0 to st.len - 1 do
           A.unsafe_set run k (index n (A.unsafe_get ends k))
         done
@@ -396,7 +395,7 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
     scan st ~births:true p geo_p;
     deaths st geo_q q;
     apply_births st;
-    match st.present with Small _ -> () | Sorted o -> merge st o n len0
+    match st.present with Small _ -> () | Sorted -> merge st n len0
   in
   (* One strip runs on the caller, not through run_tiles, so the
      exec.tile_plans and exec.tiles counters count only the 64-strip

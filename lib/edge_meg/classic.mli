@@ -40,8 +40,12 @@ val make :
       [?parts].
     - From 2¹⁷ nodes up, or with [?parts], 64 strips each draw from
       substream [strip index] of the reset seed and keep every
-      size-scaling structure in the {!Graph.Storage} layer, with memory
-      O(peak edge count): the only way to reach n ≈ 10⁶. They step in
+      size-scaling structure in the {!Graph.Storage} layer. A strip's
+      set is a sorted run of its live pair indices, merged once per
+      step, so memory is O(peak edge count) in three vectors per
+      strip (endpoint mirror, run and merge target) plus buffers for
+      one step's births and deaths: the only way to reach n ≈ 10⁶.
+      [make] allocates nothing that grows with the edge count. They step in
       parallel on {!Exec.Pool}, grouped into [parts] tasks (64 without
       [?parts]). Results depend only on the seed, not on [parts] or the
       worker count. The two strip counts draw different streams and
@@ -61,7 +65,7 @@ val make :
 
     Raises [Invalid_argument] when [parts] lies outside 1..64, and for
     a [Full] or saturated stationary (q = 0) start at 64 strips, which
-    would put the whole universe into the strips' hash sets. *)
+    would put the whole universe into the strips' runs. *)
 
 val params : p:float -> q:float -> Markov.Two_state.t
 (** The per-edge chain, for closed-form α and mixing time. *)

@@ -317,6 +317,7 @@ let suites =
           (with_clean test_trace_determinism_across_schedulers);
         Alcotest.test_case "event shape and escaping" `Quick (with_clean test_trace_event_shape);
         Alcotest.test_case "ring overflow" `Quick (with_clean test_trace_ring_overflow);
-        Alcotest.test_case "wall stamps resolve 5 ms" `Quick (with_clean test_trace_wall_resolution);
+        Alcotest.test_case "wall stamps resolve 5 ms" `Quick
+          (with_clean test_trace_wall_resolution);
       ] );
   ]
