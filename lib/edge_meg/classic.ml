@@ -114,7 +114,7 @@ let push_birth st i u v =
 let deaths st geo_q q =
   let ends = st.ends_a in
   let len0 = st.len in
-  let on_death i =
+  let on_death _ i =
     let k = st.n_deaths in
     if k = A.dim st.de_a then begin
       St.Ix.ensure st.d_ends (k + 1);
@@ -125,13 +125,13 @@ let deaths st geo_q q =
     A.unsafe_set ends i (A.unsafe_get ends (len0 - 1 - k))
   in
   (match (st.present, geo_q) with
-  | Small s, Some geo -> S.remove_geo_pos s geo st.rng (fun _ i -> on_death i)
-  | Small s, None -> S.remove_bernoulli_pos s st.rng ~p:q (fun _ i -> on_death i)
+  | Small s, Some geo -> S.remove_geo_pos s geo st.rng on_death
+  | Small s, None -> S.remove_bernoulli_pos s st.rng ~p:q on_death
   | Sorted, Some geo ->
       let r = st.rng in
       let i = ref (len0 - 1 - Prng.Rng.Geo.draw geo r) in
       while !i >= 0 do
-        on_death !i;
+        on_death () !i;
         i := !i - 1 - Prng.Rng.Geo.draw geo r
       done
   | Sorted, None ->
@@ -139,7 +139,7 @@ let deaths st geo_q q =
          every slot dies from the top and nothing is drawn. *)
       if q >= 1. then
         for i = len0 - 1 downto 0 do
-          on_death i
+          on_death () i
         done);
   st.len <- len0 - st.n_deaths
 
