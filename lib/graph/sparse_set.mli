@@ -8,9 +8,9 @@
     perturbed by past swap-removes — deterministic for a deterministic
     operation sequence, but not sorted.
 
-    This is the state representation behind the edge-Markovian models
-    at one strip ([Edge_meg.Classic] below 2¹⁷ nodes without [?parts],
-    and [Edge_meg.General]): the pair index of every present edge lives
+    This is the state representation behind [Edge_meg.General] and
+    one-strip [Edge_meg.Classic] models (below 2¹⁷ nodes, without
+    [?parts]): the pair index of every present edge lives
     in the set, membership checks during the birth scan are two array
     reads, and the death scan subsamples the dense array with geometric
     skips ({!remove_bernoulli}) so a step draws O(m·q) variates instead

@@ -157,9 +157,9 @@ let test_bernoulli_extremes () =
 module S = Graph.Sparse_set
 
 (* Inside a removal scan's callback the set is already compacted: the
-   k-th removal (from 0) sees [len0 - 1 - k] members, at p = 1 too (the
-   p >= 1 branch once reported before shrinking). The classic edge-MEG's
-   death walk copies the survivor from that slot into its mirror. *)
+   k-th removal (from 0) sees [len0 - 1 - k] members, at p = 1 too. The
+   classic edge-MEG's death walk copies the survivor from that slot
+   into its mirror. *)
 let q_removal_streams_compacted =
   qtest ~count:100 "removal scans emit into the compacted set"
     QCheck2.Gen.(triple seed_gen (int_range 1 60) (oneofl [ 0.35; 1. ]))
