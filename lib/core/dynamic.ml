@@ -24,11 +24,46 @@ type t = {
          applying the deltas and rebuilding from the snapshot without
          consuming anything. Advisory: approximate values are fine,
          correctness never depends on it. *)
-  boundary : (Graph.Storage.Bitset.t -> (int -> unit) -> int) option;
+  boundary : Graph.Storage.Bitset.t -> (int -> unit) -> int;
       (* Reports, once each, the nodes outside the given set with a
          neighbour inside it in the current snapshot, and returns the
-         number of candidate pairs tested. Coin-free; see dynamic.mli. *)
+         number of candidate pairs tested. See dynamic.mli. *)
 }
+
+(* Raw reads and writes of a Storage.Bitset block: under -opaque the
+   Bitset accessors are calls, two or three per edge here. *)
+let[@inline] bit b i = Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let[@inline] set_bit b i =
+  let k = i lsr 3 in
+  Bytes.unsafe_set b k (Char.unsafe_chr (Char.code (Bytes.unsafe_get b k) lor (1 lsl (i land 7))))
+
+(* The boundary of a model without a native hook: one [iter_edges]
+   pass in which an edge with exactly one endpoint inside reports the
+   other, once per call through [seen], created on the first call so
+   [make] allocates nothing O(n) for it. It returns the edges read. *)
+let derived_boundary n iter_edges =
+  let seen = lazy (Graph.Storage.Bitset.create n) in
+  fun inside f ->
+    if Graph.Storage.Bitset.length inside <> n then
+      invalid_arg "Dynamic.boundary: inside set length mismatch";
+    let seen = Lazy.force seen in
+    Graph.Storage.Bitset.clear_all seen;
+    let ins = Graph.Storage.Bitset.bits inside and out = Graph.Storage.Bitset.bits seen in
+    let read = ref 0 in
+    iter_edges (fun u v ->
+        if u < 0 || u >= n || v < 0 || v >= n then
+          invalid_arg "Dynamic.boundary: edge endpoint out of range";
+        incr read;
+        let iu = bit ins u in
+        if iu <> bit ins v then begin
+          let w = if iu then v else u in
+          if not (bit out w) then begin
+            set_bit out w;
+            f w
+          end
+        end);
+    !read
 
 let make ?fill_edges ?deltas ?delta_size ?boundary ?expected_edges ~n ~reset ~step ~iter_edges
     () =
@@ -37,6 +72,9 @@ let make ?fill_edges ?deltas ?delta_size ?boundary ?expected_edges ~n ~reset ~st
     match fill_edges with
     | Some fill -> fill
     | None -> fun buf -> iter_edges (fun u v -> Graph.Edge_buffer.push buf u v)
+  in
+  let boundary =
+    match boundary with Some b -> b | None -> derived_boundary n iter_edges
   in
   { n; reset; step; iter_edges; fill_edges; deltas; delta_size; boundary; expected_edges }
 
@@ -59,12 +97,7 @@ let deltas t ~birth ~death =
 
 let delta_size t = match t.delta_size with None -> None | Some f -> Some (f ())
 
-let has_boundary t = Option.is_some t.boundary
-
-let boundary t inside f =
-  match t.boundary with
-  | Some b -> b inside f
-  | None -> invalid_arg "Dynamic.boundary: model has no boundary hook"
+let boundary t inside f = t.boundary inside f
 
 let expected_edges t = match t.expected_edges with Some e -> max 1 e | None -> 4 * t.n
 
@@ -119,6 +152,12 @@ let of_static g =
 
 let of_snapshots ~n snapshots =
   if Array.length snapshots = 0 then invalid_arg "Dynamic.of_snapshots: empty sequence";
+  Array.iter
+    (List.iter (fun (u, v) ->
+         if u = v then invalid_arg "Dynamic.of_snapshots: self-loop";
+         if u < 0 || u >= n || v < 0 || v >= n then
+           invalid_arg "Dynamic.of_snapshots: endpoint out of range"))
+    snapshots;
   let k = Array.length snapshots in
   (* Precompute the per-transition deltas once: canonical sorted
      multisets per snapshot, then a merge-walk difference between each
@@ -302,70 +341,21 @@ let filter_edges ~p_keep inner =
 
 let subsample ~every inner =
   if every < 1 then invalid_arg "Dynamic.subsample: every must be >= 1";
-  if every = 1 then
-    (* Pure passthrough: one observed step is one inner step, so the
-       inner delta stream (if any) is already the right one. *)
-    make ~n:inner.n ~reset:inner.reset ~step:inner.step ~iter_edges:inner.iter_edges
-      ~fill_edges:inner.fill_edges ?deltas:inner.deltas ?delta_size:inner.delta_size
-      ?boundary:inner.boundary ?expected_edges:inner.expected_edges ()
+  if every = 1 then inner
   else
-    match inner.deltas with
-    | None ->
-        make ~n:inner.n ~reset:inner.reset
-          ~step:(fun () ->
-            for _ = 1 to every do
-              inner.step ()
-            done)
-          ~iter_edges:inner.iter_edges ~fill_edges:inner.fill_edges ?boundary:inner.boundary
-          ?expected_edges:inner.expected_edges ()
-    | Some inner_deltas ->
-        (* Net the inner sub-steps' churn per edge across one observed
-           step: an edge that flaps within the window cancels out. *)
-        let net = Hashtbl.create 64 in
-        let bump key d =
-          let c = match Hashtbl.find_opt net key with Some c -> c | None -> 0 in
-          let c = c + d in
-          if c = 0 then Hashtbl.remove net key else Hashtbl.replace net key c
-        in
-        let acc_birth u v = bump (Graph.Pairs.encode inner.n u v) 1 in
-        let acc_death u v = bump (Graph.Pairs.encode inner.n u v) (-1) in
-        let pending_valid = ref false in
-        make ~n:inner.n
-          ~reset:(fun r ->
-            inner.reset r;
-            Hashtbl.reset net;
-            pending_valid := false)
-          ~step:(fun () ->
-            Hashtbl.clear net;
-            pending_valid := true;
-            for _ = 1 to every do
-              inner.step ();
-              if !pending_valid then
-                if not (inner_deltas ~birth:acc_birth ~death:acc_death) then
-                  pending_valid := false
-            done)
-          ~iter_edges:inner.iter_edges ~fill_edges:inner.fill_edges
-          ~deltas:(fun ~birth ~death ->
-            !pending_valid
-            && begin
-                 Hashtbl.iter
-                   (fun key c ->
-                     Graph.Pairs.decode_with inner.n key (fun u v ->
-                         if c > 0 then
-                           for _ = 1 to c do
-                             birth u v
-                           done
-                         else
-                           for _ = 1 to -c do
-                             death u v
-                           done))
-                   net;
-                 true
-               end)
-            (* Netted multiplicities are almost always +-1, so the key
-               count is a good event-count estimate. *)
-          ~delta_size:(fun () -> if !pending_valid then Hashtbl.length net else 0)
-          ?boundary:inner.boundary ?expected_edges:inner.expected_edges ()
+    (* The inner model's deltas are per sub-step, not per observed
+       step, so they are not forwarded. Snapshot reads and the boundary
+       hook answer for the current (observed) snapshot. *)
+    {
+      inner with
+      step =
+        (fun () ->
+          for _ = 1 to every do
+            inner.step ()
+          done);
+      deltas = None;
+      delta_size = None;
+    }
 
 let union a b =
   if a.n <> b.n then invalid_arg "Dynamic.union: node-count mismatch";

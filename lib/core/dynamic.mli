@@ -55,8 +55,9 @@ val make :
 
     [boundary], when given, answers the one question plain flooding
     asks of a snapshot — which nodes outside a set have a neighbour
-    inside it — without enumerating the snapshot. Its contract is on
-    the {!boundary} accessor.
+    inside it — without enumerating the snapshot. When omitted, one is
+    derived from [iter_edges]. Its contract is on the {!boundary}
+    accessor.
 
     [expected_edges] is a hint — a typical snapshot's edge count — used
     to size snapshot buffers ({!snapshot_graph}, the kernels' working
@@ -117,27 +118,21 @@ val deltas : t -> birth:(int -> int -> unit) -> death:(int -> int -> unit) -> bo
     {- On [false], callbacks may already have fired; the consumer must
        treat its incremental state as garbage and rebuild from
        {!iter_edges}/{!fill_edges}.}
-    {- Combinators forward deltas when their operands support them
-       ({!union}, {!subsample}); {!filter_edges} synthesises its own
-       from its keep-decision caches. Enumerating a {!filter_edges}
-       snapshot through this hook draws the same coins in the same
-       order as {!iter_edges} would have, so golden results of
-       enumeration-order-independent protocols are unaffected.}} *)
-
-val has_boundary : t -> bool
-(** Whether the model carries a native boundary hook. A static
-    capability, like {!has_deltas}: consumers pick their scan strategy
-    once per run. The implementors are the grid mobility models and
-    the classic edge-MEG from q = 0.05 up, and {!subsample} of
-    either. *)
+    {- {!union} forwards both operands' reports verbatim, and
+       [subsample ~every:1] is the model itself; {!filter_edges}
+       synthesises its own from its keep-decision caches. Enumerating
+       a {!filter_edges} snapshot through this hook draws the same
+       coins in the same order as {!iter_edges} would have, so golden
+       results of enumeration-order-independent protocols are
+       unaffected.}} *)
 
 val boundary : t -> Graph.Storage.Bitset.t -> (int -> unit) -> int
 (** [boundary t inside f] calls [f v] exactly once for each node [v]
     outside [inside] that has a neighbour inside it in the current
     snapshot, and returns the number of candidate pairs it tested (a
     work count for metrics, not part of the answer). [inside] has one
-    bit per node. Raises [Invalid_argument] on a model without the
-    hook ({!has_boundary}).
+    bit per node; a set of another length raises [Invalid_argument].
+    Every model answers.
 
     Contract, for implementors and consumers alike:
     {ul
@@ -146,15 +141,19 @@ val boundary : t -> Graph.Storage.Bitset.t -> (int -> unit) -> int
        hook is a faster way to compute I_t ∪ N_t(I_t), never a
        different graph. Report order is unspecified but
        deterministic.}
-    {- It draws no randomness and leaves the model's state alone, so
+    {- A native hook (the grid mobility models, the classic edge-MEG)
+       draws no randomness and leaves the model's state alone, so
        calling it between two steps, once or not at all, changes no
-       later snapshot. Protocols that draw a coin per edge (Push, or
-       anything reading {!filter_edges}) cannot use it: they need the
-       edges themselves, in enumeration order.}
-    {- {!subsample} forwards the hook. {!union} and {!filter_edges}
-       drop it: a union's boundary would need both operands' reports
-       deduplicated, and the filter draws a coin per enumerated edge,
-       which a boundary query never enumerates.}} *)
+       later snapshot.}
+    {- The derived hook, on a model built without one, is one
+       {!iter_edges} pass: an edge with exactly one endpoint inside
+       reports the other, and the return value is the number of edges
+       read. It reads the snapshot exactly as a first enumeration
+       would, so on {!filter_edges} it draws that step's keep coins,
+       in enumeration order. An endpoint outside [\[0, n)] raises
+       [Invalid_argument].}
+    {- Protocols that draw a coin per edge (Push) cannot use it: they
+       need the edges themselves, in enumeration order.}} *)
 
 val expected_edges : t -> int
 (** The model's {!make}-supplied edge-count hint, or a [4 * n]
@@ -200,9 +199,9 @@ val filter_edges : p_keep:float -> t -> t
 
     Always delta-capable regardless of the inner model: the hook diffs
     this step's keep decisions against the previous step's, declining
-    only when the previous snapshot was never fully enumerated. Drops
-    the inner model's {!boundary} hook: keep decisions are coins drawn
-    per enumerated edge. *)
+    only when the previous snapshot was never fully enumerated. Its
+    {!boundary} is the derived one: keep decisions are coins drawn per
+    enumerated edge, so the query enumerates the filtered snapshot. *)
 
 val union : t -> t -> t
 (** Superposition of two processes on the same node set: an edge is
@@ -210,8 +209,8 @@ val union : t -> t -> t
     be reported twice (consumers tolerate duplicates — the delta
     protocol and {!Graph.Mutable_adj} treat snapshots as multisets for
     exactly this reason). Delta-capable iff both operands are: the
-    operands' streams are forwarded verbatim. Never has a {!boundary}
-    hook. *)
+    operands' streams are forwarded verbatim. Its {!boundary} is the
+    derived one, over both operands' edges. *)
 
 val subsample : every:int -> t -> t
 (** [subsample ~every:m g] observes only every m-th snapshot of [g]:
@@ -222,7 +221,7 @@ val subsample : every:int -> t -> t
     [g], and the gap measures the slack the epoch argument gives
     away.
 
-    Delta-capable iff [g] is: one observed step nets [g]'s per-substep
-    births and deaths per edge, so churn that cancels within the window
-    is not reported. Forwards [g]'s {!boundary} hook, which always
-    answers for the current (observed) snapshot. *)
+    [subsample ~every:1 g] is [g] itself. For m >= 2 the result is not
+    delta-capable: [g]'s reports are per sub-step. It forwards [g]'s
+    {!boundary} hook, which always answers for the current (observed)
+    snapshot. *)

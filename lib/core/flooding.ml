@@ -31,8 +31,8 @@ let c_cap_hits = Obs.Metrics.counter "flood.cap_hits"
 
 (* The kernel allocates its working set once per domain, not per run:
    the informed/queued bitsets, the arrival-order and frontier arrays,
-   the trajectory buffer, the legacy path's edge buffer and the delta
-   path's {!Adj_sync} all live in a domain-local scratch,
+   the trajectory buffer, the enumeration path's edge buffer and the
+   row path's {!Adj_sync} all live in a domain-local scratch,
    re-initialised (O(n)) and reused whenever consecutive runs agree on
    [n] — which is every iteration of a trial loop. The whole scratch
    lives in the {!Graph.Storage} layer — packed bitsets and int32
@@ -45,44 +45,34 @@ let c_cap_hits = Obs.Metrics.counter "flood.cap_hits"
    Three scan strategies, chosen once per run from the protocol and the
    model's capabilities:
 
-   - Plain flooding on a model with a boundary hook
-     ({!Dynamic.has_boundary}) asks the model for N_t(I_t) \ I_t
-     directly — for the grid mobility models, one counting-sort sweep
-     that skips cells far from every informed node; for a classic
-     edge-MEG from q = 0.05 up, one pass over its live edges — then
-     commits and steps: no edge buffer, no adjacency, no per-edge work
-     here. Flooding draws no coins and I_{t+1} is a set, so the result
-     is the one enumeration would give. [flood.edges] counts the
-     candidate pairs the hook tested, and every round is one
-     [flood.snapshots].
+   - Plain flooding asks the model for N_t(I_t) \ I_t through
+     {!Dynamic.boundary}, then commits and steps: no edge buffer, no
+     adjacency, no per-edge work here. Every model answers. The grid
+     mobility models and the classic edge-MEG have native hooks (a
+     counting-sort sweep that skips cells far from every informed node;
+     one pass over the live edges); every other model answers through
+     the hook {!Dynamic.make} derives from one [iter_edges] pass.
+     Flooding draws no coins and I_{t+1} is a set, so the result is the
+     one enumeration would give. [flood.edges] counts the candidate
+     pairs the hook tested, and every round is one [flood.snapshots].
 
-   - Delta-capable models ({!Dynamic.has_deltas}) keep an incremental
-     adjacency in sync through {!Adj_sync} (which itself chooses
-     between O(Δ) patching and an O(n + m) rebuild per round — see its
-     docs) and scan rows instead of whole snapshots, in one loop per
-     side of the informed/uninformed cut. The informed side scans the
-     senders' rows in arrival order, drawing a Push coin per uninformed
-     neighbour: arrival-then-row order is the coin sequence the goldens
-     pin. Every informed node sends, except
-     under Parsimonious: arrival times are nondecreasing along [order],
-     so the window's expired nodes form a prefix and one monotone
-     pointer maintains the active suffix. Plain flooding draws no
-     coins, so once the uninformed nodes are the fewer it scans their
-     rows instead, with early exit on the first informed neighbour.
-     Plain flooding lands here on delta-capable models without a
-     boundary hook, among them node-MEGs, the general edge-MEG,
-     [union], [filter_edges] and classic edge-MEGs below the hook's
-     churn floor.
+   - Push and Parsimonious on delta-capable models ({!Dynamic.has_deltas})
+     keep an incremental adjacency in sync through {!Adj_sync} (which
+     itself chooses between O(Δ) patching and an O(n + m) rebuild per
+     round — see its docs) and scan the senders' rows in arrival order,
+     drawing a Push coin per uninformed neighbour: arrival-then-row
+     order is the coin sequence the goldens pin. Every informed node
+     sends, except under Parsimonious: arrival times are nondecreasing
+     along [order], so the window's expired nodes form a prefix and one
+     monotone pointer maintains the active suffix.
 
-   - Everything else takes the original path: enumerate the snapshot
+   - Push and Parsimonious on every other model enumerate the snapshot
      into a reused Edge_buffer and consider both directions of every
-     edge. Observable behaviour on this path is identical to the
-     original kernel (same sets, same coin order). Push and
-     Parsimonious on a boundary-capable model land here too: Push
-     draws a coin per edge, and Parsimonious's senders are a window of
-     the informed set, not the set the kernel keeps as a bitset.
+     edge, in enumeration order (same sets, same coin order as the
+     original kernel). Parsimonious's senders are a window of the
+     informed set, not the set a boundary query takes.
 
-   The delta and enumeration paths reach the same informed sets at the
+   The row and enumeration paths reach the same informed sets at the
    same times; they differ only in the order protocol coins are drawn
    (frontier scans by arriving sender, enumeration by edge), which is
    why Push goldens on delta-capable models were regenerated when the
@@ -94,8 +84,6 @@ type scratch = {
   mutable informed_at : St.I32.t;  (* -1 while uninformed *)
   mutable order : St.I32.t;
   mutable frontier : St.I32.t;
-  mutable unf : St.I32.t;      (* uninformed nodes, compact *)
-  mutable unf_pos : St.I32.t;  (* position of node v in [unf] while uninformed *)
   traj : St.I32.t;             (* grows via the explicit ensure contract *)
   mutable edges : Graph.Edge_buffer.t;
   mutable sync_for : Dynamic.t option;  (* physical key for [sync] *)
@@ -111,15 +99,13 @@ let scratch_key =
         informed_at = St.I32.create 1;
         order = St.I32.create 1;
         frontier = St.I32.create 1;
-        unf = St.I32.create 1;
-        unf_pos = St.I32.create 1;
         traj = St.I32.create 256;
         edges = Graph.Edge_buffer.create ~capacity:16 ();
         sync_for = None;
         sync = None;
       })
 
-(* The delta path reads the adjacency view with the Bigarray primitive
+(* The row path reads the adjacency view with the Bigarray primitive
    itself: under -opaque a Storage accessor from this module would be a
    function call per row entry (see Graph.Storage). *)
 let[@inline] get (a : St.I32.raw) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
@@ -157,9 +143,7 @@ let run_raw ?cap ?(protocol = Flood) ~rng ~source g =
     sc.queued <- St.Bitset.create n;
     sc.informed_at <- St.I32.create n;
     sc.order <- St.I32.create n;
-    sc.frontier <- St.I32.create n;
-    sc.unf <- St.I32.create n;
-    sc.unf_pos <- St.I32.create n
+    sc.frontier <- St.I32.create n
   end
   else begin
     St.Bitset.clear_all sc.informed;
@@ -185,21 +169,6 @@ let run_raw ?cap ?(protocol = Flood) ~rng ~source g =
   let frontier = sc.frontier in
   let frontier_len = ref 0 in
   let t = ref 0 in
-  (* Uninformed-node list for plain flooding's min-side scan; compact
-     with swap-remove, mirrored by [unf_pos]. Only maintained when
-     [track_unf] is on (Flood on the delta path). *)
-  let unf = sc.unf in
-  let unf_pos = sc.unf_pos in
-  let unf_len = ref 0 in
-  let track_unf = ref false in
-  let remove_unf v =
-    let p = St.I32.unsafe_get unf_pos v in
-    let last = !unf_len - 1 in
-    let w = St.I32.unsafe_get unf last in
-    St.I32.unsafe_set unf p w;
-    St.I32.unsafe_set unf_pos w p;
-    unf_len := last
-  in
   let active u =
     match protocol with
     | Flood | Push _ -> St.Bitset.unsafe_get informed u
@@ -229,8 +198,7 @@ let run_raw ?cap ?(protocol = Flood) ~rng ~source g =
       St.Bitset.unsafe_set informed v;
       St.I32.unsafe_set informed_at v !t;
       St.I32.unsafe_set order !n_informed v;
-      incr n_informed;
-      if !track_unf then remove_unf v
+      incr n_informed
     done;
     push_traj !n_informed;
     Obs.Metrics.incr c_rounds;
@@ -242,7 +210,7 @@ let run_raw ?cap ?(protocol = Flood) ~rng ~source g =
         incr next_milestone
       done
   in
-  if protocol = Flood && Dynamic.has_boundary g then
+  if protocol = Flood then
     (* The model reports N_t(I_t) \ I_t itself. [get] is the checked
        read, so a hook reporting an out-of-range node raises instead of
        overrunning the frontier. *)
@@ -264,6 +232,8 @@ let run_raw ?cap ?(protocol = Flood) ~rng ~source g =
       Obs.Metrics.add c_edges (Graph.Edge_buffer.length edges);
       for i = 0 to Graph.Edge_buffer.length edges - 1 do
         let u = Graph.Edge_buffer.src edges i and v = Graph.Edge_buffer.dst edges i in
+        if u < 0 || u >= n || v < 0 || v >= n then
+          invalid_arg "Flooding.run: edge endpoint out of range";
         consider u v;
         consider v u
       done;
@@ -286,17 +256,6 @@ let run_raw ?cap ?(protocol = Flood) ~rng ~source g =
     let refreshes0 = Adj_sync.refreshes sync in
     let delta_ops0 = Adj_sync.delta_ops sync in
     let scanned = ref 0 in
-    (* Coin-free plain flooding may scan the uninformed side of the
-       cut; [unf] lists that side. *)
-    if protocol = Flood then begin
-      track_unf := true;
-      for i = 0 to n - 1 do
-        St.I32.unsafe_set unf i i;
-        St.I32.unsafe_set unf_pos i i
-      done;
-      unf_len := n;
-      remove_unf source
-    end;
     (* The senders are [order.(lo ..)]. *)
     let lo = ref 0 in
     while !n_informed < n && !t < cap do
@@ -314,33 +273,16 @@ let run_raw ?cap ?(protocol = Flood) ~rng ~source g =
       let ({ v_deg; v_off; v_data } : Graph.Mutable_adj.view) =
         Graph.Mutable_adj.view (Adj_sync.adj sync)
       in
-      if !track_unf && !unf_len < !n_informed then
-        (* Uninformed side: a row is read up to its first informed
-           neighbour, and [scanned] counts the entries actually read. *)
-        for ui = 0 to !unf_len - 1 do
-          let v = St.I32.unsafe_get unf ui in
-          let d = get v_deg v in
-          let off = get v_off v in
-          let j = ref 0 in
-          let hit = ref false in
-          while (not !hit) && !j < d do
-            if St.Bitset.unsafe_get informed (get v_data (off + !j)) then hit := true;
-            incr j
-          done;
-          scanned := !scanned + !j;
-          if !hit then enqueue v
+      for oi = !lo to !n_informed - 1 do
+        let u = St.I32.unsafe_get order oi in
+        let d = get v_deg u in
+        let off = get v_off u in
+        scanned := !scanned + d;
+        for j = off to off + d - 1 do
+          let v = get v_data j in
+          if (not (St.Bitset.unsafe_get informed v)) && transmits () then enqueue v
         done
-      else
-        for oi = !lo to !n_informed - 1 do
-          let u = St.I32.unsafe_get order oi in
-          let d = get v_deg u in
-          let off = get v_off u in
-          scanned := !scanned + d;
-          for j = off to off + d - 1 do
-            let v = get v_data j in
-            if (not (St.Bitset.unsafe_get informed v)) && transmits () then enqueue v
-          done
-        done;
+      done;
       commit ();
       Dynamic.step g;
       Adj_sync.advance sync

@@ -44,20 +44,21 @@ val run :
     [rng]; the remainder of [rng] drives the protocol's own coins (for
     [Push]). [cap] defaults to [10_000 + 200 * n] steps.
 
-    [Flood] on a model with a boundary hook ({!Dynamic.has_boundary}:
-    the grid mobility models, and classic edge-MEGs from q = 0.05 up)
-    asks the model for each round's new neighbours instead of
-    enumerating the snapshot or keeping an adjacency; the results are
-    the same.
+    [Flood] asks the model for each round's new neighbours
+    ({!Dynamic.boundary}) instead of enumerating the snapshot or
+    keeping an adjacency; the results are the ones enumeration gives.
+    [Push] and [Parsimonious] scan an incremental adjacency on
+    delta-capable models and enumerate the snapshot on the others.
 
-    [storage] is ignored. The delta path's incremental adjacency has
+    [storage] is ignored. The row path's incremental adjacency has
     one layout, the off-heap arena of {!Adj_sync}; the argument stays
     only for existing callers. Requires [n <= Graph.Storage.max_nodes],
     as the kernel's scratch is int32-backed.
 
     Raises [Invalid_argument] on a source outside [0 .. n - 1], a
-    negative [cap], a [Push] probability outside (0, 1] or a
-    [Parsimonious] window below 1. *)
+    negative [cap], a [Push] probability outside (0, 1], a
+    [Parsimonious] window below 1, or a snapshot edge with an endpoint
+    outside [0 .. n - 1]. *)
 
 val time :
   ?cap:int ->

@@ -15,9 +15,9 @@ type init = Stationary | Empty | Full
    worker count or [parts], so results are a function of the reset
    seed alone (test/test_parallel.ml pins both).
 
-   From [boundary_min_q] up, the model also answers plain flooding's
-   one question, which outside nodes touch an inside set, by one pass
-   over the strips' endpoint mirrors (DESIGN.md section 8). *)
+   The model also answers plain flooding's one question, which outside
+   nodes touch an inside set, by one pass over the strips' endpoint
+   mirrors (DESIGN.md section 8). *)
 
 module S = Graph.Sparse_set
 module St = Graph.Storage
@@ -126,7 +126,6 @@ let deaths st geo_q q =
   in
   (match (st.present, geo_q) with
   | Small s, Some geo -> S.remove_geo_pos s geo st.rng on_death
-  | Small s, None -> S.remove_bernoulli_pos s st.rng ~p:q on_death
   | Sorted, Some geo ->
       let r = st.rng in
       let i = ref (len0 - 1 - Prng.Rng.Geo.draw geo r) in
@@ -134,13 +133,15 @@ let deaths st geo_q q =
         on_death () !i;
         i := !i - 1 - Prng.Rng.Geo.draw geo r
       done
-  | Sorted, None ->
+  | present, None ->
       (* No sampler at q = 0, where nothing dies, and at q = 1, where
          every slot dies from the top and nothing is drawn. *)
-      if q >= 1. then
+      if q >= 1. then begin
         for i = len0 - 1 downto 0 do
           on_death () i
-        done);
+        done;
+        match present with Small s -> S.clear s | Sorted -> ()
+      end);
   st.len <- len0 - st.n_deaths
 
 (* The buffered births join the mirror in one block: one capacity
@@ -253,17 +254,6 @@ let merge st n len0 =
 (* The strip count from offheap_nodes up or with [?parts], and the
    largest [parts]. *)
 let big_strips = 64
-
-(* The churn floor of the boundary hook. Its cut scan reads every live
-   edge each round, where Flood's delta path reads the ~2qm changed
-   edges and the rows of the smaller side of the cut. Paired per-flood
-   timings (CHANGES.md has the grid) put the crossover near q = 0.05
-   for the sparsest models, p n <= 0.1, whose floods run 30-600
-   rounds: from 0.05 up every measured model took 0.63-1.08x the
-   delta path's time, while at q = 0.01-0.04 those took 1.01-1.71x.
-   Denser models, p n >= 0.4, still win below the floor (0.83-0.95x
-   at q = 0.02) but keep the delta path. *)
-let boundary_min_q = 0.05
 
 (* Raw reads and writes of a Storage.Bitset block: under -opaque the
    Bitset accessors are calls, one per endpoint. *)
@@ -495,11 +485,10 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
     done;
     !scanned
   in
-  let boundary = if q >= boundary_min_q then Some boundary else None in
   let expected_edges =
     if init = Full then total else int_of_float (ceil (alpha *. float_of_int total))
   in
-  Core.Dynamic.make ~fill_edges ~deltas ~delta_size ?boundary ~expected_edges ~n ~reset ~step
+  Core.Dynamic.make ~fill_edges ~deltas ~delta_size ~boundary ~expected_edges ~n ~reset ~step
     ~iter_edges ()
 
 let params ~p ~q = Markov.Two_state.make ~p ~q

@@ -51,17 +51,15 @@ val make :
       worker count. The two strip counts draw different streams and
       agree in law.
 
-    From q = 0.05 up the model carries a {!Core.Dynamic.boundary} hook,
-    so plain flooding runs on it with no adjacency and no delta
-    reports. The hook walks every strip's endpoint mirror, in
-    enumeration order, and reports each outside endpoint of an edge
-    with exactly one endpoint inside, once per call; it returns the
-    number of live edges scanned and raises [Invalid_argument] when the
-    inside set's length is not [n]. Below q = 0.05 the model keeps
-    Flood's delta path: there, scanning every live edge each round can
-    cost more than reading the few changed edges, up to 1.7x the flood
-    time on sparse models (DESIGN.md section 8). The floor is a
-    constant, not an option.
+    The model carries a native {!Core.Dynamic.boundary} hook, so plain
+    flooding runs on it with no adjacency and no delta reports. The
+    hook walks every strip's endpoint mirror, in enumeration order, and
+    reports each outside endpoint of an edge with exactly one endpoint
+    inside, once per call; it returns the number of live edges scanned
+    and raises [Invalid_argument] when the inside set's length is not
+    [n]. It reads the mirrors directly rather than through a closure
+    call per edge, which is what it saves over the hook
+    {!Core.Dynamic.make} would derive from [iter_edges].
 
     Raises [Invalid_argument] when [parts] lies outside 1..64, and for
     a [Full] or saturated stationary (q = 0) start at 64 strips, which

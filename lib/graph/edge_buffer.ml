@@ -56,14 +56,6 @@ let swap b i j =
   b.srcs.(j) <- su;
   b.dsts.(j) <- du
 
-let reverse_in_place b =
-  let i = ref 0 and j = ref (b.len - 1) in
-  while !i < !j do
-    swap b !i !j;
-    incr i;
-    decr j
-  done
-
 (* In-place quicksort over the parallel arrays, lexicographic on
    (src, dst): median-of-three pivot, Hoare partition, insertion sort
    below a cutoff. No index permutation or pair boxing is ever built. *)

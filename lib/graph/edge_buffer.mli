@@ -39,11 +39,6 @@ val append : t -> into:t -> unit
 (** [append b ~into] appends all of [b]'s edges to [into] with one
     blit. [b] is unchanged; [b == into] is not allowed. *)
 
-val reverse_in_place : t -> unit
-(** Reverse the edge order (endpoint orientation unchanged). Lets a
-    producer that enumerates pairs in one order expose the opposite
-    one without materialising a list. *)
-
 val sort_dedup : t -> unit
 (** Normalise every edge to [src < dst], sort lexicographically and
     drop duplicates, all in place (no allocation beyond O(log n) stack).

@@ -67,34 +67,6 @@ let find t x =
   if not (mem t x) then invalid_arg "Sparse_set.find: not a member";
   Array.unsafe_get t.pos x
 
-let check_prob name p =
-  if not (p >= 0. && p <= 1.) then invalid_arg (name ^ ": probability outside [0, 1]")
-
-(* Both skip scans branch on [log1mp] once and run a specialised loop
-   with direct sampler calls: [geometric_log1mp] draws the same stream
-   as [geometric] for log1mp = log (1 - p) (identical float expression
-   inside), so the two arms differ only in cost, never in output. *)
-let iter_bernoulli ?log1mp t rng ~p f =
-  check_prob "Sparse_set.iter_bernoulli" p;
-  if p >= 1. then iter t f
-  else if p > 0. then
-    match log1mp with
-    | Some l ->
-        (* Direct sampler calls instead of a [geo] closure: the skip
-           loops run once per surviving event, so the indirect call
-           would be paid on the hot path. *)
-        let i = ref (Prng.Rng.geometric_log1mp rng ~log1mp:l) in
-        while !i < t.len do
-          f (Array.unsafe_get t.dense !i);
-          i := !i + 1 + Prng.Rng.geometric_log1mp rng ~log1mp:l
-        done
-    | None ->
-        let i = ref (Prng.Rng.geometric rng p) in
-        while !i < t.len do
-          f (Array.unsafe_get t.dense !i);
-          i := !i + 1 + Prng.Rng.geometric rng p
-        done
-
 let remove_at t i =
   let x = Array.unsafe_get t.dense i in
   let last = t.len - 1 in
@@ -104,46 +76,12 @@ let remove_at t i =
   t.len <- last;
   x
 
-let remove_bernoulli_pos ?log1mp t rng ~p f =
-  check_prob "Sparse_set.remove_bernoulli" p;
-  if p >= 1. then begin
-    (* Every slot dies from the top, so removing slot [i] is shrinking
-       to [i]; [f] then sees the compacted set, as below. *)
-    for i = t.len - 1 downto 0 do
-      t.len <- i;
-      f (Array.unsafe_get t.dense i) i
-    done
-  end
-  else if p > 0. then begin
-    (* Top-down geometric skips: a visited slot's element dies; the
-       survivor swapped in from the (already passed) end is never
-       revisited, so every element gets exactly one Bernoulli(p) fate.
-       [f x i] runs after the swap-remove, so a payload mirror can read
-       the dying element's slot [i] (not yet overwritten on its side)
-       and then copy slot [length t] — the swapped-in survivor — over
-       it. *)
-    match log1mp with
-    | Some l ->
-        let i = ref (t.len - 1 - Prng.Rng.geometric_log1mp rng ~log1mp:l) in
-        while !i >= 0 do
-          let x = remove_at t !i in
-          f x !i;
-          i := !i - 1 - Prng.Rng.geometric_log1mp rng ~log1mp:l
-        done
-    | None ->
-        let i = ref (t.len - 1 - Prng.Rng.geometric rng p) in
-        while !i >= 0 do
-          let x = remove_at t !i in
-          f x !i;
-          i := !i - 1 - Prng.Rng.geometric rng p
-        done
-  end
-
-(* [remove_bernoulli_pos]'s top-down skip walk with the geometric
-   draws taken from a tabulated sampler instead of inversion — the
-   survivor-swap invariant is identical (see above). Distinct stream:
-   switching a model between the two is a golden-regenerating
-   change. *)
+(* Top-down geometric skips: a visited slot's element dies; the
+   survivor swapped in from the (already passed) end is never
+   revisited, so every element gets exactly one Bernoulli(p) fate.
+   [f x i] runs after the swap-remove, so a payload mirror can read
+   the dying element's slot [i] (not yet overwritten on its side) and
+   then copy slot [length t] — the swapped-in survivor — over it. *)
 let remove_geo_pos t geo rng f =
   let i = ref (t.len - 1 - Prng.Rng.Geo.draw geo rng) in
   while !i >= 0 do
@@ -151,6 +89,3 @@ let remove_geo_pos t geo rng f =
     f x !i;
     i := !i - 1 - Prng.Rng.Geo.draw geo rng
   done
-
-let remove_bernoulli ?log1mp t rng ~p f =
-  remove_bernoulli_pos ?log1mp t rng ~p (fun x _ -> f x)

@@ -13,7 +13,7 @@
     [?parts]): the pair index of every present edge lives
     in the set, membership checks during the birth scan are two array
     reads, and the death scan subsamples the dense array with geometric
-    skips ({!remove_bernoulli}) so a step draws O(m·q) variates instead
+    skips ({!remove_geo_pos}) so a step draws O(m·q) variates instead
     of m Bernoullis. Its two arrays span the universe, n(n-1)/2 cells
     each; the 64-strip classic engine keeps a sorted run of live pair
     indices instead, and walks its dense order with the same draws. *)
@@ -66,35 +66,16 @@ val iter : t -> (int -> unit) -> unit
 (** Linear walk of the dense array in its current order. [f] must not
     mutate the set. *)
 
-val iter_bernoulli : ?log1mp:float -> t -> Prng.Rng.t -> p:float -> (int -> unit) -> unit
-(** Visit each element independently with probability [p], via
-    geometric jumps over the dense array: O(length·p) expected draws.
-    Requires [p] in [\[0, 1\]]. [f] must not mutate the set.
-
-    [log1mp], when given, must equal [log (1. -. p)]: the scan then
-    skips recomputing the logarithm per draw (the stream is unchanged
-    bit-for-bit — see {!Prng.Rng.geometric_log1mp}). *)
-
-val remove_bernoulli : ?log1mp:float -> t -> Prng.Rng.t -> p:float -> (int -> unit) -> unit
-(** Remove each element independently with probability [p], calling [f]
-    on every removed element, in O(length·p) expected draws. The scan
-    runs over the dense array from the top down so that swap-remove
-    only moves already-decided survivors into visited slots. Requires
-    [p] in [\[0, 1\]]. [log1mp] as in {!iter_bernoulli}. *)
-
-val remove_bernoulli_pos :
-  ?log1mp:float -> t -> Prng.Rng.t -> p:float -> (int -> int -> unit) -> unit
-(** {!remove_bernoulli} with positions: [f x i] receives each removed
-    element [x] together with the dense slot [i] it was removed from,
-    after the swap-remove has compacted the set. A caller mirroring
-    per-member payload in a parallel array reads its slot [i] (the
-    dying member's payload, untouched on the payload side) and then
-    copies slot [length t] — the survivor just swapped into [i] — over
-    it; when [i = length t] the copy is a harmless self-copy. *)
-
 val remove_geo_pos : t -> Prng.Rng.Geo.sampler -> Prng.Rng.t -> (int -> int -> unit) -> unit
-(** {!remove_bernoulli_pos} with the geometric skips drawn from a
-    tabulated {!Prng.Rng.Geo} sampler (built for the same removal
-    probability) instead of inversion — about half the cost per draw
-    on hot death scans. The stream differs from the inversion scan's,
-    so switching a model between the two regenerates goldens. *)
+(** [remove_geo_pos t geo rng f] removes each element independently
+    with the probability [geo] was built for, in O(length·p) expected
+    draws from the tabulated {!Prng.Rng.Geo} sampler. The walk runs
+    over the dense array from the top down, skipping geometrically, so
+    that swap-remove only moves already-decided survivors into visited
+    slots. [f x i] receives each removed element [x] together with the
+    dense slot [i] it was removed from, after the swap-remove has
+    compacted the set. A caller mirroring per-member payload in a
+    parallel array reads its slot [i] (the dying member's payload,
+    untouched on the payload side) and then copies slot [length t] —
+    the survivor just swapped into [i] — over it; when [i = length t]
+    the copy is a harmless self-copy. *)

@@ -28,6 +28,30 @@ let with_counters f =
 
 let count key counters = Option.value ~default:0 (List.assoc_opt key counters)
 
+(* A random membership vector of length [n], at a density itself drawn
+   from [rng]. *)
+let random_members rng n =
+  let density = Prng.Rng.unit_float rng in
+  Array.init n (fun _ -> Prng.Rng.unit_float rng < density)
+
+(* [Core.Dynamic.boundary] against a brute force over [iter_edges]:
+   every node outside [member] with a neighbour inside it in the
+   current snapshot is reported exactly once, and no other node is.
+   Returns the hook's work count. *)
+let check_boundary ctx g member =
+  let module D = Core.Dynamic in
+  let n = D.n g in
+  let inside = Graph.Storage.Bitset.create n in
+  Array.iteri (fun i b -> if b then Graph.Storage.Bitset.set inside i) member;
+  let seen = Array.make n 0 in
+  let scanned = D.boundary g inside (fun v -> seen.(v) <- seen.(v) + 1) in
+  let revealed = Array.make n 0 in
+  D.iter_edges g (fun u v ->
+      if member.(u) && not member.(v) then revealed.(v) <- 1;
+      if member.(v) && not member.(u) then revealed.(u) <- 1);
+  if seen <> revealed then Alcotest.failf "%s: reported set differs from the brute force" ctx;
+  scanned
+
 (* A generator of (seed, n) pairs for randomised structures. *)
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
 

@@ -23,6 +23,53 @@ let test_of_snapshots_cycles () =
   Alcotest.(check (list (pair int int))) "reset restarts" [ (0, 1) ]
     (Core.Dynamic.snapshot_edges dyn)
 
+let raises_invalid f =
+  try
+    f ();
+    false
+  with Invalid_argument _ -> true
+
+(* Snapshots are validated up front, as [Static.of_edges] does, not
+   when a consumer first reads them. *)
+let test_of_snapshots_validation () =
+  let build snaps () = ignore (Core.Dynamic.of_snapshots ~n:3 snaps) in
+  check_true "endpoint >= n rejected" (raises_invalid (build [| [ (0, 1) ]; [ (1, 3) ] |]));
+  check_true "negative endpoint rejected" (raises_invalid (build [| [ (-1, 1) ] |]));
+  check_true "self-loop rejected" (raises_invalid (build [| []; [ (2, 2) ] |]))
+
+(* A model reporting a node id outside [0, n) raises under every
+   protocol instead of reading or writing past the kernel's bitsets,
+   and so does the boundary hook [Dynamic.make] derives for it. *)
+let test_out_of_range_endpoint () =
+  let g () =
+    Core.Dynamic.make ~n:3 ~reset:ignore ~step:ignore
+      ~iter_edges:(fun f ->
+        f 0 1;
+        f 1 100_000)
+      ()
+  in
+  List.iter
+    (fun (name, protocol) ->
+      check_true (name ^ " raises")
+        (raises_invalid (fun () ->
+             ignore (Core.Flooding.run ~protocol ~rng:(rng_of_seed 1) ~source:0 (g ())))))
+    [
+      ("Flood", Core.Flooding.Flood);
+      ("Push", Core.Flooding.Push 0.5);
+      ("Parsimonious", Core.Flooding.Parsimonious 2);
+    ];
+  let inside = Graph.Storage.Bitset.create 3 in
+  Graph.Storage.Bitset.set inside 0;
+  check_true "derived boundary raises"
+    (raises_invalid (fun () -> ignore (Core.Dynamic.boundary (g ()) inside ignore)));
+  check_true "negative id raises"
+    (raises_invalid (fun () ->
+         let g = Core.Dynamic.make ~n:3 ~reset:ignore ~step:ignore ~iter_edges:(fun f -> f (-1) 0) () in
+         ignore (Core.Flooding.run ~protocol:(Push 0.5) ~rng:(rng_of_seed 1) ~source:0 g)));
+  check_true "wrong-length inside raises"
+    (raises_invalid (fun () ->
+         ignore (Core.Dynamic.boundary (g ()) (Graph.Storage.Bitset.create 4) ignore)))
+
 let test_isolated_fraction () =
   let dyn = Core.Dynamic.of_snapshots ~n:4 [| [ (0, 1) ] |] in
   Core.Dynamic.reset dyn (rng_of_seed 0);
@@ -453,6 +500,8 @@ let suites =
       [
         Alcotest.test_case "of_static constant" `Quick test_of_static_constant;
         Alcotest.test_case "of_snapshots cycles" `Quick test_of_snapshots_cycles;
+        Alcotest.test_case "of_snapshots validation" `Quick test_of_snapshots_validation;
+        Alcotest.test_case "out-of-range endpoint" `Quick test_out_of_range_endpoint;
         Alcotest.test_case "isolated fraction" `Quick test_isolated_fraction;
         Alcotest.test_case "adjacency" `Quick test_adjacency_symmetric;
         Alcotest.test_case "snapshot graph" `Quick test_snapshot_graph;

@@ -49,13 +49,6 @@ let extra_builders : (string * (unit -> Core.Dynamic.t)) list =
           (Node_meg.Model.space ~chain:sticky_chain ~connect:(fun x y ->
                let d = abs (x - y) in
                min d (6 - d) <= 1)) );
-    ( "subsample.general",
-      fun () ->
-        let chain =
-          Markov.Chain.of_rows (Array.init 3 (fun s -> [| (s, 0.5); ((s + 1) mod 3, 0.5) |]))
-        in
-        Core.Dynamic.subsample ~every:2 (Edge_meg.General.make ~n:12 ~chain ~chi:(fun s -> s = 1) ())
-    );
   ]
 
 let all_builders = Test_fill_edges.builders @ extra_builders

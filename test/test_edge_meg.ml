@@ -418,9 +418,9 @@ let test_classic_offheap_rejects_saturated () =
 
 (* --- Classic's boundary hook --- *)
 
-(* Hook-capable models: one strip, 64 and 9 strips, the Full and Empty
-   starts, q = 1, p = 1 and a subsampled view (which forwards the
-   hook). *)
+(* One strip, 64 and 9 strips, the Full and Empty starts, q = 0, a
+   low churn q = 0.01, q = 1, p = 1 and a subsampled view (which
+   forwards the hook). *)
 let boundary_models n =
   let mk ?init ?parts ?(p = 0.12) ?(q = 0.3) () = Edge_meg.Classic.make ?init ?parts ~n ~p ~q () in
   [
@@ -429,6 +429,8 @@ let boundary_models n =
     ("parts 9", fun () -> mk ~parts:9 ~q:0.5 ());
     ("full start", fun () -> mk ~init:Full ());
     ("empty start", fun () -> mk ~init:Empty ~p:0.05 ());
+    ("q = 0", fun () -> mk ~q:0. ());
+    ("q = 0.01", fun () -> mk ~q:0.01 ());
     ("q = 1", fun () -> mk ~q:1. ());
     ("p = 1", fun () -> mk ~p:1. ~q:0.6 ());
     ("subsample every 3", fun () -> Core.Dynamic.subsample ~every:3 (mk ~q:0.5 ()));
@@ -440,7 +442,10 @@ let boundary_models n =
    read without it. *)
 let q_boundary_bruteforce =
   qtest ~count:60 "boundary = brute force over iter_edges"
-    QCheck2.Gen.(quad seed_gen (int_range 1 30) (int_range 0 7) (int_range 0 3))
+    QCheck2.Gen.(
+      quad seed_gen (int_range 1 30)
+        (int_range 0 (List.length (boundary_models 1) - 1))
+        (int_range 0 3))
     (fun (seed, n, which, steps) ->
       let name, build = List.nth (boundary_models n) which in
       let module D = Core.Dynamic in
@@ -450,17 +455,8 @@ let q_boundary_bruteforce =
         D.step g;
         D.step twin
       done;
-      let rng = rng_of_seed (seed + 1) in
-      let density = Prng.Rng.unit_float rng in
-      let member = Array.init n (fun _ -> Prng.Rng.unit_float rng < density) in
-      let inside = Graph.Storage.Bitset.create n in
-      Array.iteri (fun i b -> if b then Graph.Storage.Bitset.set inside i) member;
-      let seen = Array.make n 0 in
-      let scanned = D.boundary g inside (fun v -> seen.(v) <- seen.(v) + 1) in
-      let revealed = Array.make n 0 in
-      D.iter_edges g (fun u v ->
-          if member.(u) && not member.(v) then revealed.(v) <- 1;
-          if member.(v) && not member.(u) then revealed.(u) <- 1);
+      let ctx = Printf.sprintf "%s seed %d n %d steps %d" name seed n steps in
+      let scanned = check_boundary ctx g (random_members (rng_of_seed (seed + 1)) n) in
       let report g =
         let acc = ref [] in
         let ok =
@@ -469,55 +465,61 @@ let q_boundary_bruteforce =
         in
         (ok, !acc)
       in
-      let ctx = Printf.sprintf "%s seed %d n %d steps %d" name seed n steps in
-      if seen <> revealed then Alcotest.failf "%s: reported set differs" ctx;
       Alcotest.(check int) (ctx ^ ": scanned edges") (D.edge_count g) scanned;
       report g = report twin)
 
+(* The same process built without a hook, so it answers the one
+   [Dynamic.make] derives from [iter_edges]. *)
 let without_boundary g =
   let module D = Core.Dynamic in
   D.make ~n:(D.n g) ~expected_edges:(D.expected_edges g) ~reset:(D.reset g)
     ~step:(fun () -> D.step g)
-    ~iter_edges:(D.iter_edges g) ~deltas:(D.deltas g)
-    ~delta_size:(fun () -> Option.value ~default:0 (D.delta_size g))
-    ()
+    ~iter_edges:(D.iter_edges g) ()
 
-(* Plain flooding through the hook reaches the same sets at the same
-   times as Flood's delta path on the same model, and the hook answers
-   once per round. *)
+(* Plain flooding through the native hook reaches the same sets at the
+   same times as through the derived one, and either answers once per
+   round. *)
 let test_boundary_flood_equivalence (name, build) () =
-  let module D = Core.Dynamic in
-  let n = D.n (build ()) in
-  check_true (name ^ ": hook offered") (D.has_boundary (build ()));
-  let rewrapped = without_boundary (build ()) in
-  check_true (name ^ ": re-wrap takes the delta path")
-    (D.has_deltas rewrapped && not (D.has_boundary rewrapped));
+  let n = Core.Dynamic.n (build ()) in
   for seed = 0 to 59 do
     let source = seed mod n in
     let label = Printf.sprintf "%s seed %d" name seed in
-    let run g = Core.Flooding.run ~cap:300 ~rng:(rng_of_seed seed) ~source g in
-    let hooked, counters = with_counters (fun () -> run (build ())) in
-    let delta = run (without_boundary (build ())) in
-    Alcotest.(check (option int)) (label ^ ": time") delta.time hooked.time;
-    Alcotest.(check (array int)) (label ^ ": trajectory") delta.trajectory hooked.trajectory;
-    Alcotest.(check (array int)) (label ^ ": arrivals") delta.arrivals hooked.arrivals;
-    Alcotest.(check int) (label ^ ": one boundary per round") (count "flood.rounds" counters)
-      (count "flood.snapshots" counters)
+    let run g = with_counters (fun () -> Core.Flooding.run ~cap:300 ~rng:(rng_of_seed seed) ~source g) in
+    let native, counters = run (build ()) in
+    let derived, derived_counters = run (without_boundary (build ())) in
+    Alcotest.(check (option int)) (label ^ ": time") derived.time native.time;
+    Alcotest.(check (array int)) (label ^ ": trajectory") derived.trajectory native.trajectory;
+    Alcotest.(check (array int)) (label ^ ": arrivals") derived.arrivals native.arrivals;
+    List.iter
+      (fun counters ->
+        Alcotest.(check int) (label ^ ": one boundary per round") (count "flood.rounds" counters)
+          (count "flood.snapshots" counters);
+        Alcotest.(check int) (label ^ ": no deltas") 0 (count "flood.delta_edges" counters))
+      [ counters; derived_counters ]
   done
 
-(* The hook is offered from q = 0.05 up (the churn floor); the sparse,
-   low-churn model of the measured grid stays on the delta path. *)
-let test_boundary_floor () =
-  let n = 1024 in
-  let has q = Core.Dynamic.has_boundary (Edge_meg.Classic.make ~n ~p:(0.05 /. 1024.) ~q ()) in
-  check_true "on the floor" (has 0.05);
-  check_true "just below the floor" (not (has (Float.pred 0.05)));
-  check_true "q = 0.01 keeps the delta path" (not (has 0.01));
+(* Models built without a native hook answer the derived one: a
+   re-wrap, a union, a filter and a subsampled re-wrap of a classic
+   edge-MEG. It equals the brute force and counts the edges it read. *)
+let test_derived_boundary () =
   let module D = Core.Dynamic in
   let g () = Edge_meg.Classic.make ~n:10 ~p:0.2 ~q:0.5 () in
-  check_true "subsample forwards" (D.has_boundary (D.subsample ~every:2 (g ())));
-  check_true "union drops" (not (D.has_boundary (D.union (g ()) (g ()))));
-  check_true "filter_edges drops" (not (D.has_boundary (D.filter_edges ~p_keep:0.5 (g ()))))
+  List.iter
+    (fun (name, g) ->
+      D.reset g (rng_of_seed 4);
+      let rng = rng_of_seed 5 in
+      for step = 0 to 5 do
+        let ctx = Printf.sprintf "%s step %d" name step in
+        let scanned = check_boundary ctx g (random_members rng 10) in
+        Alcotest.(check int) (ctx ^ ": edges read") (D.edge_count g) scanned;
+        D.step g
+      done)
+    [
+      ("re-wrap", without_boundary (g ()));
+      ("union", D.union (g ()) (g ()));
+      ("filter_edges", D.filter_edges ~p_keep:0.5 (g ()));
+      ("subsampled re-wrap", D.subsample ~every:2 (without_boundary (g ())));
+    ]
 
 let test_boundary_length_mismatch () =
   let g = Edge_meg.Classic.make ~n:10 ~p:0.2 ~q:0.5 () in
@@ -536,7 +538,7 @@ let suites =
   [
     ( "edge_meg.classic_boundary",
       [
-        Alcotest.test_case "churn floor" `Quick test_boundary_floor;
+        Alcotest.test_case "derived hook" `Quick test_derived_boundary;
         Alcotest.test_case "wrong-length inside" `Quick test_boundary_length_mismatch;
         q_boundary_bruteforce;
       ]

@@ -2,7 +2,8 @@ open Helpers
 
 (* Cross-model integration matrix: every dynamic-graph model in the
    library must satisfy the same contract — valid snapshots, seed
-   determinism, and complete flooding within a generous cap. Running the
+   determinism, complete flooding within a generous cap, and flooding
+   equal to a reference that enumerates every snapshot. Running the
    whole matrix catches regressions in any one model's wiring. *)
 
 let models : (string * int * (unit -> Core.Dynamic.t)) list =
@@ -132,6 +133,50 @@ let floods name n make () =
   | Some t -> check_true (name ^ " floods within cap") (t <= cap)
   | None -> Alcotest.failf "%s did not flood within %d steps" name cap
 
+(* A test-side flooding reference: reset with the same split as
+   [Flooding.run], then I_{t+1} = I_t ∪ N_{E_t}(I_t) over each
+   snapshot's edge list. *)
+let reference_flood ~cap ~seed g =
+  let module D = Core.Dynamic in
+  let n = D.n g in
+  D.reset g (Prng.Rng.split (rng_of_seed seed));
+  let arrivals = Array.make n (-1) in
+  arrivals.(0) <- 0;
+  let informed = ref 1 and t = ref 0 and trajectory = ref [ 1 ] in
+  while !informed < n && !t < cap do
+    let reached = ref [] in
+    List.iter
+      (fun (u, v) ->
+        if arrivals.(u) >= 0 && arrivals.(v) < 0 then reached := v :: !reached;
+        if arrivals.(v) >= 0 && arrivals.(u) < 0 then reached := u :: !reached)
+      (D.snapshot_edges g);
+    incr t;
+    List.iter
+      (fun v ->
+        if arrivals.(v) < 0 then begin
+          arrivals.(v) <- !t;
+          incr informed
+        end)
+      !reached;
+    trajectory := !informed :: !trajectory;
+    D.step g
+  done;
+  ( (if !informed = n then Some !t else None),
+    Array.of_list (List.rev !trajectory),
+    arrivals )
+
+let matches_reference name n make () =
+  let cap = 5_000 + (400 * n) in
+  List.iter
+    (fun seed ->
+      let label = Printf.sprintf "%s seed %d" name seed in
+      let r = Core.Flooding.run ~cap ~rng:(rng_of_seed seed) ~source:0 (make ()) in
+      let time, trajectory, arrivals = reference_flood ~cap ~seed (make ()) in
+      Alcotest.(check (option int)) (label ^ ": time") time r.time;
+      Alcotest.(check (array int)) (label ^ ": trajectory") trajectory r.trajectory;
+      Alcotest.(check (array int)) (label ^ ": arrivals") arrivals r.arrivals)
+    [ 3; 11 ]
+
 let suites =
   [
     ( "integration.snapshots",
@@ -145,4 +190,8 @@ let suites =
     ( "integration.flooding",
       List.map (fun (name, n, make) -> Alcotest.test_case name `Quick (floods name n make)) models
     );
+    ( "integration.flood_reference",
+      List.map
+        (fun (name, n, make) -> Alcotest.test_case name `Quick (matches_reference name n make))
+        models );
   ]

@@ -802,8 +802,9 @@ let test_geo_step_before_reset () =
 
 (* --- Flooding through the boundary hook --- *)
 
-(* The same process minus its boundary hook: edges come from
-   [iter_edges], so flooding takes the enumeration path. *)
+(* The same process built without a hook, so it answers the one
+   [Dynamic.make] derives from [iter_edges]. Push and Parsimonious
+   enumerate either. *)
 let without_boundary g =
   let module D = Core.Dynamic in
   D.make ~n:(D.n g) ~expected_edges:(D.expected_edges g) ~reset:(D.reset g)
@@ -834,14 +835,10 @@ let check_same_flood label (a : Core.Flooding.result) (b : Core.Flooding.result)
   Alcotest.(check (array int)) (label ^ ": trajectory") b.trajectory a.trajectory;
   Alcotest.(check (array int)) (label ^ ": arrivals") b.arrivals a.arrivals
 
-(* Plain flooding through the hook reaches the same sets at the same
-   times as enumerating every snapshot, and reads one boundary per
+(* Plain flooding through the native hook reaches the same sets at the
+   same times as through the derived one, and reads one boundary per
    round. Push and Parsimonious ignore the hook, coins included. *)
 let test_boundary_flood_equivalence (name, build) () =
-  let g = build () in
-  check_true (name ^ ": has_boundary") (Core.Dynamic.has_boundary g);
-  check_true (name ^ ": re-wrap drops it")
-    (not (Core.Dynamic.has_boundary (without_boundary g)));
   for seed = 0 to 59 do
     let source = seed mod n_flood in
     let label = Printf.sprintf "%s seed %d" name seed in
@@ -860,16 +857,31 @@ let test_boundary_flood_equivalence (name, build) () =
         [ Core.Flooding.Push 0.5; Core.Flooding.Parsimonious 2 ]
   done
 
+(* Every combinator answers the boundary query, equal to the brute
+   force: [subsample] forwards the native hook, a re-wrap, [union],
+   [filter_edges] and a hook-less static model derive theirs and count
+   the edges they read. *)
 let test_boundary_combinators () =
   let g () = Mobility.Waypoint.dynamic ~n:10 ~l:5. ~r:1. ~v_min:0.5 ~v_max:1. () in
   let module D = Core.Dynamic in
-  check_true "subsample every 1 forwards" (D.has_boundary (D.subsample ~every:1 (g ())));
-  check_true "subsample every 3 forwards" (D.has_boundary (D.subsample ~every:3 (g ())));
-  check_true "union drops" (not (D.has_boundary (D.union (g ()) (g ()))));
-  check_true "filter_edges drops" (not (D.has_boundary (D.filter_edges ~p_keep:0.5 (g ()))));
-  let static = D.of_static (Graph.Static.of_edges ~n:2 [ (0, 1) ]) in
-  check_true "a hook-less model raises"
-    (raises (fun () -> ignore (D.boundary static (Graph.Storage.Bitset.create 2) ignore)))
+  let rng = rng_of_seed 6 in
+  List.iter
+    (fun (name, derived, g) ->
+      D.reset g (rng_of_seed 7);
+      for step = 0 to 5 do
+        let ctx = Printf.sprintf "%s step %d" name step in
+        let scanned = check_boundary ctx g (random_members rng (D.n g)) in
+        if derived then Alcotest.(check int) (ctx ^ ": edges read") (D.edge_count g) scanned;
+        D.step g
+      done)
+    [
+      ("subsample every 1", false, D.subsample ~every:1 (g ()));
+      ("subsample every 3", false, D.subsample ~every:3 (g ()));
+      ("re-wrap", true, without_boundary (g ()));
+      ("union", true, D.union (g ()) (g ()));
+      ("filter_edges", true, D.filter_edges ~p_keep:0.5 (g ()));
+      ("static", true, D.of_static (Graph.Builders.cycle 10));
+    ]
 
 let suites =
   [

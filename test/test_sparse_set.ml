@@ -83,17 +83,18 @@ let q_vs_hashtbl_model =
       !ok
       && elements s = List.sort compare (Hashtbl.fold (fun x () acc -> x :: acc) model []))
 
-(* remove_bernoulli must remove exactly the elements it reports and
+(* remove_geo_pos must remove exactly the elements it reports and
    leave a consistent set behind. *)
-let q_remove_bernoulli_consistent =
-  qtest ~count:100 "remove_bernoulli reports exactly what it removes"
+let q_remove_geo_consistent =
+  qtest ~count:100 "remove_geo_pos reports exactly what it removes"
     QCheck2.Gen.(pair seed_gen (int_range 1 60))
     (fun (seed, universe) ->
       let rng = Prng.Rng.of_seed seed in
       let s = Graph.Sparse_set.create universe in
       Graph.Sparse_set.fill_all s;
       let removed = ref [] in
-      Graph.Sparse_set.remove_bernoulli s rng ~p:0.4 (fun x -> removed := x :: !removed);
+      Graph.Sparse_set.remove_geo_pos s (Prng.Rng.Geo.make ~p:0.4) rng (fun x _ ->
+          removed := x :: !removed);
       let removed = List.sort compare !removed in
       List.length removed + Graph.Sparse_set.length s = universe
       && List.for_all (fun x -> not (Graph.Sparse_set.mem s x)) removed
@@ -109,80 +110,39 @@ let chi_square ~hits ~t ~p =
   let var = mean *. (1. -. p) in
   Array.fold_left (fun acc h -> acc +. (((float_of_int h -. mean) ** 2.) /. var)) 0. hits
 
-let test_iter_bernoulli_chi_square () =
+let test_remove_geo_chi_square () =
   let k = 50 and t = 2000 and p = 0.3 in
   let s = Graph.Sparse_set.create k in
-  Graph.Sparse_set.fill_all s;
-  let rng = rng_of_seed 1234 in
-  let hits = Array.make k 0 in
-  for _ = 1 to t do
-    Graph.Sparse_set.iter_bernoulli s rng ~p (fun x -> hits.(x) <- hits.(x) + 1)
-  done;
-  let x2 = chi_square ~hits ~t ~p in
-  if x2 < 20. || x2 > 90. then
-    Alcotest.failf "iter_bernoulli chi-square %.1f outside [20, 90] (k = %d)" x2 k
-
-let test_remove_bernoulli_chi_square () =
-  let k = 50 and t = 2000 and p = 0.3 in
-  let s = Graph.Sparse_set.create k in
+  let geo = Prng.Rng.Geo.make ~p in
   let rng = rng_of_seed 4321 in
   let hits = Array.make k 0 in
   for _ = 1 to t do
     Graph.Sparse_set.fill_all s;
-    Graph.Sparse_set.remove_bernoulli s rng ~p (fun x -> hits.(x) <- hits.(x) + 1)
+    Graph.Sparse_set.remove_geo_pos s geo rng (fun x _ -> hits.(x) <- hits.(x) + 1)
   done;
   let x2 = chi_square ~hits ~t ~p in
   if x2 < 20. || x2 > 90. then
-    Alcotest.failf "remove_bernoulli chi-square %.1f outside [20, 90] (k = %d)" x2 k
-
-let test_bernoulli_extremes () =
-  let s = Graph.Sparse_set.create 30 in
-  Graph.Sparse_set.fill_all s;
-  let rng = rng_of_seed 5 in
-  let count = ref 0 in
-  Graph.Sparse_set.iter_bernoulli s rng ~p:0. (fun _ -> incr count);
-  Alcotest.(check int) "p=0 visits nothing" 0 !count;
-  Graph.Sparse_set.iter_bernoulli s rng ~p:1. (fun _ -> incr count);
-  Alcotest.(check int) "p=1 visits everything" 30 !count;
-  Graph.Sparse_set.remove_bernoulli s rng ~p:0. (fun _ -> ());
-  Alcotest.(check int) "p=0 removes nothing" 30 (Graph.Sparse_set.length s);
-  Graph.Sparse_set.remove_bernoulli s rng ~p:1. (fun _ -> ());
-  Alcotest.(check int) "p=1 removes everything" 0 (Graph.Sparse_set.length s);
-  check_true "out-of-range p raises"
-    (try
-       Graph.Sparse_set.iter_bernoulli s rng ~p:1.5 (fun _ -> ());
-       false
-     with Invalid_argument _ -> true)
+    Alcotest.failf "remove_geo_pos chi-square %.1f outside [20, 90] (k = %d)" x2 k
 
 module S = Graph.Sparse_set
 
-(* Inside a removal scan's callback the set is already compacted: the
-   k-th removal (from 0) sees [len0 - 1 - k] members, at p = 1 too. The
-   classic edge-MEG's death walk copies the survivor from that slot
-   into its mirror. *)
+(* Inside the removal scan's callback the set is already compacted:
+   the k-th removal (from 0) sees [len0 - 1 - k] members. The classic
+   edge-MEG's death walk copies the survivor from that slot into its
+   mirror. *)
 let q_removal_streams_compacted =
   qtest ~count:100 "removal scans emit into the compacted set"
-    QCheck2.Gen.(triple seed_gen (int_range 1 60) (oneofl [ 0.35; 1. ]))
+    QCheck2.Gen.(triple seed_gen (int_range 1 60) (oneofl [ 0.05; 0.35; 0.9 ]))
     (fun (seed, universe, p) ->
-      let full () =
-        let s = S.create universe in
-        for x = 0 to universe - 1 do
-          S.add s x
-        done;
-        s
-      in
+      let s = S.create universe in
+      for x = 0 to universe - 1 do
+        S.add s x
+      done;
       let compacted = ref true in
-      let scan remover =
-        let s = full () in
-        let k = ref 0 in
-        remover s (fun _ _ ->
-            if S.length s <> universe - 1 - !k then compacted := false;
-            incr k)
-      in
-      scan (fun s f -> S.remove_bernoulli_pos s (Prng.Rng.of_seed seed) ~p f);
-      (* The tabulated sampler covers p in (0, 1) only. *)
-      if p < 1. then
-        scan (fun s f -> S.remove_geo_pos s (Prng.Rng.Geo.make ~p) (Prng.Rng.of_seed (seed + 1)) f);
+      let k = ref 0 in
+      S.remove_geo_pos s (Prng.Rng.Geo.make ~p) (Prng.Rng.of_seed seed) (fun _ _ ->
+          if S.length s <> universe - 1 - !k then compacted := false;
+          incr k);
       !compacted)
 
 let suites =
@@ -191,11 +151,9 @@ let suites =
       [
         Alcotest.test_case "basics" `Quick test_basics;
         Alcotest.test_case "fill_all" `Quick test_fill_all;
-        Alcotest.test_case "iter_bernoulli chi-square" `Quick test_iter_bernoulli_chi_square;
-        Alcotest.test_case "remove_bernoulli chi-square" `Quick test_remove_bernoulli_chi_square;
-        Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
+        Alcotest.test_case "remove_geo_pos chi-square" `Quick test_remove_geo_chi_square;
         q_vs_hashtbl_model;
-        q_remove_bernoulli_consistent;
+        q_remove_geo_consistent;
         q_removal_streams_compacted;
       ] );
   ]
