@@ -383,9 +383,9 @@ let micro_tests () =
   let delta_sync = Core.Adj_sync.create delta_meg in
   Core.Adj_sync.ensure delta_sync;
   (* Plain flooding in a stickier regime (lower churn, sparser graph)
-     than end_to_end: longer runs, about 15 rounds. At q = 0.25 the
-     model carries the boundary hook, so a round is a step and one cut
-     scan; the name predates the hook. *)
+     than end_to_end: longer runs, about 15 rounds. The model carries
+     the boundary hook, so a round is a step and one cut scan; the name
+     predates the hook. *)
   let frontier_rng = Prng.Rng.of_seed 9 in
   let frontier_model = Edge_meg.Classic.make ~n:128 ~p:(1. /. 256.) ~q:0.25 () in
   (* The headline model at the perfbench flood-waypoint density (L =
@@ -466,8 +466,8 @@ let micro_tests () =
 (* The large-tier micro: a full flood per call on the off-heap backing
    at a fixed n = 2^18 (deliberately NOT BENCH_LARGE_N: the gated
    baseline and the CI smoke run must measure the same thing). The
-   sticky sparse regime mirrors flooding.frontier_scan. At q = 1/8 the
-   model carries the boundary hook, so a call is about 64 rounds of a
+   sticky sparse regime mirrors flooding.frontier_scan. The model
+   carries the boundary hook, so a call is about 64 rounds of a
    model step and one cut scan over the ~2^18 live edges (flood.edges),
    with no adjacency and no deltas (flood.delta_edges 0); the step
    outweighs the scan. The name predates the hook and is gated. *)

@@ -136,10 +136,9 @@ val boundary : t -> Graph.Storage.Bitset.t -> (int -> unit) -> int
 
     Contract, for implementors and consumers alike:
     {ul
-    {- The reported set is exactly the nodes that
-       [iter_edges] would reveal as [inside]'s new neighbours: the
-       hook is a faster way to compute I_t ∪ N_t(I_t), never a
-       different graph. Report order is unspecified but
+    {- The reported set is exactly the nodes that [iter_edges] would
+       reveal as [inside]'s new neighbours: the nodes of N_t(I_t)
+       outside I_t, on the same graph. Report order is unspecified but
        deterministic.}
     {- A native hook (the grid mobility models, the classic edge-MEG)
        draws no randomness and leaves the model's state alone, so

@@ -28,6 +28,20 @@ let with_counters f =
 
 let count key counters = Option.value ~default:0 (List.assoc_opt key counters)
 
+let raises_invalid f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+(* The same process built without a hook, so it answers the boundary
+   query through the one [Dynamic.make] derives from [iter_edges]. *)
+let without_boundary g =
+  let module D = Core.Dynamic in
+  D.make ~n:(D.n g) ~expected_edges:(D.expected_edges g) ~reset:(D.reset g)
+    ~step:(fun () -> D.step g)
+    ~iter_edges:(D.iter_edges g) ()
+
 (* A random membership vector of length [n], at a density itself drawn
    from [rng]. *)
 let random_members rng n =

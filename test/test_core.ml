@@ -23,12 +23,6 @@ let test_of_snapshots_cycles () =
   Alcotest.(check (list (pair int int))) "reset restarts" [ (0, 1) ]
     (Core.Dynamic.snapshot_edges dyn)
 
-let raises_invalid f =
-  try
-    f ();
-    false
-  with Invalid_argument _ -> true
-
 (* Snapshots are validated up front, as [Static.of_edges] does, not
    when a consumer first reads them. *)
 let test_of_snapshots_validation () =
@@ -64,7 +58,9 @@ let test_out_of_range_endpoint () =
     (raises_invalid (fun () -> ignore (Core.Dynamic.boundary (g ()) inside ignore)));
   check_true "negative id raises"
     (raises_invalid (fun () ->
-         let g = Core.Dynamic.make ~n:3 ~reset:ignore ~step:ignore ~iter_edges:(fun f -> f (-1) 0) () in
+         let g =
+           Core.Dynamic.make ~n:3 ~reset:ignore ~step:ignore ~iter_edges:(fun f -> f (-1) 0) ()
+         in
          ignore (Core.Flooding.run ~protocol:(Push 0.5) ~rng:(rng_of_seed 1) ~source:0 g)));
   check_true "wrong-length inside raises"
     (raises_invalid (fun () ->

@@ -468,14 +468,6 @@ let q_boundary_bruteforce =
       Alcotest.(check int) (ctx ^ ": scanned edges") (D.edge_count g) scanned;
       report g = report twin)
 
-(* The same process built without a hook, so it answers the one
-   [Dynamic.make] derives from [iter_edges]. *)
-let without_boundary g =
-  let module D = Core.Dynamic in
-  D.make ~n:(D.n g) ~expected_edges:(D.expected_edges g) ~reset:(D.reset g)
-    ~step:(fun () -> D.step g)
-    ~iter_edges:(D.iter_edges g) ()
-
 (* Plain flooding through the native hook reaches the same sets at the
    same times as through the derived one, and either answers once per
    round. *)
@@ -484,7 +476,9 @@ let test_boundary_flood_equivalence (name, build) () =
   for seed = 0 to 59 do
     let source = seed mod n in
     let label = Printf.sprintf "%s seed %d" name seed in
-    let run g = with_counters (fun () -> Core.Flooding.run ~cap:300 ~rng:(rng_of_seed seed) ~source g) in
+    let run g =
+      with_counters (fun () -> Core.Flooding.run ~cap:300 ~rng:(rng_of_seed seed) ~source g)
+    in
     let native, counters = run (build ()) in
     let derived, derived_counters = run (without_boundary (build ())) in
     Alcotest.(check (option int)) (label ^ ": time") derived.time native.time;

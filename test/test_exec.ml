@@ -242,12 +242,6 @@ let test_deadline_ignores_wall_clock =
 
 (* --- procs plans never fall back to the pool --- *)
 
-let raises_invalid f =
-  try
-    ignore (f ());
-    false
-  with Invalid_argument _ -> true
-
 (* Outside a worker a [procs] plan goes to the fleet or nowhere: without
    a spec, or before a worker command is set, [run] refuses it instead
    of quietly running it in-process. *)

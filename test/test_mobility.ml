@@ -802,15 +802,6 @@ let test_geo_step_before_reset () =
 
 (* --- Flooding through the boundary hook --- *)
 
-(* The same process built without a hook, so it answers the one
-   [Dynamic.make] derives from [iter_edges]. Push and Parsimonious
-   enumerate either. *)
-let without_boundary g =
-  let module D = Core.Dynamic in
-  D.make ~n:(D.n g) ~expected_edges:(D.expected_edges g) ~reset:(D.reset g)
-    ~step:(fun () -> D.step g)
-    ~iter_edges:(D.iter_edges g) ()
-
 let n_flood = 40
 
 let boundary_models =
