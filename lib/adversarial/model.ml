@@ -9,11 +9,6 @@ let rotating_star ~n =
       for u = 0 to n - 1 do
         if u <> centre then f centre u
       done)
-    ~fill_edges:(fun buf ->
-      let centre = (!time + 1) mod n in
-      for u = 0 to n - 1 do
-        if u <> centre then Graph.Edge_buffer.push buf centre u
-      done)
     ()
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
@@ -34,12 +29,6 @@ let rotating_matching ~n =
       for u = 0 to n - 1 do
         let v = u lxor mask in
         if u < v then f u v
-      done)
-    ~fill_edges:(fun buf ->
-      let mask = 1 lsl (!time mod dims) in
-      for u = 0 to n - 1 do
-        let v = u lxor mask in
-        if u < v then Graph.Edge_buffer.push buf u v
       done)
     ()
 
@@ -63,6 +52,4 @@ let random_matching ~rng_hint:() ~n =
       rematch ())
     ~step:(fun () -> rematch ())
     ~iter_edges:(fun f -> Array.iteri (fun u v -> if v > u then f u v) matching)
-    ~fill_edges:(fun buf ->
-      Array.iteri (fun u v -> if v > u then Graph.Edge_buffer.push buf u v) matching)
     ()

@@ -17,6 +17,7 @@ let walk_until ?cap ?(hold = 0.5) ~rng ~start ~stop g =
   if start < 0 || start >= n then invalid_arg "Dyn_walk: start out of range";
   if not (hold >= 0. && hold < 1.) then invalid_arg "Dyn_walk: hold outside [0, 1)";
   let cap = match cap with Some c -> c | None -> default_cap n in
+  if cap < 0 then invalid_arg "Dyn_walk: cap must be >= 0";
   Obs.Metrics.incr c_runs;
   Dynamic.reset g (Prng.Rng.split rng);
   let position = ref start in

@@ -15,7 +15,8 @@ val hitting_time :
   Dynamic.t -> int option
 (** Steps for a walk from [start] to first occupy [target]; [None] if
     [cap] (default [10_000 + 500 n]) is exceeded. [hold] defaults to
-    1/2. *)
+    1/2. A negative [cap] raises [Invalid_argument], here and in every
+    function below. *)
 
 val cover_time :
   ?cap:int -> ?hold:float -> rng:Prng.Rng.t -> start:int -> Dynamic.t -> int option

@@ -3,12 +3,6 @@ type t = {
   reset : Prng.Rng.t -> unit;
   step : unit -> unit;
   iter_edges : (int -> int -> unit) -> unit;
-  fill_edges : Graph.Edge_buffer.t -> unit;
-      (* Appends the current snapshot's edges to the buffer, in exactly
-         the order [iter_edges] visits them (consumers draw per-edge
-         randomness in enumeration order, so the two paths must agree).
-         Append — not fill — so that combinators compose; the public
-         [fill_edges] clears first. *)
   deltas : (birth:(int -> int -> unit) -> death:(int -> int -> unit) -> bool) option;
       (* Reports the edge changes of the most recent [step] (births and
          deaths relative to the previous snapshot, as a multiset) or
@@ -65,18 +59,13 @@ let derived_boundary n iter_edges =
         end);
     !read
 
-let make ?fill_edges ?deltas ?delta_size ?boundary ?expected_edges ~n ~reset ~step ~iter_edges
-    () =
+let make ?fill_edges:_ ?deltas ?delta_size ?boundary ?expected_edges ~n ~reset ~step
+    ~iter_edges () =
   if n < 1 then invalid_arg "Dynamic.make: n must be >= 1";
-  let fill_edges =
-    match fill_edges with
-    | Some fill -> fill
-    | None -> fun buf -> iter_edges (fun u v -> Graph.Edge_buffer.push buf u v)
-  in
   let boundary =
     match boundary with Some b -> b | None -> derived_boundary n iter_edges
   in
-  { n; reset; step; iter_edges; fill_edges; deltas; delta_size; boundary; expected_edges }
+  { n; reset; step; iter_edges; deltas; delta_size; boundary; expected_edges }
 
 let n t = t.n
 
@@ -88,7 +77,7 @@ let iter_edges t f = t.iter_edges f
 
 let fill_edges t buf =
   Graph.Edge_buffer.clear buf;
-  t.fill_edges buf
+  t.iter_edges (fun u v -> Graph.Edge_buffer.push buf u v)
 
 let has_deltas t = Option.is_some t.deltas
 
@@ -113,7 +102,7 @@ let snapshot_edges t =
 
 let snapshot_graph t =
   let buf = Graph.Edge_buffer.create ~capacity:(max 16 (expected_edges t)) () in
-  t.fill_edges buf;
+  fill_edges t buf;
   Graph.Static.of_buffer ~n:t.n buf
 
 let adjacency t =
@@ -143,7 +132,6 @@ let of_static g =
     ~reset:(fun _ -> ())
     ~step:(fun () -> ())
     ~iter_edges:(fun f -> Graph.Static.iter_edges g f)
-    ~fill_edges:(fun buf -> Graph.Static.to_buffer g buf)
       (* The constant process: every step is a no-op, so the delta
          stream is trivially empty. *)
     ~deltas:(fun ~birth:_ ~death:_ -> true)
@@ -210,8 +198,6 @@ let of_snapshots ~n snapshots =
       idx := (!idx + 1) mod k;
       stepped := true)
     ~iter_edges:(fun f -> List.iter (fun (u, v) -> f u v) snapshots.(!idx))
-    ~fill_edges:(fun buf ->
-      List.iter (fun (u, v) -> Graph.Edge_buffer.push buf u v) snapshots.(!idx))
     ~deltas:(fun ~birth ~death ->
       !stepped
       && begin
@@ -264,7 +250,6 @@ let filter_edges ~p_keep inner =
         b
   in
   let kept_mult c = if c > 0 then c else 0 in
-  let scratch = Graph.Edge_buffer.create ~capacity:(max 16 (expected_edges inner)) () in
   make ~n
     ~reset:(fun r ->
       inner.reset (Prng.Rng.split r);
@@ -283,12 +268,6 @@ let filter_edges ~p_keep inner =
       cur_complete := false)
     ~iter_edges:(fun f ->
       inner.iter_edges (fun u v -> if keep u v then f u v);
-      cur_complete := true)
-    ~fill_edges:(fun buf ->
-      Graph.Edge_buffer.clear scratch;
-      inner.fill_edges scratch;
-      Graph.Edge_buffer.iter scratch (fun u v ->
-          if keep u v then Graph.Edge_buffer.push buf u v);
       cur_complete := true)
       (* Fresh coins every step mean the filtered deltas are not the
          inner deltas: they are the difference between this step's and
@@ -397,7 +376,4 @@ let union a b =
     ~iter_edges:(fun f ->
       a.iter_edges f;
       b.iter_edges f)
-    ~fill_edges:(fun buf ->
-      a.fill_edges buf;
-      b.fill_edges buf)
     ?deltas ?delta_size ?expected_edges ()

@@ -30,13 +30,9 @@ val make :
   t
 (** Wrap a model. [n] is the (fixed) number of nodes.
 
-    [fill_edges], when given, must {e append} the current snapshot's
-    edges to the buffer — in exactly the order [iter_edges] visits them,
-    because consumers (Push flooding, {!filter_edges}) draw per-edge
-    randomness in enumeration order, so the two paths must be
-    interchangeable. When omitted it is derived from [iter_edges];
-    models provide a native implementation to skip the closure hop and
-    any per-snapshot list building.
+    [fill_edges] is ignored. A model enumerates its snapshot once, in
+    [iter_edges], and {!fill_edges} is derived from it; the argument
+    stays only for existing callers.
 
     [deltas], when given, makes the model {e delta-capable}: after each
     [step] it reports the edge changes of that step — every born edge
@@ -60,9 +56,8 @@ val make :
     accessor.
 
     [expected_edges] is a hint — a typical snapshot's edge count — used
-    to size snapshot buffers ({!snapshot_graph}, the kernels' working
-    buffers). Purely a capacity guess; correctness never depends on
-    it. *)
+    to size {!snapshot_graph}'s buffer. Purely a capacity guess;
+    correctness never depends on it. *)
 
 val n : t -> int
 (** Number of nodes. *)
@@ -78,11 +73,12 @@ val iter_edges : t -> (int -> int -> unit) -> unit
 (** Iterate the current snapshot's edges, each exactly once. *)
 
 val fill_edges : t -> Graph.Edge_buffer.t -> unit
-(** [fill_edges t buf] clears [buf] and writes the current snapshot's
-    edges into it, in {!iter_edges} order. The allocation-free snapshot
-    read: with a model-native implementation no intermediate list or
-    closure chain is built, and a caller reusing one buffer across
-    steps enumerates edges with zero steady-state allocation. *)
+(** [fill_edges t buf] clears [buf] and pushes every edge that one
+    {!iter_edges} call visits, in that order. Derived, not a model
+    hook: it is exactly one enumeration, so on {!filter_edges} it draws
+    the same keep coins an [iter_edges] call would. A caller reusing
+    one buffer across steps allocates nothing once the buffer has
+    grown. *)
 
 val delta_size : t -> int option
 (** [delta_size t] is the model's O(1) estimate of how many birth/death
@@ -117,7 +113,7 @@ val deltas : t -> birth:(int -> int -> unit) -> death:(int -> int -> unit) -> bo
        report is unspecified but deterministic.}
     {- On [false], callbacks may already have fired; the consumer must
        treat its incremental state as garbage and rebuild from
-       {!iter_edges}/{!fill_edges}.}
+       {!iter_edges}.}
     {- {!union} forwards both operands' reports verbatim, and
        [subsample ~every:1] is the model itself; {!filter_edges}
        synthesises its own from its keep-decision caches. Enumerating

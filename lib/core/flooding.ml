@@ -31,24 +31,24 @@ let c_cap_hits = Obs.Metrics.counter "flood.cap_hits"
 
 (* The kernel allocates its working set once per domain, not per run:
    the informed/queued bitsets, the arrival-order and frontier arrays,
-   the trajectory buffer, the enumeration path's edge buffer and the
-   row path's {!Adj_sync} all live in a domain-local scratch,
-   re-initialised (O(n)) and reused whenever consecutive runs agree on
-   [n] — which is every iteration of a trial loop. The whole scratch
-   lives in the {!Graph.Storage} layer — packed bitsets and int32
-   Bigarray vectors — so its major-heap footprint is a handful of
-   control records, independent of [n]. Domain-local state never
-   crosses workers, so parallel determinism is untouched; the adjacency
-   view is re-keyed by physical model identity and invalidated per run,
-   so only its grown row storage survives, never stale topology.
+   the trajectory buffer and the row path's {!Adj_sync} all live in a
+   domain-local scratch, re-initialised (O(n)) and reused whenever
+   consecutive runs agree on [n] — which is every iteration of a trial
+   loop. The whole scratch lives in the {!Graph.Storage} layer —
+   packed bitsets and int32 Bigarray vectors — so its major-heap
+   footprint is a handful of control records, independent of [n].
+   Domain-local state never crosses workers, so parallel determinism is
+   untouched; the adjacency view is re-keyed by physical model identity
+   and invalidated per run, so only its grown row storage survives,
+   never stale topology.
 
    Three scan strategies, chosen once per run from the protocol and the
    model's capabilities:
 
    - Plain flooding asks the model for N_t(I_t) \ I_t through
-     {!Dynamic.boundary}, then commits and steps: no edge buffer, no
-     adjacency, no per-edge work here. Every model answers. The grid
-     mobility models and the classic edge-MEG have native hooks (a
+     {!Dynamic.boundary}, then commits and steps: no adjacency, no
+     per-edge work here. Every model answers. The grid mobility models
+     and the classic edge-MEG have native hooks (a
      counting-sort sweep that skips cells far from every informed node;
      one pass over the live edges); every other model answers through
      the hook {!Dynamic.make} derives from one [iter_edges] pass.
@@ -66,11 +66,12 @@ let c_cap_hits = Obs.Metrics.counter "flood.cap_hits"
      along [order], so the window's expired nodes form a prefix and one
      monotone pointer maintains the active suffix.
 
-   - Push and Parsimonious on every other model enumerate the snapshot
-     into a reused Edge_buffer and consider both directions of every
-     edge, in enumeration order (same sets, same coin order as the
-     original kernel). Parsimonious's senders are a window of the
-     informed set, not the set a boundary query takes.
+   - Push and Parsimonious on every other model read each snapshot
+     through one {!Dynamic.iter_edges} call whose callback considers
+     both directions of every edge, in enumeration order (same sets,
+     same coin order as the original kernel). Parsimonious's senders
+     are a window of the informed set, not the set a boundary query
+     takes.
 
    The row and enumeration paths reach the same informed sets at the
    same times; they differ only in the order protocol coins are drawn
@@ -85,7 +86,6 @@ type scratch = {
   mutable order : St.I32.t;
   mutable frontier : St.I32.t;
   traj : St.I32.t;             (* grows via the explicit ensure contract *)
-  mutable edges : Graph.Edge_buffer.t;
   mutable sync_for : Dynamic.t option;  (* physical key for [sync] *)
   mutable sync : Adj_sync.t option;
 }
@@ -100,7 +100,6 @@ let scratch_key =
         order = St.I32.create 1;
         frontier = St.I32.create 1;
         traj = St.I32.create 256;
-        edges = Graph.Edge_buffer.create ~capacity:16 ();
         sync_for = None;
         sync = None;
       })
@@ -223,20 +222,21 @@ let run_raw ?cap ?(protocol = Flood) ~rng ~source g =
       Dynamic.step g
     done
   else if not (Dynamic.has_deltas g) then begin
-    let edges = sc.edges in
+    let read = ref 0 in
+    let visit u v =
+      if u < 0 || u >= n || v < 0 || v >= n then
+        invalid_arg "Flooding.run: edge endpoint out of range";
+      incr read;
+      consider u v;
+      consider v u
+    in
     while !n_informed < n && !t < cap do
       (* Edges of E_t determine I_{t+1}. *)
       frontier_len := 0;
-      Dynamic.fill_edges g edges;
+      read := 0;
+      Dynamic.iter_edges g visit;
       Obs.Metrics.incr c_snapshots;
-      Obs.Metrics.add c_edges (Graph.Edge_buffer.length edges);
-      for i = 0 to Graph.Edge_buffer.length edges - 1 do
-        let u = Graph.Edge_buffer.src edges i and v = Graph.Edge_buffer.dst edges i in
-        if u < 0 || u >= n || v < 0 || v >= n then
-          invalid_arg "Flooding.run: edge endpoint out of range";
-        consider u v;
-        consider v u
-      done;
+      Obs.Metrics.add c_edges !read;
       commit ();
       Dynamic.step g
     done

@@ -32,6 +32,10 @@ type result = {
           equal BFS distances. *)
 }
 
+val default_cap : int -> int
+(** [default_cap n] is [10_000 + 200 * n]: the step cap of a run on [n]
+    nodes when none is given, here and in {!Gossip}. *)
+
 val run :
   ?cap:int ->
   ?protocol:protocol ->
@@ -42,13 +46,14 @@ val run :
   result
 (** Run one flooding execution. Resets the process with a split of
     [rng]; the remainder of [rng] drives the protocol's own coins (for
-    [Push]). [cap] defaults to [10_000 + 200 * n] steps.
+    [Push]). [cap] defaults to {!default_cap} [n] steps.
 
     [Flood] asks the model for each round's new neighbours
     ({!Dynamic.boundary}) instead of enumerating the snapshot or
     keeping an adjacency; the results are the ones enumeration gives.
     [Push] and [Parsimonious] scan an incremental adjacency on
-    delta-capable models and enumerate the snapshot on the others.
+    delta-capable models; on the others they read each round's
+    snapshot through one {!Dynamic.iter_edges} call.
 
     [storage] is ignored. The row path's incremental adjacency has
     one layout, the off-heap arena of {!Adj_sync}; the argument stays

@@ -31,7 +31,8 @@ let run ?cap ~variant ~rng ~source g =
   let n = Dynamic.n g in
   if source < 0 || source >= n then invalid_arg "Gossip.run: source out of range";
   if n > St.max_nodes then invalid_arg "Gossip.run: n exceeds the int32 id range";
-  let cap = match cap with Some c -> c | None -> 10_000 + (200 * n) in
+  let cap = match cap with Some c -> c | None -> Flooding.default_cap n in
+  if cap < 0 then invalid_arg "Gossip.run: cap must be >= 0";
   Obs.Metrics.incr c_runs;
   Dynamic.reset g (Prng.Rng.split rng);
   let sc = Domain.DLS.get scratch_key in
@@ -115,7 +116,7 @@ let run ?cap ~variant ~rng ~source g =
 let mean_time ?cap ~variant ~rng ~trials ?(source = 0) g =
   if trials < 1 then invalid_arg "Gossip.mean_time: trials must be >= 1";
   let n = Dynamic.n g in
-  let cap_value = match cap with Some c -> c | None -> 10_000 + (200 * n) in
+  let cap_value = match cap with Some c -> c | None -> Flooding.default_cap n in
   let summary = Stats.Summary.create () in
   for i = 0 to trials - 1 do
     let r = run ~cap:cap_value ~variant ~rng:(Prng.Rng.substream rng i) ~source g in

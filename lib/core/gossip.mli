@@ -26,7 +26,8 @@ val run :
     one uniform neighbour in E_t (isolated nodes skip the round); a
     push delivers if the caller is informed, a pull delivers if the
     callee is informed; all deliveries of a round take effect together
-    at t+1. [cap] defaults to the flooding default. *)
+    at t+1. [cap] defaults to {!Flooding.default_cap} [n]; a negative
+    [cap] raises [Invalid_argument]. *)
 
 val mean_time :
   ?cap:int ->
@@ -37,4 +38,5 @@ val mean_time :
   Dynamic.t ->
   Stats.Summary.t
 (** Round-count summary over independent trials (capped runs recorded
-    at the cap, as in {!Flooding.mean_time}). *)
+    at the cap, as in {!Flooding.mean_time}). A negative [cap] raises
+    [Invalid_argument], as in {!run}. *)

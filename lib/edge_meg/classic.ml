@@ -420,17 +420,6 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
       done
     done
   in
-  (* Same walk as [iter_edges]: the enumeration orders must agree. *)
-  let fill_edges buf =
-    for s = 0 to strips - 1 do
-      let st = ss.(s) in
-      let ends = st.ends_a in
-      for i = 0 to st.len - 1 do
-        let e = A.unsafe_get ends i in
-        Graph.Edge_buffer.push buf (pack_u e) (pack_v e)
-      done
-    done
-  in
   let deltas ~birth ~death =
     !deltas_valid
     && begin
@@ -488,8 +477,7 @@ let make ?(init = Stationary) ?parts ~n ~p ~q () =
   let expected_edges =
     if init = Full then total else int_of_float (ceil (alpha *. float_of_int total))
   in
-  Core.Dynamic.make ~fill_edges ~deltas ~delta_size ~boundary ~expected_edges ~n ~reset ~step
-    ~iter_edges ()
+  Core.Dynamic.make ~deltas ~delta_size ~boundary ~expected_edges ~n ~reset ~step ~iter_edges ()
 
 let params ~p ~q = Markov.Two_state.make ~p ~q
 

@@ -124,13 +124,6 @@ let make ?(init = `Stationary) ~n ~chain ~chi () =
       f (Array.unsafe_get us i) (Array.unsafe_get vs i)
     done
   in
-  let fill_edges buf =
-    let len = Graph.Sparse_set.length present in
-    let us = !eu and vs = !ev in
-    for i = 0 to len - 1 do
-      Graph.Edge_buffer.push buf (Array.unsafe_get us i) (Array.unsafe_get vs i)
-    done
-  in
   let deltas ~birth ~death =
     !deltas_valid
     && begin
@@ -148,8 +141,7 @@ let make ?(init = `Stationary) ~n ~chain ~chi () =
     if !deltas_valid then Graph.Edge_buffer.length births + Graph.Edge_buffer.length deaths
     else 0
   in
-  Core.Dynamic.make ~fill_edges ~deltas ~delta_size ~expected_edges ~n ~reset ~step
-    ~iter_edges ()
+  Core.Dynamic.make ~deltas ~delta_size ~expected_edges ~n ~reset ~step ~iter_edges ()
 
 let bound ~chain ~chi ~n =
   let alpha = stationary_alpha ~chain ~chi in

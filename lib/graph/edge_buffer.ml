@@ -22,11 +22,6 @@ let grow b =
   b.srcs <- srcs;
   b.dsts <- dsts
 
-let ensure b extra =
-  while b.len + extra > Array.length b.srcs do
-    grow b
-  done
-
 let push b u v =
   if b.len = Array.length b.srcs then grow b;
   Array.unsafe_set b.srcs b.len u;
@@ -41,13 +36,6 @@ let iter b f =
   for i = 0 to b.len - 1 do
     f (Array.unsafe_get b.srcs i) (Array.unsafe_get b.dsts i)
   done
-
-let append b ~into =
-  if b == into then invalid_arg "Edge_buffer.append: source and target alias";
-  ensure into b.len;
-  Array.blit b.srcs 0 into.srcs into.len b.len;
-  Array.blit b.dsts 0 into.dsts into.len b.len;
-  into.len <- into.len + b.len
 
 let swap b i j =
   let su = b.srcs.(i) and du = b.dsts.(i) in

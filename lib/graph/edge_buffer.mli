@@ -3,10 +3,8 @@
 
     A buffer owns two parallel [int] arrays of sources and destinations
     plus a length; [push] appends in amortised O(1) without boxing,
-    [clear] resets the length without releasing storage. Dynamic-graph
-    models fill one buffer per snapshot and the flooding kernel reuses a
-    single buffer across rounds, so steady-state edge enumeration
-    allocates nothing. *)
+    [clear] resets the length without releasing storage, so a buffer
+    reused across snapshots allocates nothing once it has grown. *)
 
 type t
 
@@ -34,10 +32,6 @@ val dst : t -> int -> int
 
 val iter : t -> (int -> int -> unit) -> unit
 (** [iter b f] calls [f u v] on each stored edge, in buffer order. *)
-
-val append : t -> into:t -> unit
-(** [append b ~into] appends all of [b]'s edges to [into] with one
-    blit. [b] is unchanged; [b == into] is not allowed. *)
 
 val sort_dedup : t -> unit
 (** Normalise every edge to [src < dst], sort lexicographically and

@@ -50,14 +50,6 @@ let of_edge_array ~n edges =
 
 let of_edges ~n edges = of_edge_array ~n (Array.of_list edges)
 
-let to_buffer g buf =
-  for u = 0 to g.n - 1 do
-    for i = g.offsets.(u) to g.offsets.(u + 1) - 1 do
-      let v = g.targets.(i) in
-      if u < v then Edge_buffer.push buf u v
-    done
-  done
-
 let n g = g.n
 
 let m g = Array.length g.targets / 2

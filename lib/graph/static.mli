@@ -23,10 +23,6 @@ val of_buffer : n:int -> Edge_buffer.t -> t
     The buffer is sorted and deduplicated {e in place} as a side
     effect; its storage is not retained by the graph. *)
 
-val to_buffer : t -> Edge_buffer.t -> unit
-(** Append every edge to the buffer, with [u < v], in the order of
-    {!iter_edges}. Does not clear the buffer first. *)
-
 val n : t -> int
 (** Number of vertices. *)
 

@@ -74,7 +74,6 @@ let dynamic t =
     ~reset:(fun rng -> reset t rng)
     ~step:(fun () -> step t)
     ~iter_edges:(fun f -> Graph.Edge_buffer.iter (refresh_edges t) f)
-    ~fill_edges:(fun buf -> Graph.Edge_buffer.append (refresh_edges t) ~into:buf)
       (* Sorts by (cell, inside?) into the same grid scratch; the edge
          cache is left as it is. *)
     ~boundary:(fun inside f ->

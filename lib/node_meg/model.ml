@@ -122,7 +122,7 @@ let make_observable ?(init = Stationary) ~n sp =
   let bucket_start = Array.make (s + 1) 0 in
   let bucket_cursor = Array.make s 0 in
   let members = Array.make n 0 in
-  let emit_edges f =
+  let iter_edges f =
     Array.fill bucket_cursor 0 s 0;
     for i = 0 to n - 1 do
       bucket_cursor.(states.(i)) <- bucket_cursor.(states.(i)) + 1
@@ -156,9 +156,7 @@ let make_observable ?(init = Stationary) ~n sp =
       end
     done
   in
-  let iter_edges f = emit_edges f in
-  let fill_edges buf = emit_edges (fun u v -> Graph.Edge_buffer.push buf u v) in
-  let dyn = Core.Dynamic.make ~fill_edges ~deltas ~expected_edges:m_est ~n ~reset ~step ~iter_edges () in
+  let dyn = Core.Dynamic.make ~deltas ~expected_edges:m_est ~n ~reset ~step ~iter_edges () in
   (dyn, fun () -> Array.copy states)
 
 let make ?init ~n sp = fst (make_observable ?init ~n sp)

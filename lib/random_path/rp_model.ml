@@ -46,7 +46,7 @@ let make_observable ?(init = Stationary) ?(hold = 0.) ~n ~family () =
   let bucket_start = Array.make (n_points + 1) 0 in
   let bucket_cursor = Array.make n_points 0 in
   let members = Array.make n 0 in
-  let emit_edges f =
+  let iter_edges f =
     Array.fill bucket_cursor 0 n_points 0;
     for i = 0 to n - 1 do
       let p = current_point i in
@@ -70,9 +70,7 @@ let make_observable ?(init = Stationary) ?(hold = 0.) ~n ~family () =
       done
     done
   in
-  let iter_edges f = emit_edges f in
-  let fill_edges buf = emit_edges (fun u v -> Graph.Edge_buffer.push buf u v) in
-  let dyn = Core.Dynamic.make ~fill_edges ~n ~reset ~step ~iter_edges () in
+  let dyn = Core.Dynamic.make ~n ~reset ~step ~iter_edges () in
   (dyn, fun () -> Array.init n current_point)
 
 let make ?init ?hold ~n ~family () = fst (make_observable ?init ?hold ~n ~family ())

@@ -9,7 +9,7 @@ let claim =
 
 let gossip_stats ~sched ~rng ~trials ~variant make =
   let n = Core.Dynamic.n (make ()) in
-  let cap = 10_000 + (200 * n) in
+  let cap = Core.Flooding.default_cap n in
   let times = Stats.Summary.create () in
   let msgs = Stats.Summary.create () in
   let trial_rngs = Array.init trials (Prng.Rng.substream rng) in

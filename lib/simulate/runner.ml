@@ -20,7 +20,7 @@ type flood_stats = { mean : float; stddev : float; max : float; capped : bool }
 
 let flood ?(sched = Exec.sequential) ~rng ~trials ?cap ?protocol ?source build =
   let n = Core.Dynamic.n (build ()) in
-  let cap_value = match cap with Some c -> c | None -> 10_000 + (200 * n) in
+  let cap_value = match cap with Some c -> c | None -> Core.Flooding.default_cap n in
   let summary =
     Core.Flooding.mean_time ~cap:cap_value ?protocol ~sched ~rng ~trials ?source build
   in

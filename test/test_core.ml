@@ -482,6 +482,37 @@ let test_flood_negative_cap () =
   Alcotest.(check (option int)) "cap 0 is a legal, unfinished run" None
     (Core.Flooding.time ~cap:0 ~rng ~source:0 (dyn ()))
 
+(* Push and Parsimonious on a model without deltas read each round's
+   snapshot through exactly one [iter_edges] call: the calls equal the
+   rounds and [flood.snapshots], and [flood.edges] counts the edges
+   those calls visited. *)
+let test_enumeration_reads_each_round_once () =
+  List.iter
+    (fun (name, protocol) ->
+      let inner = Edge_meg.Classic.make ~n:24 ~p:0.08 ~q:0.4 () in
+      let calls = ref 0 and visited = ref 0 in
+      let g =
+        Core.Dynamic.make ~n:24
+          ~reset:(Core.Dynamic.reset inner)
+          ~step:(fun () -> Core.Dynamic.step inner)
+          ~iter_edges:(fun f ->
+            incr calls;
+            Core.Dynamic.iter_edges inner (fun u v ->
+                incr visited;
+                f u v))
+          ()
+      in
+      let r, counters =
+        with_counters (fun () -> Core.Flooding.run ~protocol ~rng:(rng_of_seed 12) ~source:0 g)
+      in
+      let rounds = Array.length r.trajectory - 1 in
+      check_true (name ^ " finished") (r.time = Some rounds);
+      Alcotest.(check int) (name ^ " one call per round") rounds !calls;
+      Alcotest.(check int) (name ^ " flood.rounds") rounds (count "flood.rounds" counters);
+      Alcotest.(check int) (name ^ " flood.snapshots") !calls (count "flood.snapshots" counters);
+      Alcotest.(check int) (name ^ " flood.edges") !visited (count "flood.edges" counters))
+    [ ("Push", Core.Flooding.Push 0.5); ("Parsimonious", Core.Flooding.Parsimonious 3) ]
+
 (* The worst case over no sources is undefined, not 0. *)
 let test_worst_source_empty () =
   Alcotest.check_raises "empty sources rejected"
@@ -532,6 +563,8 @@ let suites =
         Alcotest.test_case "worst source" `Quick test_worst_source_path;
         Alcotest.test_case "worst source needs sources" `Quick test_worst_source_empty;
         Alcotest.test_case "negative cap rejected" `Quick test_flood_negative_cap;
+        Alcotest.test_case "enumeration reads each round once" `Quick
+          test_enumeration_reads_each_round_once;
         Alcotest.test_case "characteristic time" `Quick test_characteristic_time;
         Alcotest.test_case "arrivals = BFS on static" `Quick test_arrivals_are_bfs_on_static;
         Alcotest.test_case "arrivals unreachable" `Quick test_arrivals_unreachable;

@@ -50,6 +50,24 @@ let test_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* A negative cap is rejected by every entry point instead of running
+   no step (and the means averaging the cap itself). *)
+let test_negative_cap () =
+  let dyn () = static (Graph.Builders.cycle 8) in
+  let rng = rng_of_seed 10 in
+  let raises name f =
+    Alcotest.check_raises name (Invalid_argument "Dyn_walk: cap must be >= 0") (fun () ->
+        ignore (f ()))
+  in
+  raises "hitting_time" (fun () ->
+      Core.Dyn_walk.hitting_time ~cap:(-1) ~rng ~start:0 ~target:4 (dyn ()));
+  raises "cover_time" (fun () -> Core.Dyn_walk.cover_time ~cap:(-1) ~rng ~start:0 (dyn ()));
+  raises "mean_hitting_time" (fun () ->
+      Core.Dyn_walk.mean_hitting_time ~cap:(-1) ~rng ~trials:3 dyn);
+  raises "mean_cover_time" (fun () -> Core.Dyn_walk.mean_cover_time ~cap:(-1) ~rng ~trials:3 dyn);
+  Alcotest.(check (option int)) "cap 0 is a legal, unfinished walk" None
+    (Core.Dyn_walk.hitting_time ~cap:0 ~rng ~start:0 ~target:4 (dyn ()))
+
 let test_mean_cover_on_meg_completes () =
   let dyn () = Edge_meg.Classic.make ~n:24 ~p:(2. /. 24.) ~q:0.5 () in
   let cover = Core.Dyn_walk.mean_cover_time ~cap:20_000 ~rng:(rng_of_seed 8) ~trials:5 dyn in
@@ -84,6 +102,7 @@ let suites =
         Alcotest.test_case "cover single node" `Quick test_cover_single_node;
         Alcotest.test_case "rides snapshots" `Quick test_walk_on_dynamic_uses_snapshots;
         Alcotest.test_case "validation" `Quick test_validation;
+        Alcotest.test_case "negative cap rejected" `Quick test_negative_cap;
         Alcotest.test_case "covers sparse MEG" `Quick test_mean_cover_on_meg_completes;
         Alcotest.test_case "disconnected static never covers" `Quick
           test_static_sparse_never_covers;

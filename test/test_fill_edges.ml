@@ -1,10 +1,12 @@
 open Helpers
 
-(* The fill_edges contract: for every model, [Dynamic.fill_edges] must
-   produce exactly the edge sequence of [Dynamic.iter_edges] — same
-   edges, same order, same orientations. Order matters because per-edge
-   randomness (Push coins, filter_edges keeps) is drawn in enumeration
-   order, so a native fill that reorders would silently change results.
+(* [Dynamic.fill_edges] is derived from the model's one enumeration:
+   for every model it must produce exactly the edge sequence of
+   [Dynamic.iter_edges] — same edges, same order, same orientations —
+   and leave the snapshot as it found it. Order matters because
+   per-edge randomness (filter_edges keeps) is drawn in enumeration
+   order, so a fill that drew differently would silently change
+   results.
 
    One builder per model family, sized small and parameterised away
    from degenerate corners (empty snapshots still occur naturally at
@@ -139,6 +141,22 @@ let test_filter_before_reset_raises () =
   Core.Dynamic.reset g (rng_of_seed 1);
   Core.Dynamic.iter_edges g (fun _ _ -> ())
 
+(* [Dynamic.make]'s [fill_edges] argument is ignored: a fill that
+   disagrees with the model's [iter_edges] is never called. *)
+let test_fill_argument_ignored () =
+  let g =
+    Core.Dynamic.make ~n:4 ~reset:ignore ~step:ignore
+      ~iter_edges:(fun f ->
+        f 2 3;
+        f 0 1)
+      ~fill_edges:(fun buf -> Graph.Edge_buffer.push buf 1 2)
+      ()
+  in
+  let buf = Graph.Edge_buffer.create () in
+  Core.Dynamic.fill_edges g buf;
+  Alcotest.(check (list (pair int int)))
+    "the iter_edges sequence" [ (2, 3); (0, 1) ] (Graph.Edge_buffer.to_list buf)
+
 let test_public_fill_clears () =
   let g = Core.Dynamic.of_static (Graph.Builders.cycle 4) in
   Core.Dynamic.reset g (rng_of_seed 1);
@@ -158,5 +176,6 @@ let suites =
           Alcotest.test_case "filter: fill-only = iter-only" `Quick test_filter_fill_only;
           Alcotest.test_case "filter: pre-reset raises" `Quick test_filter_before_reset_raises;
           Alcotest.test_case "public fill clears buffer" `Quick test_public_fill_clears;
+          Alcotest.test_case "make's fill argument ignored" `Quick test_fill_argument_ignored;
         ] );
   ]

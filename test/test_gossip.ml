@@ -51,6 +51,22 @@ let test_gossip_cap () =
   let r = run_variant ~cap:30 Core.Gossip.Push_pull g 0 in
   Alcotest.(check (option int)) "unreachable node" None r.time
 
+(* A negative cap is rejected, as [Flooding.run] rejects it, instead of
+   running no round (and [mean_time] averaging the cap itself). *)
+let test_gossip_negative_cap () =
+  let g = static (Graph.Builders.cycle 8) in
+  let raises name f =
+    Alcotest.check_raises name (Invalid_argument "Gossip.run: cap must be >= 0") (fun () ->
+        ignore (f ()))
+  in
+  raises "run" (fun () ->
+      Core.Gossip.run ~cap:(-1) ~variant:Core.Gossip.Push ~rng:(rng_of_seed 1) ~source:0 g);
+  raises "mean_time" (fun () ->
+      Core.Gossip.mean_time ~cap:(-1) ~variant:Core.Gossip.Push_pull ~rng:(rng_of_seed 1)
+        ~trials:3 g);
+  Alcotest.(check (option int)) "cap 0 is a legal, unfinished run" None
+    (run_variant ~cap:0 Core.Gossip.Push (Graph.Builders.cycle 8) 0).time
+
 let test_gossip_source_validation () =
   check_true "bad source raises"
     (try
@@ -120,6 +136,7 @@ let suites =
         Alcotest.test_case "pull star from leaf" `Quick test_pull_from_leaf_on_star;
         Alcotest.test_case "cap" `Quick test_gossip_cap;
         Alcotest.test_case "source validation" `Quick test_gossip_source_validation;
+        Alcotest.test_case "negative cap rejected" `Quick test_gossip_negative_cap;
         Alcotest.test_case "contact accounting" `Quick test_contacts_counted;
         Alcotest.test_case "mean_time deterministic" `Quick test_mean_time_deterministic;
         Alcotest.test_case "push-pull dominates push" `Quick test_push_pull_dominates_push;

@@ -238,22 +238,6 @@ let test_buffer_iter_order () =
   Alcotest.(check (list (pair int int)))
     "buffer order, orientation kept" [ (3, 1); (0, 2); (3, 1) ] (List.rev !seen)
 
-let test_buffer_append () =
-  let a = Graph.Edge_buffer.create ~capacity:1 () in
-  let b = Graph.Edge_buffer.create () in
-  List.iter (fun (u, v) -> Graph.Edge_buffer.push a u v) [ (0, 1); (2, 3) ];
-  Graph.Edge_buffer.push b 9 8;
-  Graph.Edge_buffer.append a ~into:b;
-  Alcotest.(check (list (pair int int)))
-    "appended after existing" [ (9, 8); (0, 1); (2, 3) ] (Graph.Edge_buffer.to_list b);
-  Alcotest.(check (list (pair int int)))
-    "source unchanged" [ (0, 1); (2, 3) ] (Graph.Edge_buffer.to_list a);
-  check_true "self-append rejected"
-    (try
-       Graph.Edge_buffer.append a ~into:a;
-       false
-     with Invalid_argument _ -> true)
-
 (* sort_dedup against the obvious list-based reference. *)
 let q_buffer_sort_dedup =
   qtest ~count:200 "sort_dedup = sort_uniq of normalised pairs"
@@ -309,10 +293,14 @@ let test_of_buffer_errors () =
        false
      with Invalid_argument _ -> true)
 
-let test_to_buffer_roundtrip () =
+(* A graph read into a buffer through the constant process's snapshot
+   and rebuilt from it is the same graph. *)
+let test_of_buffer_roundtrip () =
   let g = Graph.Builders.augmented_grid ~rows:3 ~cols:4 ~k:2 in
+  let d = Core.Dynamic.of_static g in
+  Core.Dynamic.reset d (rng_of_seed 1);
   let b = Graph.Edge_buffer.create () in
-  Graph.Static.to_buffer g b;
+  Core.Dynamic.fill_edges d b;
   let g' = Graph.Static.of_buffer ~n:(Graph.Static.n g) b in
   Alcotest.(check (list (pair int int)))
     "roundtrip" (Graph.Static.edges g) (Graph.Static.edges g')
@@ -416,11 +404,10 @@ let suites =
       [
         Alcotest.test_case "push/clear/reuse" `Quick test_buffer_push_clear;
         Alcotest.test_case "iter order" `Quick test_buffer_iter_order;
-        Alcotest.test_case "append" `Quick test_buffer_append;
         q_buffer_sort_dedup;
         q_of_buffer_consistent;
         Alcotest.test_case "of_buffer errors" `Quick test_of_buffer_errors;
-        Alcotest.test_case "to_buffer roundtrip" `Quick test_to_buffer_roundtrip;
+        Alcotest.test_case "of_buffer roundtrip" `Quick test_of_buffer_roundtrip;
       ] );
     ( "graph.pairs",
       [
